@@ -7,10 +7,9 @@ Times the kernels that dominate every sweep, table build and simulation:
 * ``ebar_table_build`` — a cold ``EbarTable`` construction (cache off);
 * ``fig6_sweep`` — the Figure 6 overlay distance sweep (``fast`` grid);
 * ``fig7_sweep`` — the Figure 7 underlay PA energy sweep (``fast`` grid);
-* ``sim_hold_heap`` / ``sim_hold_calendar`` — hold-model event churn on
-  the two `repro.simulation` kernels at a 5k-timer population (the
-  absolute events/sec floor lives in ``bench_sim.py``; this entry guards
-  against relative regressions).
+* ``sim_hold_heap`` — hold-model event churn on the `repro.simulation`
+  kernel at a 5k-timer population (the absolute events/sec floor lives
+  in ``bench_sim.py``; this entry guards against relative regressions).
 
 Two modes::
 
@@ -89,20 +88,12 @@ def kernel_sim_hold_heap():
     run_hold_churn(HeapKernel(), hold=5000, n_events=100_000)
 
 
-def kernel_sim_hold_calendar():
-    from repro.simulation.kernel import CalendarKernel
-    from repro.simulation.workloads import run_hold_churn
-
-    run_hold_churn(CalendarKernel(), hold=5000, n_events=100_000)
-
-
 KERNELS = {
     "ebar_batch_solve": kernel_ebar_batch_solve,
     "ebar_table_build": kernel_ebar_table_build,
     "fig6_sweep": kernel_fig6_sweep,
     "fig7_sweep": kernel_fig7_sweep,
     "sim_hold_heap": kernel_sim_hold_heap,
-    "sim_hold_calendar": kernel_sim_hold_calendar,
 }
 
 

@@ -2,16 +2,16 @@
 
 Measures and writes ``BENCH_sim.json`` (repo root):
 
-* ``kernels`` — hold-model churn throughput (events/sec) for the heap
-  and calendar kernels at 1k and 5k held timers, via
-  :func:`repro.simulation.workloads.run_hold_churn` — the bulk
+* ``kernels`` — hold-model churn throughput (events/sec) of
+  :class:`~repro.simulation.kernel.HeapKernel` at 1k and 5k held timers,
+  via :func:`repro.simulation.workloads.run_hold_churn` — the bulk
   ``schedule_many`` path the city-scale scenario runtime leans on.
 * ``simulate_stream`` — end-to-end NDJSON streaming through a live
   ``/v1/simulate``: a seeded mobile/churning scenario in a dedicated
   server-side process, timed client-side from request to summary row.
 
-The kernel numbers also act as a regression gate: the calendar kernel
-must sustain ``--target`` events/sec (default 1M) at every hold size,
+The kernel numbers also act as a regression gate: the kernel must
+sustain ``--target`` events/sec (default 1M) at every hold size,
 scaled by the same floating-point calibration ratio the
 ``bench_kernels.py`` gate uses — the committed reference calibration
 time makes the absolute target portable across machine speeds.  Run
@@ -70,31 +70,28 @@ def best_of(fn, repeats):
 
 
 def bench_kernels(holds, n_events, repeats):
-    """Hold-model churn throughput for both kernels at each hold size."""
-    from repro.simulation.kernel import make_kernel
+    """Hold-model churn throughput of the event kernel at each hold size."""
+    from repro.simulation.kernel import HeapKernel
     from repro.simulation.workloads import run_hold_churn
 
     results = {}
-    for kind in ("heap", "calendar"):
-        for hold in holds:
-            seconds = best_of(
-                lambda kind=kind, hold=hold: run_hold_churn(
-                    make_kernel(kind), hold=hold, n_events=n_events
-                ),
-                repeats,
-            )
-            rate = n_events / seconds
-            results[f"{kind}_hold{hold}"] = {
-                "hold": hold,
-                "n_events": n_events,
-                "seconds": seconds,
-                "events_per_s": rate,
-            }
-            print(
-                f"bench_sim: {kind} hold={hold}: {rate / 1e6:.2f} M events/s "
-                f"(best of {repeats})",
-                flush=True,
-            )
+    for hold in holds:
+        seconds = best_of(
+            lambda hold=hold: run_hold_churn(HeapKernel(), hold=hold, n_events=n_events),
+            repeats,
+        )
+        rate = n_events / seconds
+        results[f"heap_hold{hold}"] = {
+            "hold": hold,
+            "n_events": n_events,
+            "seconds": seconds,
+            "events_per_s": rate,
+        }
+        print(
+            f"bench_sim: heap hold={hold}: {rate / 1e6:.2f} M events/s "
+            f"(best of {repeats})",
+            flush=True,
+        )
     return results
 
 
@@ -147,7 +144,7 @@ def main(argv=None):
                         help="runs per measurement; best is kept")
     parser.add_argument("--target", type=float,
                         default=DEFAULT_TARGET_EVENTS_PER_S,
-                        help="calendar-kernel events/sec gate, before "
+                        help="event-kernel events/sec gate, before "
                         "calibration scaling (default 1e6)")
     parser.add_argument("--sim-nodes", type=int, default=200,
                         help="scenario size for the /v1/simulate e2e leg")
@@ -176,7 +173,7 @@ def main(argv=None):
     kernels = bench_kernels(DEFAULT_HOLDS, args.n_events, args.repeats)
     payload = {
         "note": ("hold-model kernel churn plus /v1/simulate NDJSON "
-                 "streaming; gate: calendar events/sec >= target scaled "
+                 "streaming; gate: kernel events/sec >= target scaled "
                  "by the calibration ratio"),
         "calibration_s": cal_s,
         "ref_calibration_s": REF_CALIBRATION_S,
@@ -191,8 +188,6 @@ def main(argv=None):
 
     failed = []
     for name, row in kernels.items():
-        if not name.startswith("calendar_"):
-            continue
         ok = row["events_per_s"] >= scaled_target
         row["gate"] = "ok" if ok else "REGRESSED"
         if not ok:

@@ -1,8 +1,7 @@
 #!/bin/sh
-# Regenerate BENCH_sim.json: hold-model event-kernel throughput (heap vs
-# calendar at 1k/5k held timers, gated at >= 1M events/sec calibration-
-# scaled for the calendar kernel) plus /v1/simulate end-to-end NDJSON
-# streaming throughput.
+# Regenerate BENCH_sim.json: hold-model event-kernel throughput (1k/5k
+# held timers, gated at >= 1M events/sec calibration-scaled) plus
+# /v1/simulate end-to-end NDJSON streaming throughput.
 #
 # Usage: scripts/bench_sim.sh  [extra bench_sim.py args]
 set -e

@@ -24,6 +24,11 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.service.client import ServiceClient  # noqa: E402
 
+#: Summary digest of SCENARIO at the default 200 nodes (4,272 events), so
+#: the smoke run also compares against a committed replay, not only
+#: against itself.
+GOLDEN_DIGEST = "901d65fd21d9f423add5dbef10057366ec18b77444377b868ac50dde57c0dcc5"
+
 SCENARIO = {
     "arena_m": [800.0, 800.0],
     "duration_s": 40.0,
@@ -72,6 +77,8 @@ def main() -> int:
         summary = first[-1]
         assert summary["row"] == "summary", summary
         assert summary["digest"] == second[-1]["digest"]
+        if args.nodes == 200:
+            assert summary["digest"] == GOLDEN_DIGEST, summary["digest"]
         snapshots = [r for r in first if r.get("row") == "snapshot"]
         assert len(snapshots) == 8, len(snapshots)
         assert summary["delivered"] > 0, summary

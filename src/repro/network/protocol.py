@@ -4,7 +4,7 @@ Section 2.1 sketches the runtime system around the cooperative schemes:
 head nodes coordinate hops, CSMA/CA arbitrates the channel, data relays
 along the spanning-tree backbone, and "the clusters and the routing
 backbone are reconfigurable".  :class:`SessionSimulator` executes that
-loop on the discrete-event kernel:
+loop hop by hop on a session clock:
 
 * a session's payload is split into chunks;
 * each chunk traverses the backbone route hop by hop — every hop pays a
@@ -31,7 +31,6 @@ from repro.energy.model import EnergyModel
 from repro.energy.optimize import DEFAULT_B_RANGE, minimize_over_b
 from repro.mac.csma import CsmaCaSimulator, CsmaConfig
 from repro.network.comimonet import CoMIMONet, CooperativeLink
-from repro.simulation.events import EventScheduler
 from repro.utils.rng import RngLike, as_rng
 from repro.utils.validation import (
     check_non_negative,
@@ -214,7 +213,6 @@ class SessionSimulator:
 
         check_positive(n_bits, "n_bits")
         check_positive(chunk_bits, "chunk_bits")
-        scheduler = EventScheduler()
         result = SessionResult(requested_bits=n_bits)
 
         remaining = n_bits
@@ -231,8 +229,7 @@ class SessionSimulator:
                     mt, mr, b = self._hop_parameters(link)
                     mac_delay = self._draw_mac_delay()
                     timing = hop_timing(chunk, b, mt, mr, self.bandwidth)
-                    scheduler.schedule(mac_delay + timing.total_s, lambda: None)
-                    scheduler.run()
+                    result.elapsed_s += mac_delay + timing.total_s
                     result.mac_delay_s += mac_delay
                     result.airtime_s += timing.total_s
                     self._charge_hop(link, mt, mr, b, chunk, result)
@@ -256,5 +253,4 @@ class SessionSimulator:
             if any(not c.is_alive for c in self.network.clusters):
                 self.network.reconfigure()
                 result.reconfigurations += 1
-        result.elapsed_s = scheduler.now
         return result

@@ -1,7 +1,7 @@
 """Scenario runtime: a city-scale CRN driven by the event kernel.
 
 :class:`ScenarioRuntime` compiles a :class:`~repro.scenario.spec.ScenarioSpec`
-into a discrete-event simulation on a `repro.simulation` kernel:
+into a discrete-event simulation on the `repro.simulation` kernel:
 
 * **mobility ticks** advance a shared :class:`WaypointState` on the exact
   ``k * mobility_step_s`` grid and push positions into the ``SUNode``s;
@@ -46,7 +46,7 @@ from repro.network.comimonet import CoMIMONet
 from repro.network.mobility import RandomWaypointMobility, WaypointState
 from repro.network.node import SUNode
 from repro.scenario.spec import STREAM_NAMES, ScenarioSpec
-from repro.simulation.kernel import SimKernel, make_kernel
+from repro.simulation.kernel import HeapKernel
 from repro.utils.rng import as_rng, spawn_seed_sequences
 
 __all__ = ["DROP_REASONS", "ScenarioRuntime", "canonical_row", "rows_digest"]
@@ -97,7 +97,7 @@ class ScenarioRuntime:
 
     def __init__(self, spec: ScenarioSpec) -> None:
         self.spec = spec
-        self.kernel: SimKernel = make_kernel(spec.kernel)
+        self.kernel = HeapKernel()
         streams = spawn_seed_sequences(spec.seed, len(STREAM_NAMES))
         rngs = {name: as_rng(ss) for name, ss in zip(STREAM_NAMES, streams)}
         self._rng_placement = rngs["placement"]

@@ -2,11 +2,11 @@
 
 A :class:`ScenarioSpec` fully determines a city-scale CRN simulation:
 node count and placement arena, RandomWaypoint mobility, per-class
-traffic arrival processes, battery capacities, churn rates, CoMIMONet
-clustering geometry and the event-kernel choice.  All randomness in the
-runtime flows from ``seed`` through named `numpy` ``SeedSequence``
-streams (see :data:`STREAM_NAMES`), so two runs of an identical spec
-replay bit-identically — the contract `/v1/simulate` exposes and CI's
+traffic arrival processes, battery capacities, churn rates and CoMIMONet
+clustering geometry.  All randomness in the runtime flows from ``seed``
+through named `numpy` ``SeedSequence`` streams (see
+:data:`STREAM_NAMES`), so two runs of an identical spec replay
+bit-identically — the contract `/v1/simulate` exposes and CI's
 ``sim-smoke`` job asserts.
 
 Specs parse from plain JSON mappings via :func:`scenario_from_mapping`
@@ -119,7 +119,6 @@ class ScenarioSpec:
     traffic: Tuple[TrafficClass, ...] = (TrafficClass(),)
     churn: ChurnSpec = field(default_factory=ChurnSpec)
     # runtime
-    kernel: str = "calendar"
     snapshot_interval_s: float = 5.0
 
     def __post_init__(self) -> None:
@@ -156,8 +155,6 @@ class ScenarioSpec:
         total = sum(t.fraction for t in self.traffic)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"traffic class fractions must sum to 1, got {total}")
-        if self.kernel not in ("heap", "calendar"):
-            raise ValueError("kernel must be 'heap' or 'calendar'")
         check_positive(self.snapshot_interval_s, "snapshot_interval_s")
 
 
@@ -187,7 +184,6 @@ _SCALAR_FIELDS: Dict[str, type] = {
     "target_ber": float,
     "constellation_b": int,
     "bandwidth_hz": float,
-    "kernel": str,
     "snapshot_interval_s": float,
 }
 

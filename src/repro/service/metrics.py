@@ -70,8 +70,8 @@ class LatencyHistogram:
     def quantile(self, q: float) -> float:
         """Histogram-interpolated quantile estimate in ms (0 when empty).
 
-        Linear interpolation inside the target bucket; the overflow bucket
-        reports the largest observed value.
+        Linear interpolation inside the target bucket, capped at the
+        largest observed value (which the overflow bucket reports).
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {q}")
@@ -88,7 +88,7 @@ class LatencyHistogram:
                 lower = self._bounds[j - 1] if j > 0 else 0.0
                 upper = self._bounds[j]
                 within = max(rank - cumulative, 0.0) / bucket_count
-                return lower + (upper - lower) * within
+                return min(lower + (upper - lower) * within, self._max_ms)
             cumulative += bucket_count
         return self._max_ms
 
@@ -118,18 +118,18 @@ class LatencyHistogram:
         buckets = snapshot.get("buckets")
         if not isinstance(buckets, dict):
             raise ValueError("snapshot has no 'buckets' dict")
-        bounds: List[float] = []
-        counts: List[int] = []
+        pairs: List[Tuple[float, int]] = []
         for key, value in buckets.items():
             if key == "overflow":
                 continue
             if not key.startswith("le_"):
                 raise ValueError(f"unexpected bucket key {key!r}")
-            bounds.append(float(key[3:]))
-            counts.append(int(value))
-        histogram = cls(bounds)
-        counts.append(int(buckets.get("overflow", 0)))
-        histogram._counts = counts
+            pairs.append((float(key[3:]), int(value)))
+        # Key order is not bound order: /metrics is served with sort_keys,
+        # which puts "le_10" before "le_2".
+        pairs.sort()
+        histogram = cls([bound for bound, _ in pairs])
+        histogram._counts = [count for _, count in pairs] + [int(buckets.get("overflow", 0))]
         histogram._count = int(snapshot.get("count", 0))
         histogram._sum_ms = float(snapshot.get("sum_ms", 0.0))
         histogram._max_ms = float(snapshot.get("max_ms", 0.0))

@@ -1,23 +1,11 @@
-"""Discrete-event simulation kernels.
+"""Discrete-event simulation kernel.
 
-`EventScheduler` is the original handle-based scheduler used by the MAC
-layer; `HeapKernel`/`CalendarKernel` are the high-throughput integer-id
-kernels behind the `repro.scenario` runtime (see `docs/simulation.md`).
+`HeapKernel` (in `repro.simulation.kernel`) is the integer-id event
+scheduler behind the `repro.scenario` runtime (see `docs/simulation.md`);
+`repro.simulation.workloads` holds the seeded churn workloads the
+benchmarks and tests drive it with.
 """
 
-from repro.simulation.events import EventHandle, EventScheduler
-from repro.simulation.kernel import (
-    CalendarKernel,
-    HeapKernel,
-    SimKernel,
-    make_kernel,
-)
+from repro.simulation.kernel import HeapKernel
 
-__all__ = [
-    "CalendarKernel",
-    "EventHandle",
-    "EventScheduler",
-    "HeapKernel",
-    "SimKernel",
-    "make_kernel",
-]
+__all__ = ["HeapKernel"]

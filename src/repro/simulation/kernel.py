@@ -1,21 +1,15 @@
-"""High-throughput discrete-event kernels: binary heap and calendar queue.
+"""High-throughput discrete-event kernel with integer event ids.
 
-Two interchangeable schedulers behind one protocol, built for the
-city-scale scenario runtime (`repro.scenario`) where event throughput is
-the budget that everything else spends:
+:class:`HeapKernel` is the scheduler behind the city-scale scenario
+runtime (`repro.scenario`), where event throughput is the budget that
+everything else spends.  It is `heapq`-backed, O(log n) per operation,
+and the C implementation of `heapq` keeps it fast at the populations the
+runtime holds.
 
-* :class:`HeapKernel` — `heapq`-backed, O(log n) per operation.  The C
-  implementation of `heapq` makes it very fast at small-to-moderate hold
-  sizes.
-* :class:`CalendarKernel` — a calendar queue (R. Brown, CACM 1988; the
-  slotted structure URA-CSMA-Sim builds its MAC slots on): events hash
-  into time buckets of width ``w``, giving O(1) amortised insert and
-  dequeue independent of hold size.  Bucket count and width adapt to the
-  live event population.
-
-Both kernels dispatch in exactly the same total order — ``(time, seq)``
-with ``seq`` the global admission counter — so a scenario replays
-bit-identically regardless of kernel choice (property-tested in
+Events dispatch in the total order ``(time, seq)``, with ``seq`` the
+global admission counter, so events scheduled for the same instant fire
+in scheduling order and a scenario replays bit-identically (checked
+against a brute-force ``sorted((time, seq))`` reference in
 ``tests/test_simulation_kernel.py``).
 
 Design notes for the hot path:
@@ -23,34 +17,20 @@ Design notes for the hot path:
 * Events are plain ``[time, seq, callback]`` records; event ids are the
   ``seq`` integers ("handle-free": cancellation is ``cancel(event_id)``
   with no token object to keep alive).
-* Only events admitted through :meth:`schedule` / :meth:`schedule_at`
-  are registered for cancellation.  :meth:`schedule_many` is the bulk
-  fire-and-forget path — it skips the registry entirely, which is what
-  keeps the per-event cost low enough for the ≥1M events/sec target
-  (``benchmarks/bench_sim.py``).  ``cancel`` on a batch id returns
-  ``False``.
-* The calendar queue maps an event to virtual bucket
-  ``int(t * inv_width)`` and dispatches events whose virtual bucket is
-  ``<= cursor``.  Using the *same* integer mapping for insertion and the
-  due-check (rather than comparing ``t`` against ``(cursor + 1) * width``)
-  makes the structure immune to float rounding between ``width`` and its
-  reciprocal — an event can never strand in a bucket the cursor believes
-  is in the future.
+* Only events admitted through :meth:`HeapKernel.schedule` /
+  :meth:`HeapKernel.schedule_at` are registered for cancellation.
+  :meth:`HeapKernel.schedule_many` is the bulk fire-and-forget path — it
+  skips the registry entirely, which is what keeps the per-event cost
+  low enough for the ≥1M events/sec target (``benchmarks/bench_sim.py``).
+  ``cancel`` on a batch id returns ``False``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.utils.validation import check_positive, check_positive_int
-
-__all__ = [
-    "CalendarKernel",
-    "HeapKernel",
-    "SimKernel",
-    "make_kernel",
-]
+__all__ = ["HeapKernel"]
 
 _INF = float("inf")
 
@@ -187,349 +167,3 @@ class HeapKernel:
             self._now = until
         self._processed += done
         return done
-
-
-class CalendarKernel:
-    """Calendar-queue event kernel: O(1) amortised insert and dequeue.
-
-    Events hash into ``n_buckets`` time slots of ``bucket_width``; both
-    adapt as the live population grows or shrinks.  Slots are sized to
-    hold ~``_SLOT_LOAD`` live events and are drained in bulk: one
-    C-level ``list.sort`` orders the slot, and — because the virtual
-    bucket mapping ``int(t * inv_width)`` is monotone in ``t`` — the
-    events due this lap form a prefix of the sorted slot, which is then
-    dispatched with a tight index walk.  This amortises the Python-level
-    per-event bookkeeping that a scan-per-dispatch calendar queue pays.
-    Dispatch order is identical to :class:`HeapKernel`.
-    """
-
-    # Target live events per slot; slots drain via one sort per lap, so a
-    # moderately full slot amortises better than the classic ~1-per-bucket
-    # sizing (measured in benchmarks/bench_sim.py).
-    _SLOT_LOAD = 16
-    # Bucket "year" (n * width) as a multiple of the live population's
-    # time span; >1 keeps the cursor from lapping mid-span.
-    _YEAR_SPAN = 1.25
-
-    __slots__ = (
-        "_buckets",
-        "_mask",
-        "_width",
-        "_inv",
-        "_now",
-        "_seq",
-        "_entries",
-        "_size",
-        "_processed",
-        "_gen",
-    )
-
-    def __init__(self, bucket_width: float = 1.0, n_buckets: int = 16) -> None:
-        check_positive(bucket_width, "bucket_width")
-        check_positive_int(n_buckets, "n_buckets")
-        n = 16
-        while n < n_buckets:
-            n *= 2
-        self._mask = n - 1
-        self._width = bucket_width
-        self._inv = 1.0 / bucket_width
-        self._buckets: List[List[Any]] = [[] for _ in range(n)]
-        self._now = 0.0
-        self._seq = 0
-        self._entries: Dict[int, List[Any]] = {}
-        self._size = 0
-        self._processed = 0
-        self._gen = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
-
-    @property
-    def events_processed(self) -> int:
-        """Number of events dispatched so far (cancelled events excluded)."""
-        return self._processed
-
-    @property
-    def pending(self) -> int:
-        """Number of live queued events (cancelled events excluded)."""
-        return self._size
-
-    def schedule(self, delay: float, callback: Callback = None) -> int:
-        """Schedule ``callback`` after ``delay``; returns a cancellable id."""
-        if delay < 0.0:
-            raise ValueError("delay must be non-negative")
-        t = self._now + delay
-        eid = self._seq
-        self._seq = eid + 1
-        # 4th element marks a registry-tracked (cancellable) entry; list
-        # comparison never reaches it because seq (index 1) is unique.
-        entry = [t, eid, callback, True]
-        self._entries[eid] = entry
-        self._buckets[int(t * self._inv) & self._mask].append(entry)
-        self._size += 1
-        if self._size > (self._mask + 1) * 2 * self._SLOT_LOAD:
-            self._resize()
-        return eid
-
-    def schedule_at(self, time: float, callback: Callback = None) -> int:
-        """Schedule ``callback`` at an absolute time (``>= now``)."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
-        return self.schedule(time - self._now, callback)
-
-    def schedule_many(self, delays: Sequence[float], callback: Callback = None) -> range:
-        """Bulk-insert fire-and-forget events; returns their id range.
-
-        Batch events skip the cancellation registry; ``cancel`` on an id
-        from the returned range reports ``False``.
-        """
-        _check_delays(delays)
-        now = self._now
-        seq = self._seq
-        inv = self._inv
-        mask = self._mask
-        buckets = self._buckets
-        for d in delays:
-            t = now + d
-            buckets[int(t * inv) & mask].append([t, seq, callback])
-            seq += 1
-        first = self._seq
-        self._seq = seq
-        self._size += seq - first
-        if self._size > (mask + 1) * 2 * self._SLOT_LOAD:
-            self._resize()
-        return range(first, seq)
-
-    def cancel(self, event_id: int) -> bool:
-        """Cancel a pending event by id; ``False`` if unknown or already run."""
-        entry = self._entries.pop(event_id, None)
-        if entry is None:
-            return False
-        entry[2] = _CANCELLED
-        self._size -= 1
-        return True
-
-    def _live_entries(self) -> List[Any]:
-        return [e for b in self._buckets for e in b if e[2] is not _CANCELLED]
-
-    def _resize(self) -> None:
-        """Rebuild the bucket array sized and widthed to the live population.
-
-        Targets ~``_SLOT_LOAD`` live events per slot with the bucket
-        "year" (``n * width``) just over the live population's time span.
-        """
-        live = self._live_entries()
-        n = self._mask + 1
-        want = max(16, len(live) // self._SLOT_LOAD)
-        while n < want:
-            n *= 2
-        while n > 16 and n >= 4 * want:
-            n //= 2
-        if len(live) > 2:
-            times = sorted(e[0] for e in live)
-            span = times[-1] - times[0]
-            if span > 0.0:
-                self._width = self._YEAR_SPAN * span / n
-                self._inv = 1.0 / self._width
-        self._mask = n - 1
-        buckets: List[List[Any]] = [[] for _ in range(n)]
-        inv = self._inv
-        mask = self._mask
-        for e in live:
-            buckets[int(e[0] * inv) & mask].append(e)
-        self._buckets = buckets
-        self._size = len(live)
-        self._gen += 1
-
-    def step(self) -> bool:
-        """Dispatch the next live event; ``False`` when the queue is empty."""
-        return self.run(max_events=1) == 1
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Dispatch events in ``(time, seq)`` order; returns the count.
-
-        The cursor walks virtual buckets ``int(t * inv_width)``; an entry
-        is due when its virtual bucket is ``<= cursor`` — the exact
-        integer mapping used at insertion, so no event can strand behind
-        the cursor through float rounding.  Each non-empty slot is sorted
-        once and its due prefix drained in bulk.
-        """
-        limit = _INF if until is None else until
-        budget = _INF if max_events is None else float(max_events)
-        done = 0
-        gen = self._gen
-        buckets = self._buckets
-        mask = self._mask
-        inv = self._inv
-        entries = self._entries
-        size = self._size
-        cursor = int(self._now * inv)
-        limit_v = _INF if until is None else int(limit * inv)
-        empty_scans = 0
-        while size and done < budget:
-            bucket = buckets[cursor & mask]
-            if bucket:
-                bucket.sort()
-                # Due prefix: v(t) is monotone in t, so entries with
-                # virtual bucket <= cursor sort to the front.
-                cut = 0
-                blen = len(bucket)
-                while cut < blen and int(bucket[cut][0] * inv) <= cursor:
-                    cut += 1
-                if cut:
-                    empty_scans = 0
-                    due = bucket[:cut]
-                    rest = bucket[cut:]
-                    buckets[cursor & mask] = rest
-                    bucket = rest
-                    base_len = len(rest)
-                    di = 0
-                    while di < cut:
-                        e = due[di]
-                        cb = e[2]
-                        if cb is _CANCELLED:
-                            di += 1
-                            continue
-                        t = e[0]
-                        if t > limit:
-                            # nothing earlier can exist; park the rest
-                            bucket.extend(due[di:])
-                            self._now = limit
-                            self._size = size
-                            self._processed += done
-                            return done
-                        if len(e) == 4:
-                            del entries[e[1]]
-                        size -= 1
-                        self._now = t
-                        di += 1
-                        done += 1
-                        if cb is not None:
-                            # callbacks may schedule/cancel/resize: sync
-                            # size out, reload state after
-                            self._size = size
-                            cb()
-                            size = self._size
-                            if self._gen != gen:
-                                # a resize rebuilt the buckets; re-home the
-                                # undrained due entries and restart the lap
-                                gen = self._gen
-                                buckets = self._buckets
-                                mask = self._mask
-                                inv = self._inv
-                                limit_v = (
-                                    _INF if until is None else int(limit * inv)
-                                )
-                                for e2 in due[di:]:
-                                    buckets[int(e2[0] * inv) & mask].append(e2)
-                                cursor = int(self._now * inv)
-                                break
-                            if len(bucket) != base_len:
-                                # the callback scheduled into the slot we
-                                # are draining: fold newly due entries in
-                                newly = bucket[base_len:]
-                                del bucket[base_len:]
-                                moved = False
-                                for e2 in newly:
-                                    if int(e2[0] * inv) <= cursor:
-                                        due.append(e2)
-                                        moved = True
-                                    else:
-                                        bucket.append(e2)
-                                base_len = len(bucket)
-                                if moved:
-                                    tail = due[di:]
-                                    tail.sort()
-                                    due[di:] = tail
-                                    cut = len(due)
-                        if done >= budget:
-                            if di < cut:
-                                bucket.extend(due[di:])
-                            self._size = size
-                            self._processed += done
-                            return done
-                    continue
-            cursor += 1
-            if cursor > limit_v:
-                self._now = limit
-                break
-            empty_scans += 1
-            if empty_scans > mask + 1:
-                # Full lap without a due event: the population is sparse
-                # relative to the current width.  Re-estimate and jump
-                # straight to the earliest pending event.
-                empty_scans = 0
-                self._size = size
-                live = self._live_entries()
-                if not live:
-                    break
-                if size < (mask + 1) * self._SLOT_LOAD // 4:
-                    self._resize()
-                    gen = self._gen
-                    buckets = self._buckets
-                    mask = self._mask
-                    inv = self._inv
-                    size = self._size
-                    limit_v = _INF if until is None else int(limit * inv)
-                tmin = min(e[0] for e in live)
-                if tmin > limit:
-                    self._now = limit
-                    break
-                cursor = int(tmin * inv)
-        self._size = size
-        if until is not None and self._now < until and not (size and done >= budget):
-            self._now = until
-        self._processed += done
-        return done
-
-
-class SimKernel(Protocol):
-    """Structural type shared by :class:`HeapKernel` and :class:`CalendarKernel`."""
-
-    @property
-    def now(self) -> float: ...
-
-    @property
-    def events_processed(self) -> int: ...
-
-    @property
-    def pending(self) -> int: ...
-
-    def schedule(self, delay: float, callback: Callback = None) -> int:
-        """Schedule ``callback`` ``delay`` seconds from now; returns its id."""
-        ...
-
-    def schedule_at(self, time: float, callback: Callback = None) -> int:
-        """Schedule ``callback`` at absolute ``time``; returns its id."""
-        ...
-
-    def schedule_many(
-        self, delays: Sequence[float], callback: Callback = None
-    ) -> range:
-        """Bulk-schedule one event per delay; returns the contiguous id range."""
-        ...
-
-    def cancel(self, event_id: int) -> bool:
-        """Cancel a pending event by id; ``False`` if unknown or already fired."""
-        ...
-
-    def step(self) -> bool:
-        """Dispatch the single earliest event; ``False`` when none are pending."""
-        ...
-
-    def run(
-        self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> int:
-        """Dispatch events up to ``until`` and/or ``max_events``; returns the count."""
-        ...
-
-
-def make_kernel(kind: str, **options: Any) -> SimKernel:
-    """Build an event kernel by name: ``"heap"`` or ``"calendar"``."""
-    if kind == "heap":
-        return HeapKernel(**options)
-    if kind == "calendar":
-        return CalendarKernel(**options)
-    raise ValueError(f"unknown kernel kind: {kind!r} (expected 'heap' or 'calendar')")

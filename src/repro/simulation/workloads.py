@@ -2,8 +2,8 @@
 
 Two classic queue-churn models:
 
-* :func:`run_hold_churn` — the *hold model* from the calendar-queue
-  literature: keep a constant population of ``hold`` pending timers
+* :func:`run_hold_churn` — the classic *hold model* of event-queue
+  benchmarking: keep a constant population of ``hold`` pending timers
   (one per simulated node) and continuously dequeue/re-insert in
   batches through :meth:`schedule_many`.  This is the bulk
   fire-and-forget path and the workload the ≥1M events/sec target in
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.simulation.kernel import SimKernel
+from repro.simulation.kernel import HeapKernel
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_positive_int
 
@@ -30,7 +30,7 @@ __all__ = ["run_hold_churn", "run_selfclock_churn", "verify_order_trace"]
 
 
 def run_hold_churn(
-    kernel: SimKernel,
+    kernel: HeapKernel,
     hold: int,
     n_events: int,
     seed: int = 7,
@@ -61,7 +61,7 @@ def run_hold_churn(
 
 
 def run_selfclock_churn(
-    kernel: SimKernel,
+    kernel: HeapKernel,
     hold: int,
     n_events: int,
     seed: int = 7,
@@ -99,12 +99,13 @@ def run_selfclock_churn(
 
 
 def verify_order_trace(
-    kernel: SimKernel, hold: int, n_events: int, seed: int = 7
+    kernel: HeapKernel, hold: int, n_events: int, seed: int = 7
 ) -> List[float]:
     """Dispatch a seeded churn and return the dispatch-time trace.
 
-    Used by the kernel-equivalence tests: both kernels must produce the
-    exact same trace for the same arguments.
+    Used by the dispatch-order tests: the kernel must produce the exact
+    trace a brute-force ``(time, seq)`` reference scheduler produces for
+    the same arguments.
     """
     trace: List[float] = []
     rng = as_rng(seed)

@@ -16,7 +16,6 @@ class TestDefaults:
     def test_default_spec_valid(self):
         spec = ScenarioSpec()
         assert spec.n_nodes == 100
-        assert spec.kernel == "calendar"
 
     def test_stream_names_fixed(self):
         assert STREAM_NAMES == ("placement", "mobility", "traffic", "churn")
@@ -42,8 +41,8 @@ class TestValidation:
             ScenarioSpec(speed_range_mps=(0.0, 1.0))
 
     def test_rejects_bad_kernel_and_backbone(self):
-        with pytest.raises(ValueError):
-            ScenarioSpec(kernel="splay")
+        with pytest.raises(TypeError):
+            ScenarioSpec(kernel="heap")  # one event kernel, no knob
         with pytest.raises(ValueError):
             ScenarioSpec(backbone="ring")
 
@@ -95,6 +94,8 @@ class TestParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario field"):
             scenario_from_mapping({"nodes": 10})
+        with pytest.raises(ValueError, match="unknown scenario field"):
+            scenario_from_mapping({"kernel": "heap"})
 
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ValueError, match="unknown churn field"):
@@ -108,7 +109,7 @@ class TestParsing:
         with pytest.raises(ValueError):
             scenario_from_mapping({"n_nodes": True})
         with pytest.raises(ValueError):
-            scenario_from_mapping({"kernel": 3})
+            scenario_from_mapping({"backbone": 3})
         with pytest.raises(ValueError):
             scenario_from_mapping({"duration_s": "60"})
 
@@ -156,7 +157,6 @@ class TestRoundTrip:
             pause_s=2.0,
             battery_j=5.0,
             backbone="bfs",
-            kernel="heap",
             traffic=(
                 TrafficClass(name="a", fraction=0.5),
                 TrafficClass(name="b", fraction=0.5, rate_per_node_s=2.0),

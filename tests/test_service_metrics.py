@@ -1,5 +1,7 @@
 """Metrics counters and the latency histogram."""
 
+import json
+
 import pytest
 
 from repro.service.metrics import LatencyHistogram, Metrics
@@ -34,6 +36,12 @@ class TestLatencyHistogram:
         assert snap["count"] == 2
         assert snap["sum_ms"] == pytest.approx(4.0)
         assert set(snap) >= {"p50_ms", "p95_ms", "p99_ms", "buckets"}
+        # /metrics is served with sort_keys=True: "le_10" arrives before "le_2".
+        wire = json.loads(json.dumps(snap, sort_keys=True))
+        rebuilt = LatencyHistogram.from_snapshot(wire).snapshot()
+        assert rebuilt == snap
+        assert rebuilt["p50_ms"] <= rebuilt["p95_ms"] <= rebuilt["p99_ms"]
+        assert rebuilt["p99_ms"] <= rebuilt["max_ms"]
 
     def test_invalid_inputs_rejected(self):
         hist = LatencyHistogram()

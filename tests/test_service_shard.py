@@ -107,8 +107,12 @@ class TestAggregateSnapshots:
         assert "health" not in merged
 
     def test_latency_histograms_merge_bucketwise(self):
+        # Shard snapshots arrive as JSON served with sort_keys=True.
         merged = aggregate_snapshots(
-            [self._snapshot([1.0, 1.0]), self._snapshot([100.0, 100.0])]
+            [
+                json.loads(json.dumps(self._snapshot(latencies), sort_keys=True))
+                for latencies in ([1.0, 1.0], [100.0, 100.0])
+            ]
         )
         latency = merged["latency_ms"]
         assert latency["count"] == 4
@@ -118,6 +122,8 @@ class TestAggregateSnapshots:
         assert latency["buckets"]["le_100"] == 2
         # Half the mass sits at ~1 ms, half at ~100 ms: p95 lands high.
         assert latency["p95_ms"] > 50.0
+        assert latency["p50_ms"] <= latency["p95_ms"] <= latency["p99_ms"]
+        assert latency["p99_ms"] <= latency["max_ms"]
 
     def test_empty_input(self):
         assert aggregate_snapshots([]) == {}

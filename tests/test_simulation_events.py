@@ -1,13 +1,17 @@
-"""Discrete-event scheduler tests: ordering, cancellation, horizons."""
+"""Discrete-event scheduler tests: ordering, cancellation, horizons.
+
+These drive `HeapKernel` through the `repro.simulation` package export,
+one scheduling call at a time, the way the scenario runtime uses it.
+"""
 
 import pytest
 
-from repro.simulation.events import EventScheduler
+from repro.simulation import HeapKernel
 
 
 class TestOrdering:
     def test_time_order(self):
-        sched = EventScheduler()
+        sched = HeapKernel()
         log = []
         sched.schedule(3.0, lambda: log.append("c"))
         sched.schedule(1.0, lambda: log.append("a"))
@@ -17,7 +21,7 @@ class TestOrdering:
         assert sched.now == 3.0
 
     def test_fifo_at_same_instant(self):
-        sched = EventScheduler()
+        sched = HeapKernel()
         log = []
         for tag in "xyz":
             sched.schedule(1.0, lambda t=tag: log.append(t))
@@ -25,7 +29,7 @@ class TestOrdering:
         assert log == ["x", "y", "z"]
 
     def test_nested_scheduling(self):
-        sched = EventScheduler()
+        sched = HeapKernel()
         log = []
 
         def first():
@@ -37,7 +41,7 @@ class TestOrdering:
         assert log == [("first", 1.0), ("second", 1.5)]
 
     def test_schedule_at_absolute(self):
-        sched = EventScheduler()
+        sched = HeapKernel()
         sched.schedule(1.0, lambda: None)
         sched.run()
         log = []
@@ -46,7 +50,7 @@ class TestOrdering:
         assert log == [5.0]
 
     def test_schedule_in_past_rejected(self):
-        sched = EventScheduler()
+        sched = HeapKernel()
         sched.schedule(1.0, lambda: None)
         sched.run()
         with pytest.raises(ValueError):
@@ -54,16 +58,16 @@ class TestOrdering:
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            EventScheduler().schedule(-1.0, lambda: None)
+            HeapKernel().schedule(-1.0, lambda: None)
 
 
 class TestCancellation:
     def test_cancelled_event_skipped(self):
-        sched = EventScheduler()
+        sched = HeapKernel()
         log = []
-        handle = sched.schedule(1.0, lambda: log.append("dead"))
+        event_id = sched.schedule(1.0, lambda: log.append("dead"))
         sched.schedule(2.0, lambda: log.append("alive"))
-        handle.cancel()
+        assert sched.cancel(event_id) is True
         sched.run()
         assert log == ["alive"]
         assert sched.events_processed == 1
@@ -71,35 +75,28 @@ class TestCancellation:
 
 class TestBatchInsertion:
     def test_schedule_many_orders_with_singles(self):
-        sched = EventScheduler()
+        sched = HeapKernel()
         log = []
         sched.schedule(2.0, lambda: log.append("single"))
         sched.schedule_many([1.0, 3.0], lambda: log.append("batch"))
         sched.run()
         assert log == ["batch", "single", "batch"]
 
-    def test_schedule_many_handles_cancellable(self):
-        sched = EventScheduler()
-        log = []
-        handles = sched.schedule_many([1.0, 2.0, 3.0], lambda: log.append("x"))
-        assert len(handles) == 3
-        handles[1].cancel()
-        sched.run()
-        assert log == ["x", "x"]
-
     def test_schedule_many_rejects_negative(self):
+        sched = HeapKernel()
         with pytest.raises(ValueError):
-            EventScheduler().schedule_many([1.0, -2.0], lambda: None)
+            sched.schedule_many([1.0, -2.0], lambda: None)
+        assert sched.pending == 0
 
     def test_schedule_many_empty(self):
-        sched = EventScheduler()
-        assert sched.schedule_many([], lambda: None) == []
+        sched = HeapKernel()
+        assert len(sched.schedule_many([], lambda: None)) == 0
         assert sched.pending == 0
 
 
 class TestHorizons:
     def test_run_until_stops_clock(self):
-        sched = EventScheduler()
+        sched = HeapKernel()
         log = []
         sched.schedule(1.0, lambda: log.append(1))
         sched.schedule(10.0, lambda: log.append(10))
@@ -111,12 +108,12 @@ class TestHorizons:
         assert log == [1, 10]
 
     def test_until_advances_clock_when_queue_empty(self):
-        sched = EventScheduler()
+        sched = HeapKernel()
         sched.run(until=7.0)
         assert sched.now == 7.0
 
     def test_max_events_budget(self):
-        sched = EventScheduler()
+        sched = HeapKernel()
         log = []
         for i in range(5):
             sched.schedule(float(i), lambda i=i: log.append(i))
@@ -124,7 +121,7 @@ class TestHorizons:
         assert log == [0, 1]
 
     def test_step(self):
-        sched = EventScheduler()
+        sched = HeapKernel()
         log = []
         sched.schedule(1.0, lambda: log.append("a"))
         assert sched.step() is True

@@ -1,35 +1,53 @@
-"""Event-kernel tests: heap/calendar equivalence, cancellation, horizons."""
+"""Event-kernel tests: dispatch order, cancellation, horizons."""
 
 import pytest
 
-from repro.simulation.kernel import CalendarKernel, HeapKernel, make_kernel
+from repro.simulation.kernel import HeapKernel
 from repro.simulation.workloads import (
     run_hold_churn,
     run_selfclock_churn,
     verify_order_trace,
 )
 
-KERNELS = [HeapKernel, CalendarKernel]
 
-
-@pytest.fixture(params=KERNELS, ids=["heap", "calendar"])
+@pytest.fixture(params=[HeapKernel], ids=["heap"])
 def kernel(request):
     return request.param()
 
 
-class TestFactory:
-    def test_make_kernel(self):
-        assert isinstance(make_kernel("heap"), HeapKernel)
-        assert isinstance(make_kernel("calendar"), CalendarKernel)
+class SortedReference:
+    """Brute-force scheduler: each dispatch takes the minimum ``(time, seq)``
+    over every live entry, so its order is correct by construction."""
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_kernel("splay")
+    def __init__(self):
+        self.now = 0.0
+        self._live = {}  # seq -> (time, callback)
+        self._seq = 0
 
-    def test_calendar_options(self):
-        make_kernel("calendar", bucket_width=0.25, n_buckets=64)
-        with pytest.raises(ValueError):
-            make_kernel("calendar", bucket_width=0.0)
+    def schedule(self, delay, callback=None):
+        eid = self._seq
+        self._seq += 1
+        self._live[eid] = (self.now + delay, callback)
+        return eid
+
+    def schedule_many(self, delays, callback=None):
+        first = self._seq
+        for delay in delays:
+            self.schedule(delay, callback)
+        return range(first, self._seq)
+
+    def cancel(self, event_id):
+        return self._live.pop(event_id, None) is not None
+
+    def run(self, max_events):
+        done = 0
+        while self._live and done < max_events:
+            time, seq = min((t, s) for s, (t, _) in self._live.items())
+            callback = self._live.pop(seq)[1]
+            self.now = time
+            callback()
+            done += 1
+        return done
 
 
 class TestOrdering:
@@ -82,17 +100,17 @@ class TestOrdering:
 
 
 class TestEquivalence:
-    """Both kernels dispatch in the identical (time, seq) total order."""
+    """The kernel dispatches in the brute-force (time, seq) total order."""
 
     @pytest.mark.parametrize("hold,n_events", [(64, 2000), (500, 5000)])
     def test_order_trace_identical(self, hold, n_events):
-        trace_heap = verify_order_trace(HeapKernel(), hold, n_events)
-        trace_cal = verify_order_trace(CalendarKernel(), hold, n_events)
-        assert trace_heap == trace_cal
+        trace = verify_order_trace(HeapKernel(), hold, n_events)
+        assert len(trace) == n_events
+        assert trace == verify_order_trace(SortedReference(), hold, n_events)
 
     def test_selfclock_counts_match(self):
         a = run_selfclock_churn(HeapKernel(), hold=50, n_events=3000)
-        b = run_selfclock_churn(CalendarKernel(), hold=50, n_events=3000)
+        b = run_selfclock_churn(SortedReference(), hold=50, n_events=3000)
         assert a == b == 3000
 
     def test_hold_churn_conserves_events(self, kernel):
@@ -218,47 +236,3 @@ class TestHorizons:
         assert kernel.step() is True
         assert kernel.step() is False
         assert log == ["a"]
-
-
-class TestCalendarResize:
-    def test_growth_resize_preserves_order(self):
-        """A bulk insert inside a callback forces a mid-run resize."""
-        kernel = CalendarKernel(n_buckets=16)
-        log = []
-
-        def burst():
-            log.append(("burst", kernel.now))
-            kernel.schedule_many(
-                [0.001 * i for i in range(2000)], lambda: log.append(None)
-            )
-
-        kernel.schedule(1.0, burst)
-        kernel.schedule(0.5, lambda: log.append(("early", kernel.now)))
-        kernel.schedule(4.0, lambda: log.append(("late", kernel.now)))
-        kernel.run()
-        assert log[0] == ("early", 0.5)
-        assert log[1] == ("burst", 1.0)
-        assert log[-1] == ("late", 4.0)
-        assert kernel.events_processed == 2003
-
-    def test_sparse_population_advances(self):
-        """Events far beyond the initial bucket year are still reached."""
-        kernel = CalendarKernel(bucket_width=0.01, n_buckets=16)
-        log = []
-        kernel.schedule(5000.0, lambda: log.append(kernel.now))
-        kernel.run()
-        assert log == [5000.0]
-
-    def test_schedule_into_draining_slot(self):
-        """A callback scheduling due-now work is dispatched this lap."""
-        kernel = CalendarKernel(bucket_width=10.0)
-        log = []
-
-        def fire():
-            log.append(kernel.now)
-            if len(log) < 4:
-                kernel.schedule(0.25, fire)
-
-        kernel.schedule(1.0, fire)
-        kernel.run()
-        assert log == [1.0, 1.25, 1.5, 1.75]
