@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.geometry.points import pairwise_distances
 from repro.network.cluster import Cluster
 from repro.network.clustering import d_cluster
 from repro.network.graph import Graph
@@ -128,14 +129,31 @@ class CoMIMONet:
     # ------------------------------------------------------------------ #
 
     def _build_cluster_graph(self) -> Graph:
+        """Edge ``(A, B)`` weighted :meth:`Cluster.distance_to` iff within
+        ``D_max``, inserted in ``(i, j > i)`` cluster order.
+
+        One member distance matrix, reduced to per-cluster-pair block
+        maxima: the same floats as the pairwise loop (max is exact), so
+        the backbone's tie-breaks do not move.
+        """
         graph = Graph()
         for c in self.clusters:
             graph.add_vertex(c.cluster_id)
-        for i, a in enumerate(self.clusters):
-            for b in self.clusters[i + 1 :]:
-                length = a.distance_to(b)
-                if length <= self.longhaul_range:
-                    graph.add_edge(a.cluster_id, b.cluster_id, length)
+        if len(self.clusters) < 2:
+            return graph
+        positions = np.stack([n.position for c in self.clusters for n in c.nodes])
+        dist = pairwise_distances(positions)
+        starts = np.cumsum([0] + [c.size for c in self.clusters[:-1]])
+        block_max = np.maximum.reduceat(
+            np.maximum.reduceat(dist, starts, axis=0), starts, axis=1
+        )
+        ii, jj = np.nonzero(np.triu(block_max <= self.longhaul_range, k=1))
+        for i, j in zip(ii.tolist(), jj.tolist()):
+            graph.add_edge(
+                self.clusters[i].cluster_id,
+                self.clusters[j].cluster_id,
+                float(block_max[i, j]),
+            )
         return graph
 
     def _build_backbone(self) -> Graph:

@@ -69,8 +69,8 @@ class SUNode:
 
     @property
     def alive(self) -> bool:
-        """True while the battery has energy left."""
-        return self.remaining_j > 0.0
+        """True while the battery has energy left (``remaining_j > 0``)."""
+        return self._consumed_j < self.battery_j
 
     def consume(self, energy_j: float) -> None:
         """Draw ``energy_j`` joules from the battery.
@@ -88,6 +88,16 @@ class SUNode:
         if not self.alive:
             raise RuntimeError(f"node {self.node_id} battery exhausted")
         self._consumed_j += energy_j
+
+    def drain(self, energy_j: float) -> None:
+        """Draw up to ``energy_j`` joules, letting the last draw empty the
+        battery: ``consume(min(energy_j, remaining_j))`` while alive, and a
+        no-op on an exhausted node."""
+        remaining = self.battery_j - self._consumed_j
+        if remaining > 0.0:
+            if energy_j < 0.0:
+                raise ValueError("energy_j must be non-negative")
+            self._consumed_j += min(energy_j, remaining)
 
     def move_to(self, position: Tuple[float, float]) -> None:
         """Update the node's coordinates [m] (a mobility tick).

@@ -13,8 +13,15 @@ into a discrete-event simulation on the `repro.simulation` kernel:
 * **churn** departs nodes after exponential lifetimes and admits Poisson
   joins (new row in the walk state, fresh battery, fresh arrival chain);
 * **recluster ticks** rebuild the CoMIMONet from the present-and-alive
-  population on the ``k * recluster_interval_s`` grid and invalidate the
-  backbone route cache.
+  population on the ``k * recluster_interval_s`` grid and start a new
+  routing epoch.
+
+Between recluster ticks the backbone and every hop's ``(class, m_t, m_r,
+D)`` stay fixed, so each routing epoch keeps one shortest-path tree per
+source cluster and memoizes each long-haul hop's joules; the per-class
+distribution and reception joules are constants of the run.  The
+:class:`~repro.energy.EnergyModel` formulas are pure, so the cached floats
+are exactly those a per-packet evaluation gives.
 
 :meth:`ScenarioRuntime.run` yields one snapshot row per
 ``snapshot_interval_s`` of simulated time and a terminal summary row
@@ -36,7 +43,7 @@ import hashlib
 import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -115,6 +122,17 @@ class ScenarioRuntime:
         self._energy = [
             EnergyModel(packet_bits=cls.packet_bits) for cls in spec.traffic
         ]
+        # Per-class (distribution local_tx at the cluster diameter, local_rx,
+        # mimo_rx) joules per packet: fixed for the whole run.
+        p, b, bw = spec.target_ber, spec.constellation_b, spec.bandwidth_hz
+        self._class_joules: List[Tuple[float, float, float]] = []
+        for cls, model in zip(spec.traffic, self._energy):
+            bits = float(cls.packet_bits)
+            self._class_joules.append((
+                model.local_tx(p, b, spec.cluster_diameter_m, bw).total * bits,
+                model.local_rx(b, bw).total * bits,
+                model.mimo_rx(b, bw).total * bits,
+            ))
         fractions = np.array([cls.fraction for cls in spec.traffic], dtype=float)
         self._fractions = fractions / fractions.sum()
         # Deterministic per-leg MAC latency estimate: DIFS + mean initial
@@ -140,10 +158,13 @@ class ScenarioRuntime:
         # --- mobility stream: the shared incremental walk ---
         self._walk: WaypointState = self.mobility.start(positions, self._rng_mobility)
 
-        # --- network state (rebuilt on each recluster tick) ---
+        # --- network state (rebuilt on each recluster tick: one epoch) ---
         self.net: Optional[CoMIMONet] = None
         self._cluster_of: Dict[int, int] = {}
-        self._route_cache: Dict[Tuple[int, int], Optional[List[int]]] = {}
+        # Backbone Dijkstra parent map per source cluster, and long-haul
+        # per-member tx joules per (class, mt, mr, D), for this epoch.
+        self._trees: Dict[int, Dict[Hashable, Any]] = {}
+        self._hop_joules: Dict[Tuple[int, int, int, float], float] = {}
         self._rebuild_network()
 
         # --- counters ---
@@ -214,7 +235,8 @@ class ScenarioRuntime:
             for i in self._present_ids
             if self._recs[i].node.alive
         ]
-        self._route_cache.clear()
+        self._trees.clear()
+        self._hop_joules.clear()
         self._cluster_of.clear()
         if not members:
             self.net = None
@@ -317,19 +339,31 @@ class ScenarioRuntime:
         return self._present_ids[i]
 
     def _route_path(self, src_cid: int, dst_cid: int) -> Optional[List[int]]:
-        """Backbone cluster-id path, cached until the next recluster."""
-        key = (src_cid, dst_cid)
-        if key not in self._route_cache:
+        """Backbone cluster-id path (``shortest_weighted_path``'s), read off
+        the source's Dijkstra parent map, which is kept for the epoch."""
+        parent = self._trees.get(src_cid)
+        if parent is None:
             assert self.net is not None
-            self._route_cache[key] = self.net.backbone.shortest_weighted_path(
-                src_cid, dst_cid
-            )
-        return self._route_cache[key]
+            parent = self.net.backbone.dijkstra(src_cid)[1]
+            self._trees[src_cid] = parent
+        if dst_cid not in parent:
+            return None
+        path = [dst_cid]
+        while path[-1] != src_cid:
+            path.append(parent[path[-1]])
+        return path[::-1]
 
-    def _charge(self, node: SUNode, energy_j: float) -> None:
-        """Drain ``energy_j``, letting the last transmission empty the cell."""
-        if node.alive:
-            node.consume(min(energy_j, node.remaining_j))
+    def _hop_tx_joules(self, cls_index: int, mt: int, mr: int, distance: float) -> float:
+        """Per-member long-haul tx joules of one packet, memoized per epoch."""
+        key = (cls_index, mt, mr, distance)
+        joules = self._hop_joules.get(key)
+        if joules is None:
+            spec = self.spec
+            joules = self._energy[cls_index].mimo_tx(
+                spec.target_ber, spec.constellation_b, mt, mr, distance, spec.bandwidth_hz
+            ).total * float(spec.traffic[cls_index].packet_bits)
+            self._hop_joules[key] = joules
+        return joules
 
     def _deliver(self, src_id: int, dst_id: int, cls_index: int) -> None:
         spec = self.spec
@@ -354,12 +388,13 @@ class ScenarioRuntime:
         model = self._energy[cls_index]
         bits = float(cls.packet_bits)
         p, b, bw = spec.target_ber, spec.constellation_b, spec.bandwidth_hz
+        distribute_j, local_rx_j, mimo_rx_j = self._class_joules[cls_index]
 
         if src_cid == dst_cid:
             # Intra-cluster: one local SISO hop, source to destination.
             d = max(src.distance_to(dst), _MIN_LOCAL_HOP_M)
-            self._charge(src, model.local_tx(p, b, d, bw).total * bits)
-            self._charge(dst, model.local_rx(b, bw).total * bits)
+            src.drain(model.local_tx(p, b, d, bw).total * bits)
+            dst.drain(local_rx_j)
             self.delivered += 1
             self._latency_us_sum += self._leg_latency_us
             return
@@ -378,31 +413,28 @@ class ScenarioRuntime:
         legs = 2 + (len(path) - 1)  # distribute + long-haul hops + collect
         # 1. Local distribution inside the source cluster (bounded by the
         #    cluster diameter), so cooperating members hold the packet.
-        self._charge(src, model.local_tx(p, b, spec.cluster_diameter_m, bw).total * bits)
-        local_rx_j = model.local_rx(b, bw).total * bits
+        src.drain(distribute_j)
         for member in rosters[0]:
             if member is not src:
-                self._charge(member, local_rx_j)
+                member.drain(local_rx_j)
         # 2. Long-haul cooperative hops along the backbone.
-        mimo_rx_j = model.mimo_rx(b, bw).total * bits
         for hop in range(len(path) - 1):
             tx_roster, rx_roster = rosters[hop], rosters[hop + 1]
             distance = self.net.cluster_graph.weight(path[hop], path[hop + 1])
-            per_tx_j = (
-                model.mimo_tx(p, b, len(tx_roster), len(rx_roster), distance, bw).total
-                * bits
+            per_tx_j = self._hop_tx_joules(
+                cls_index, len(tx_roster), len(rx_roster), distance
             )
             for member in tx_roster:
-                self._charge(member, per_tx_j)
+                member.drain(per_tx_j)
             for member in rx_roster:
-                self._charge(member, mimo_rx_j)
+                member.drain(mimo_rx_j)
         # 3. Local collection: the destination cluster's head forwards to
         #    the destination node (skipped when the head IS the node).
         head = clusters[-1].head
         if head is not dst:
             d = max(head.distance_to(dst), _MIN_LOCAL_HOP_M)
-            self._charge(head, model.local_tx(p, b, d, bw).total * bits)
-            self._charge(dst, local_rx_j)
+            head.drain(model.local_tx(p, b, d, bw).total * bits)
+            dst.drain(local_rx_j)
         self.delivered += 1
         self._latency_us_sum += legs * self._leg_latency_us
 

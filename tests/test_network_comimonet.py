@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.network.comimonet import CoMIMONet, LinkKind
+from repro.network.graph import Graph
 from repro.network.node import SUNode
 
 
@@ -145,3 +146,75 @@ class TestReconfigure:
                 if u in comp and v in comp
             ]
             assert len(sub_edges) == len(comp) - 1
+
+
+def _reference_cluster_edges(net):
+    """The pairwise ``Cluster.distance_to`` loop the cluster graph replaces."""
+    ref = Graph()
+    for c in net.clusters:
+        ref.add_vertex(c.cluster_id)
+    for i, a in enumerate(net.clusters):
+        for b in net.clusters[i + 1 :]:
+            length = a.distance_to(b)
+            if length <= net.longhaul_range:
+                ref.add_edge(a.cluster_id, b.cluster_id, length)
+    return ref
+
+
+def _population(kind, n=60):
+    if kind == "lattice":
+        # 15 m integer lattice: many equal distances, so Prim's tie-breaks bite.
+        side = int(np.ceil(np.sqrt(n)))
+        coords = [(15.0 * (i % side), 15.0 * (i // side)) for i in range(n)]
+    else:
+        rng = np.random.default_rng(int(kind.split("-")[1]))
+        coords = [tuple(rng.uniform(0.0, 300.0, 2)) for _ in range(n)]
+    return [SUNode(i, xy, battery_j=5.0) for i, xy in enumerate(coords)]
+
+
+class TestClusterGraphMatchesPairwiseLoop:
+    """The block-maxima cluster graph against the ``Cluster.distance_to``
+    reference: same edge order, endpoints and float weights (``==``)."""
+
+    @staticmethod
+    def _assert_matches_reference(net):
+        ref = _reference_cluster_edges(net)
+        assert net.cluster_graph.vertices == ref.vertices
+        assert net.cluster_graph.edges() == ref.edges()
+
+    @pytest.mark.parametrize("max_cluster_size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("population", ["seed-0", "seed-7", "lattice"])
+    @pytest.mark.parametrize("backbone", ["mst", "bfs"])
+    def test_seeded_populations(self, max_cluster_size, population, backbone):
+        net = CoMIMONet(
+            _population(population),
+            cluster_diameter=40.0,
+            longhaul_range=120.0,
+            max_cluster_size=max_cluster_size,
+            backbone=backbone,
+        )
+        edges = net.cluster_graph.edges()
+        assert 0 < len(edges) < net.n_clusters * (net.n_clusters - 1) // 2
+        if population == "lattice":
+            assert len({w for _, _, w in edges}) < len(edges)
+        self._assert_matches_reference(net)
+
+    def test_after_reconfigure_drops_dead_cluster(self):
+        net = CoMIMONet(
+            _population("seed-3"),
+            cluster_diameter=40.0,
+            longhaul_range=120.0,
+            max_cluster_size=3,
+        )
+        victim = net.clusters[len(net.clusters) // 2]
+        for node in victim.nodes:
+            node.consume(node.remaining_j)
+        net.reconfigure()
+        assert victim.cluster_id not in net.cluster_graph.vertices
+        self._assert_matches_reference(net)
+
+    def test_single_cluster_has_no_edges(self):
+        net = CoMIMONet([SUNode(0, (0.0, 0.0)), SUNode(1, (1.0, 0.0))], 5.0, 10.0)
+        assert net.n_clusters == 1
+        assert net.cluster_graph.vertices == [0]
+        assert net.cluster_graph.edges() == []

@@ -22,6 +22,33 @@ CHURNY = ScenarioSpec(
     snapshot_interval_s=10.0,
 )
 
+#: The benchmark-of-record ``sim-city`` scenario body (seed 1001).
+SIM_CITY = ScenarioSpec(
+    n_nodes=500,
+    arena_m=(800.0, 800.0),
+    duration_s=60.0,
+    seed=1001,
+    churn=ChurnSpec(leave_rate_per_node_s=0.002, join_rate_per_s=0.5),
+    snapshot_interval_s=5.0,
+)
+
+#: Two traffic classes on a BFS backbone, with batteries small enough that
+#: most clusters die mid-run: per-class joule caches and clamped drains.
+DRAINING = ScenarioSpec(
+    n_nodes=80,
+    arena_m=(500.0, 500.0),
+    duration_s=30.0,
+    seed=21,
+    battery_j=8.0,
+    backbone="bfs",
+    max_cluster_size=3,
+    churn=ChurnSpec(leave_rate_per_node_s=0.005, join_rate_per_s=0.3),
+    traffic=(
+        TrafficClass(name="light", fraction=0.7, rate_per_node_s=0.2),
+        TrafficClass(name="heavy", fraction=0.3, rate_per_node_s=1.0, packet_bits=12000),
+    ),
+)
+
 
 def run_rows(spec):
     return list(ScenarioRuntime(spec).run())
@@ -83,12 +110,67 @@ class TestDeterminism:
         )
         assert summary["events_processed"] == 497
 
+    def test_sim_city_golden_digest(self):
+        """Pinned 500-node city fingerprint: cluster-graph, routing and
+        energy-charging shortcuts must leave every row bit-identical."""
+        summary = run_rows(SIM_CITY)[-1]
+        assert summary["digest"] == (
+            "2ad995ea18d926bb1ab4006d983c71b78868a7fa76c230e8adca87cafcbc605f"
+        )
+        assert summary["events_processed"] == 14890
+
+    def test_draining_multiclass_golden_digest(self):
+        summary = run_rows(DRAINING)[-1]
+        assert summary["digest"] == (
+            "f7e4442bdb3deb3f232daa6acd1127eb8c72de4dd77d666018ae1a3af1ced149"
+        )
+        assert summary["dropped"]["dead_cluster"] > summary["delivered"] > 0
+
     def test_seed_changes_outcome(self):
         import dataclasses
 
         a = run_rows(FAST)
         b = run_rows(dataclasses.replace(FAST, seed=12))
         assert a != b
+
+
+class TestEpochRoutes:
+    """Routes read off the per-epoch Dijkstra trees against
+    ``backbone.shortest_weighted_path`` for every ordered cluster pair."""
+
+    @staticmethod
+    def _assert_routes_match(rt):
+        """Compare every ordered pair; return (disconnected pairs, longest path)."""
+        ids = [c.cluster_id for c in rt.net.clusters]
+        disconnected, longest = 0, 0
+        for src in ids:
+            for dst in ids:
+                expected = rt.net.backbone.shortest_weighted_path(src, dst)
+                assert rt._route_path(src, dst) == expected, (src, dst)
+                disconnected += expected is None
+                longest = max(longest, len(expected or ()))
+        return disconnected, longest
+
+    @pytest.mark.parametrize("backbone", ["mst", "bfs"])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_every_pair_matches_reference(self, backbone, seed):
+        spec = ScenarioSpec(
+            n_nodes=60,
+            arena_m=(600.0, 600.0),
+            duration_s=20.0,
+            seed=seed,
+            longhaul_range_m=130.0,  # short enough to split the backbone
+            backbone=backbone,
+        )
+        rt = ScenarioRuntime(spec)
+        disconnected, longest = self._assert_routes_match(rt)
+        assert disconnected > 0 and longest >= 4
+        # A new epoch: nodes move, the network is rebuilt, trees restart.
+        for _ in range(5):
+            rt._on_mobility_tick()
+        rt._on_recluster_tick()
+        disconnected, longest = self._assert_routes_match(rt)
+        assert disconnected > 0 and longest >= 4
 
 
 class TestDynamics:
