@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """CI chaos-replay gate: the seeded loadgen smoke plan vs the real binary.
 
-Boots ``python -m repro.service --shards 2 --chaos-admin`` with the smoke
-plan's server-side faults pre-armed through ``REPRO_SERVICE_FAULTS``
+Boots ``python -m repro.service --shards 2 --chaos-admin`` and runs the
+seeded smoke plan twice against it.  In both runs every fault event
 (worker kill, mid-stream truncation, sim-child kill and stall, dropped
-connections), then runs the seeded smoke plan twice against it.  The
-shard-kill fault is delivered at its scheduled request index through the
-supervisor's ``POST /chaos/kill_shard`` admin endpoint.  The gate asserts:
+connections, shard kill) is POSTed to the supervisor's ``/chaos/faults``
+just before its scheduled request; the supervisor kills a shard for
+``kill_shard`` and arms every live shard for the rest.  The gate asserts:
 
 * **every request is accounted for** — the verdict passes: each request
   ended 2xx-verified, as a clean structured 4xx/5xx carrying its retry
@@ -14,12 +14,19 @@ supervisor's ``POST /chaos/kill_shard`` admin endpoint.  The gate asserts:
   drop, malformed error body or zero-row close fails the run;
 * **replay is bit-identical** — the second run reproduces the identical
   outcome digest;
+* **the faults fired** — each run retried at least one request.  The
+  retrying client converges a faulted run to the fault-free digest, so
+  the retries (printed per endpoint kind) are the only sign of them;
+* **the fleet's own record holds** — every ``shard_exit`` the supervisor
+  logs to ``<trace-dir>/fleet.log`` is a SIGKILL that a delivered
+  ``kill_shard`` (a ``chaos_kill_shard`` log line) accounts for;
 * the fleet drains cleanly (SIGTERM exits 0) after all of the above.
 
 Usage:  PYTHONPATH=src python scripts/chaos_replay.py [--trace-dir DIR]
 """
 
 import argparse
+import collections
 import json
 import os
 import pathlib
@@ -31,26 +38,20 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.loadgen import (  # noqa: E402
-    AdminFaultDriver,
-    PrearmedFaultDriver,
-    Trace,
     build_plan,
-    env_fault_plan,
     evaluate,
     outcome_digest,
     run_plan,
     smoke_spec,
 )
-from repro.service.faults import FAULTS_ENV_VAR  # noqa: E402
 
 #: Keep the stall fault's terminal 504 (and its retry) well inside CI time.
 STALL_TIMEOUT_MS = 2000
 
 
-def boot_fleet(env_plan):
+def boot_fleet(log):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    env[FAULTS_ENV_VAR] = json.dumps(env_plan)
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.service",
@@ -66,7 +67,7 @@ def boot_fleet(env_plan):
             "--quiet",
         ],
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=log,
         text=True,
         cwd=REPO_ROOT,
         env=env,
@@ -76,74 +77,118 @@ def boot_fleet(env_plan):
     return proc, announced["host"], announced["port"], announced["admin_port"]
 
 
+def unaccounted_shard_exits(log_path):
+    """``shard_exit`` events no earlier ``chaos_kill_shard`` explains.
+
+    A delivered kill accounts for one later exit of the same shard with
+    returncode -9 (SIGKILL); any other exit means a shard died on its own.
+    """
+    kills = collections.Counter()
+    unaccounted = []
+    with open(log_path, encoding="utf-8") as handle:
+        for line in handle:
+            try:
+                event = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if not isinstance(event, dict):
+                continue
+            if event.get("event") == "chaos_kill_shard":
+                kills[event.get("shard")] += 1
+            elif event.get("event") == "shard_exit":
+                shard = event.get("shard")
+                if kills[shard] > 0 and event.get("returncode") == -signal.SIGKILL:
+                    kills[shard] -= 1
+                else:
+                    unaccounted.append(event)
+    return unaccounted
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "--trace-dir", default=str(REPO_ROOT),
-        help="where the two trace JSON artifacts land (default: repo root)",
+        help="where the two trace JSON artifacts and fleet.log land "
+        "(default: repo root)",
     )
     args = parser.parse_args(argv)
-    pathlib.Path(args.trace_dir).mkdir(parents=True, exist_ok=True)
+    trace_dir = pathlib.Path(args.trace_dir)
+    trace_dir.mkdir(parents=True, exist_ok=True)
+    log_path = trace_dir / "fleet.log"
 
     spec = smoke_spec(include_shard_kill=True)
     plan = build_plan(spec)
-    env_plan = env_fault_plan(spec, plan)
     print(
         f"chaos_replay: {len(plan)} planned requests, "
         f"{len(spec.faults)} fault events "
-        f"(env plan: {sorted(env_plan)})",
+        f"({', '.join(f'{e.action}@{e.at_request}' for e in spec.faults)})",
         flush=True,
     )
 
-    proc, host, port, admin_port = boot_fleet(env_plan)
     failed = False
-    try:
-        driver = PrearmedFaultDriver(AdminFaultDriver(host, admin_port))
-        traces = []
-        for run in (1, 2):
-            trace = run_plan(spec, host, port, plan=plan, fault_driver=driver)
-            verdict = evaluate(trace.records)
-            digest = outcome_digest(trace.records)
-            retries = sum(r.retries for r in trace.records)
-            trace_path = (
-                pathlib.Path(args.trace_dir) / f"chaos_replay_run{run}.json"
-            )
-            trace.save(str(trace_path))
-            print(
-                f"chaos_replay[run {run}]: verdict "
-                f"{'PASS' if verdict.passed else 'FAIL'} "
-                f"{verdict.counts}, {retries} retries, digest {digest[:16]}…, "
-                f"trace {trace_path}",
-                flush=True,
-            )
-            if not verdict.passed:
-                for violation in verdict.violations:
-                    print(f"chaos_replay: violation: {violation}",
-                          file=sys.stderr)
-                failed = True
-            traces.append(trace)
-        digests = [outcome_digest(t.records) for t in traces]
-        if digests[0] != digests[1]:
-            print(
-                f"chaos_replay: replay diverged: {digests[0]} != {digests[1]}",
-                file=sys.stderr,
-            )
-            failed = True
-    finally:
-        proc.send_signal(signal.SIGTERM)
+    with open(log_path, "w", encoding="utf-8") as log:
+        proc, host, port, admin_port = boot_fleet(log)
         try:
-            exit_code = proc.wait(timeout=60)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait(timeout=10)
-            exit_code = -9
+            digests = []
+            for run in (1, 2):
+                trace = run_plan(spec, host, port, plan=plan, admin_port=admin_port)
+                verdict = evaluate(trace.records)
+                digest = outcome_digest(trace.records)
+                retries = collections.Counter()
+                for record in trace.records:
+                    retries[record.kind] += record.retries
+                total_retries = sum(retries.values())
+                trace_path = trace_dir / f"chaos_replay_run{run}.json"
+                trace.save(str(trace_path))
+                print(
+                    f"chaos_replay[run {run}]: verdict "
+                    f"{'PASS' if verdict.passed else 'FAIL'} "
+                    f"{verdict.counts}, {total_retries} retries "
+                    f"{dict(sorted((k, n) for k, n in retries.items() if n))}, "
+                    f"digest {digest[:16]}…, trace {trace_path}",
+                    flush=True,
+                )
+                if not verdict.passed:
+                    for violation in verdict.violations:
+                        print(f"chaos_replay: violation: {violation}",
+                              file=sys.stderr)
+                    failed = True
+                if total_retries == 0:
+                    print(
+                        f"chaos_replay: run {run} retried no request, so no "
+                        "fault fired",
+                        file=sys.stderr,
+                    )
+                    failed = True
+                digests.append(digest)
+            if digests[0] != digests[1]:
+                print(
+                    f"chaos_replay: replay diverged: {digests[0]} != {digests[1]}",
+                    file=sys.stderr,
+                )
+                failed = True
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            try:
+                exit_code = proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=10)
+                exit_code = -9
     if exit_code != 0:
         print(f"chaos_replay: fleet exited {exit_code}", file=sys.stderr)
         failed = True
+    for event in unaccounted_shard_exits(log_path):
+        print(
+            f"chaos_replay: shard_exit no delivered kill_shard accounts for: "
+            f"{event} (see {log_path})",
+            file=sys.stderr,
+        )
+        failed = True
     if failed:
         return 1
-    print("chaos_replay: every request accounted for, replay bit-identical",
-          flush=True)
+    print("chaos_replay: every request accounted for, replay bit-identical, "
+          "every shard exit a delivered kill", flush=True)
     return 0
 
 

@@ -9,8 +9,8 @@ single declarative tool:
   timed fault plan;
 * :mod:`repro.loadgen.arrivals` / :mod:`repro.loadgen.plan` — seeded
   expansion into a concrete, replayable request plan;
-* :mod:`repro.loadgen.runner` — the asyncio open-loop executor with
-  pluggable fault delivery (in-process injector, chaos admin endpoint);
+* :mod:`repro.loadgen.runner` — the asyncio open-loop executor; it
+  delivers each fault event through the target's ``POST /chaos/faults``;
 * :mod:`repro.loadgen.trace` — the canonical trace and its deterministic
   outcome digest (record/replay, bit-identical);
 * :mod:`repro.loadgen.verdict` — the machine-checked
@@ -20,15 +20,9 @@ single declarative tool:
   verify / plan).
 """
 
-from repro.loadgen.plan import PlannedRequest, build_plan, env_fault_plan
+from repro.loadgen.plan import PlannedRequest, build_plan
 from repro.loadgen.presets import bench_spec, smoke_spec
-from repro.loadgen.runner import (
-    AdminFaultDriver,
-    FaultDriver,
-    InjectorFaultDriver,
-    PrearmedFaultDriver,
-    run_plan,
-)
+from repro.loadgen.runner import run_plan
 from repro.loadgen.spec import (
     ENDPOINT_KINDS,
     FAULT_ACTIONS,
@@ -54,15 +48,11 @@ __all__ = [
     "ENDPOINT_KINDS",
     "FAULT_ACTIONS",
     "OUTCOMES",
-    "AdminFaultDriver",
     "ArrivalSpec",
     "ClientPolicy",
     "EndpointMix",
-    "FaultDriver",
     "FaultEvent",
-    "InjectorFaultDriver",
     "PlannedRequest",
-    "PrearmedFaultDriver",
     "RequestRecord",
     "Trace",
     "TrafficSpec",
@@ -71,7 +61,6 @@ __all__ = [
     "build_plan",
     "classify",
     "endpoint_route",
-    "env_fault_plan",
     "evaluate",
     "load_trace",
     "outcome_digest",

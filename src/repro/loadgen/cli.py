@@ -8,21 +8,20 @@ Four subcommands::
     repro-loadgen replay --trace IN.json --host H --port P [--admin-port P]
                          [--out OUT.json]
     repro-loadgen verify --trace IN.json
-    repro-loadgen plan   --preset ... | --spec FILE [--env-plan] [--seed N]
+    repro-loadgen plan   --preset ... | --spec FILE [--seed N]
 
 ``run`` executes a spec against a listening service, writes the recorded
 trace, prints the verdict as JSON and exits 0 iff every request was
 accounted for.  ``replay`` rebuilds the plan from a trace's embedded spec,
 re-runs it, and additionally requires the new outcome digest to equal the
 recorded one bit-for-bit (exit 1 on mismatch).  ``verify`` re-judges a
-saved trace offline.  ``plan`` prints a plan summary — or, with
-``--env-plan``, the ``REPRO_SERVICE_FAULTS`` JSON that pre-arms the spec's
-server-side faults in a real service binary.
+saved trace offline.  ``plan`` prints a plan summary.
 
-Against a real binary, server-side fault actions must be armed at boot via
-``--env-plan`` output; ``kill_shard`` events additionally need the target
-supervisor started with ``--chaos-admin`` and its admin port passed as
-``--admin-port``.
+A spec's fault events are POSTed to the target's ``/chaos/faults`` at their
+scheduled request index, so the target must run with ``--chaos-admin``.
+Against a sharded binary pass the supervisor's admin port as
+``--admin-port``: it arms every live shard and serves ``kill_shard``.  A
+refused event ends the run with exit code 2.
 """
 
 from __future__ import annotations
@@ -32,13 +31,9 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.loadgen.plan import build_plan, env_fault_plan
+from repro.loadgen.plan import build_plan
 from repro.loadgen.presets import bench_spec, smoke_spec
-from repro.loadgen.runner import (
-    AdminFaultDriver,
-    PrearmedFaultDriver,
-    run_plan,
-)
+from repro.loadgen.runner import run_plan
 from repro.loadgen.spec import TrafficSpec, traffic_from_mapping
 from repro.loadgen.trace import Trace, load_trace, outcome_digest
 from repro.loadgen.verdict import evaluate
@@ -68,15 +63,6 @@ def _load_spec(args: argparse.Namespace) -> TrafficSpec:
     return spec
 
 
-def _driver(args: argparse.Namespace) -> PrearmedFaultDriver:
-    admin = (
-        AdminFaultDriver(args.host, args.admin_port)
-        if args.admin_port is not None
-        else None
-    )
-    return PrearmedFaultDriver(admin)
-
-
 def _report(trace: Trace, extra: Optional[dict] = None) -> int:
     verdict = evaluate(trace.records)
     report = verdict.to_mapping()
@@ -89,7 +75,7 @@ def _report(trace: Trace, extra: Optional[dict] = None) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    trace = run_plan(spec, args.host, args.port, fault_driver=_driver(args))
+    trace = run_plan(spec, args.host, args.port, admin_port=args.admin_port)
     if args.trace is not None:
         trace.save(args.trace)
     return _report(trace)
@@ -98,7 +84,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     recorded = load_trace(args.trace)
     spec = traffic_from_mapping(recorded.spec)
-    replayed = run_plan(spec, args.host, args.port, fault_driver=_driver(args))
+    replayed = run_plan(spec, args.host, args.port, admin_port=args.admin_port)
     if args.out is not None:
         replayed.save(args.out)
     recorded_digest = outcome_digest(recorded.records)
@@ -119,9 +105,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     plan = build_plan(spec)
-    if args.env_plan:
-        print(json.dumps(env_fault_plan(spec, plan), sort_keys=True))
-        return 0
     by_kind: dict = {}
     for request in plan:
         by_kind[request.kind] = by_kind.get(request.kind, 0) + 1
@@ -160,8 +143,9 @@ def _add_target_args(parser: argparse.ArgumentParser) -> None:
         "--admin-port",
         type=int,
         default=None,
-        help="shard supervisor admin port (enables kill_shard delivery "
-        "via POST /chaos/kill_shard; requires --chaos-admin server-side)",
+        help="shard supervisor admin port: fault events go to its "
+        "POST /chaos/faults (which arms every live shard and serves "
+        "kill_shard) instead of --port; either needs --chaos-admin",
     )
 
 
@@ -198,16 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trace", required=True, help="recorded trace file")
     verify.set_defaults(func=_cmd_verify)
 
-    plan = sub.add_parser(
-        "plan", help="summarise a spec's plan or emit its env fault plan"
-    )
+    plan = sub.add_parser("plan", help="summarise a spec's plan")
     _add_spec_args(plan)
-    plan.add_argument(
-        "--env-plan",
-        action="store_true",
-        help="print the REPRO_SERVICE_FAULTS JSON for the spec's "
-        "server-side fault events",
-    )
     plan.add_argument("--admin-port", type=int, default=None, help=argparse.SUPPRESS)
     plan.set_defaults(func=_cmd_plan)
     return parser

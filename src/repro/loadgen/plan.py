@@ -13,10 +13,6 @@ table grids, overlay distances inside Algorithm 1's feasible band, underlay
 distances within power budget), so a fault-free run produces zero 4xx
 responses — any rejection in a verdict is then attributable to the fault
 plan or a service bug, never to the generator asking impossible questions.
-
-:func:`env_fault_plan` compiles the spec's server-side fault events into the
-``REPRO_SERVICE_FAULTS`` JSON a real service binary arms at boot, using the
-plan to translate "at request index k" into the injector's skip counts.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from repro.service.rescache import canonical_digest
 from repro.utils.rng import as_rng, spawn_seed_sequences
 from repro.utils.validation import check_non_negative, check_non_negative_int
 
-__all__ = ["PlannedRequest", "build_plan", "env_fault_plan"]
+__all__ = ["PlannedRequest", "build_plan"]
 
 Payload = Dict[str, Any]
 
@@ -178,93 +174,3 @@ def _underlay_body(distance: object) -> Payload:
 def _round(value: float) -> float:
     return round(float(value), 6)
 
-
-# --------------------------------------------------------------------- #
-# Server-side fault-plan compilation                                    #
-# --------------------------------------------------------------------- #
-
-
-def env_fault_plan(
-    spec: TrafficSpec, plan: Optional[List[PlannedRequest]] = None
-) -> Dict[str, object]:
-    """The ``REPRO_SERVICE_FAULTS`` JSON object for this spec's fault plan.
-
-    Server-side fault actions must be armed when the service binary boots;
-    this compiles the spec's events into that boot-time plan.  ``at_request``
-    scheduling is approximated through the injector's skip counters — skip
-    as many *matching* planned requests as precede the event's index.  The
-    approximation is exact for ``max_concurrency=1`` runs without retries;
-    under concurrency the fault still fires near the scheduled point, and
-    retry-enabled client policies make the recorded outcome sequence
-    independent of exactly which request draws it.
-
-    ``kill_shard`` events are excluded: they are delivered at their exact
-    request index through the supervisor's ``POST /chaos/kill_shard`` chaos
-    admin endpoint (see :class:`repro.loadgen.runner.AdminFaultDriver`),
-    not pre-armed.  ``delay`` events fold into one ``delay_ms`` arm (the
-    injector has a single delay slot).  Path scopes of all events merge
-    into the injector's one shared ``paths`` list.
-    """
-    if plan is None:
-        plan = build_plan(spec)
-    out: Dict[str, object] = {}
-    paths: List[str] = []
-    for event in spec.faults:
-        if event.action == "kill_shard":
-            continue
-        if event.path is not None and event.path not in paths:
-            paths.append(event.path)
-        if event.action == "kill_worker":
-            out["kill_worker"] = int(out.get("kill_worker", 0)) + event.count  # type: ignore[call-overload]
-        elif event.action == "delay":
-            out["delay_ms"] = event.delay_ms
-            out["delay_times"] = int(out.get("delay_times", 0)) + event.count  # type: ignore[call-overload]
-        elif event.action == "abort":
-            out["abort"] = int(out.get("abort", 0)) + event.count  # type: ignore[call-overload]
-            out.setdefault(
-                "abort_skip",
-                _skip_before(plan, event.at_request, event.path, stream=False),
-            )
-        elif event.action == "truncate_stream":
-            out["truncate_stream"] = (
-                int(out.get("truncate_stream", 0)) + event.count  # type: ignore[call-overload]
-            )
-            out["truncate_stream_after_rows"] = event.after_rows
-            out.setdefault(
-                "truncate_stream_skip",
-                _skip_before(plan, event.at_request, event.path, stream=True),
-            )
-        elif event.action == "drop_client":
-            out["drop_client"] = int(out.get("drop_client", 0)) + event.count  # type: ignore[call-overload]
-            out.setdefault(
-                "drop_client_skip",
-                _skip_before(plan, event.at_request, event.path, stream=None),
-            )
-        elif event.action == "kill_sim_child":
-            out["kill_sim_child"] = (
-                int(out.get("kill_sim_child", 0)) + event.count  # type: ignore[call-overload]
-            )
-            out["kill_sim_child_after_rows"] = event.after_rows
-        elif event.action == "stall_sim":
-            out["stall_sim"] = int(out.get("stall_sim", 0)) + event.count  # type: ignore[call-overload]
-            out["stall_sim_after_rows"] = event.after_rows
-    if paths:
-        out["paths"] = paths
-    return out
-
-
-def _skip_before(
-    plan: List[PlannedRequest],
-    at_request: int,
-    path: Optional[str],
-    stream: Optional[bool],
-) -> int:
-    """Matching requests dispatched before ``at_request`` (→ injector skip)."""
-    count = 0
-    for request in plan[:at_request]:
-        if path is not None and request.path != path:
-            continue
-        if stream is not None and request.stream != stream:
-            continue
-        count += 1
-    return count

@@ -30,9 +30,9 @@ def smoke_spec(
     """The chaos smoke plan: all endpoints, all stream-aware faults.
 
     ``include_shard_kill`` adds a scheduled ``kill_shard`` event — only
-    deliverable against a sharded supervisor started with ``--chaos-admin``
-    (CI's ``chaos-replay`` job); in-process single-server tests leave it
-    off.
+    deliverable through a shard supervisor's admin port (CI's
+    ``chaos-replay`` job); a single server refuses it, so in-process
+    single-server tests leave it off.
     """
     faults = [
         FaultEvent(action="kill_worker", at_request=8),
@@ -81,11 +81,11 @@ def smoke_spec(
             # surfaces (and retries) fast instead of stalling CI.
             timeout_s=10.0,
             # The retry budget must cover the fleet-wide worst case, not
-            # the per-event counts: every shard of an N-shard fleet arms
-            # the boot plan independently, so against CI's 2-shard
-            # supervisor one unlucky /v1/simulate request can serially
-            # draw all four armed sim faults (stall x2, kill x2) before
-            # its first clean attempt.  Six attempts leave one to spare.
+            # the per-event counts: the supervisor forwards each event to
+            # every live shard, so against CI's 2-shard fleet one unlucky
+            # /v1/simulate request can serially draw all four armed sim
+            # faults (stall x2, kill x2) before its first clean attempt.
+            # Six attempts leave one to spare.
             max_attempts=6,
             base_delay_s=0.05,
             max_delay_s=0.5,

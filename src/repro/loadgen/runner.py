@@ -1,32 +1,26 @@
 """The asyncio open-loop runner: fire a plan, record every request's fate.
 
 The runner walks a built plan on a (scalable) wall clock: it sleeps to each
-request's send offset, delivers any fault events scheduled at that index
-through a :class:`FaultDriver`, then dispatches the request on a bounded
-thread pool — open-loop, so slow responses never throttle the offered load.
-Each request runs the client policy's retry loop (deterministically seeded
-jitter per request index) and is reduced to one raw-fact
-:class:`~repro.loadgen.trace.RequestRecord`; the collected records plus the
-serialised spec form the returned :class:`~repro.loadgen.trace.Trace`.
+request's send offset, delivers any fault events scheduled at that index,
+then dispatches the request on a bounded thread pool — open-loop, so slow
+responses never throttle the offered load.  Each request runs the client
+policy's retry loop (deterministically seeded jitter per request index)
+and is reduced to one raw-fact :class:`~repro.loadgen.trace.RequestRecord`;
+the collected records plus the serialised spec form the returned
+:class:`~repro.loadgen.trace.Trace`.
 
-Fault delivery is pluggable:
-
-* :class:`InjectorFaultDriver` arms an in-process
-  :class:`~repro.service.faults.FaultInjector` (the test harness's driver —
-  every action supported);
-* :class:`AdminFaultDriver` POSTs ``/chaos/kill_shard`` to a sharded
-  supervisor's chaos admin listener (``--chaos-admin``);
-* :class:`PrearmedFaultDriver` is the CLI's driver against a real binary:
-  ``kill_shard`` goes through an :class:`AdminFaultDriver`, every other
-  action is a runtime no-op because it was armed at server boot from
-  :func:`repro.loadgen.plan.env_fault_plan`.
+Fault events take one path, the same for an in-process
+:class:`~repro.service.testing.ThreadedServer` and a real binary: each is
+POSTed to ``/chaos/faults`` (see :mod:`repro.service.faults`) — on a shard
+supervisor's admin port when one is given, else on the service port — so
+the target must run with ``--chaos-admin``.
 """
 
 from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.loadgen.plan import PlannedRequest, build_plan
@@ -37,114 +31,33 @@ from repro.service.client import (
     ServiceClientError,
     TRANSPORT_FAILURE_STATUS,
 )
-from repro.service.faults import FaultInjector
+from repro.service.faults import CHAOS_FAULTS_PATH
 from repro.service.retry import RetryPolicy, default_clock, default_sleeper
 from repro.utils.rng import keyed_seed_sequence
-from repro.utils.validation import check_positive, check_positive_int
 
-__all__ = [
-    "AdminFaultDriver",
-    "FaultDriver",
-    "InjectorFaultDriver",
-    "PrearmedFaultDriver",
-    "run_plan",
-]
+__all__ = ["run_plan"]
 
 Payload = Dict[str, object]
 
 
-class FaultDriver:
-    """Delivers scheduled :class:`FaultEvent`\\ s into a running system."""
+def _deliver_fault(client: ServiceClient, event: FaultEvent) -> None:
+    """POST one fault event to ``/chaos/faults``; a refusal is fatal.
 
-    def supports(self, action: str) -> bool:
-        """True iff this driver can deliver ``action`` faults."""
-        raise NotImplementedError
-
-    def fire(self, event: FaultEvent) -> None:
-        """Deliver one scheduled fault event."""
-        raise NotImplementedError
-
-
-class InjectorFaultDriver(FaultDriver):
-    """Arm an in-process :class:`FaultInjector` (test-harness driver)."""
-
-    def __init__(self, injector: FaultInjector) -> None:
-        self.injector = injector
-
-    def supports(self, action: str) -> bool:
-        """Every catalogued action maps onto an injector arm."""
-        return True
-
-    def fire(self, event: FaultEvent) -> None:
-        """Arm the injector for ``event`` (count, rows, path scope)."""
-        paths = None if event.path is None else (event.path,)
-        if event.action == "kill_worker":
-            self.injector.arm_kill_worker(event.count)
-        elif event.action == "kill_shard":
-            self.injector.arm_kill_shard(event.count)
-        elif event.action == "delay":
-            self.injector.arm_delay(
-                event.delay_ms / 1000.0, times=event.count, paths=paths
-            )
-        elif event.action == "abort":
-            self.injector.arm_abort(event.count, paths=paths)
-        elif event.action == "truncate_stream":
-            self.injector.arm_truncate_stream(
-                event.count, after_rows=event.after_rows, paths=paths
-            )
-        elif event.action == "drop_client":
-            self.injector.arm_drop_client(event.count, paths=paths)
-        elif event.action == "kill_sim_child":
-            self.injector.arm_kill_sim_child(
-                event.count, after_rows=event.after_rows
-            )
-        else:  # stall_sim — the spec layer validated the action name
-            self.injector.arm_stall_sim(
-                event.count, after_rows=event.after_rows
-            )
-
-
-class AdminFaultDriver(FaultDriver):
-    """Kill live shards through the supervisor's chaos admin endpoint."""
-
-    def __init__(self, host: str, admin_port: int, timeout_s: float = 10.0) -> None:
-        check_positive_int(admin_port, "admin_port", maximum=65535)
-        check_positive(timeout_s, "timeout_s")
-        self._client = ServiceClient(host, admin_port, timeout_s=timeout_s)
-
-    def supports(self, action: str) -> bool:
-        """Only ``kill_shard`` is deliverable over the admin endpoint."""
-        return action == "kill_shard"
-
-    def fire(self, event: FaultEvent) -> None:
-        """POST ``/chaos/kill_shard`` once per armed count."""
-        for _ in range(event.count):
-            self._client.request("POST", "/chaos/kill_shard")
-
-
-class PrearmedFaultDriver(FaultDriver):
-    """The CLI's driver against a real service binary.
-
-    Server-side actions were armed at boot via ``REPRO_SERVICE_FAULTS``
-    (see :func:`repro.loadgen.plan.env_fault_plan`), so firing them here is
-    a no-op; ``kill_shard`` is delegated to an :class:`AdminFaultDriver`
-    when one is available.
+    Raises
+    ------
+    ValueError
+        When the target does not arm the event (403 without
+        ``--chaos-admin``, ``kill_shard`` sent to a single server, ...).
+        A plan whose faults cannot be delivered must fail, not silently
+        run fault-free.
     """
-
-    def __init__(self, admin: Optional[AdminFaultDriver] = None) -> None:
-        self._admin = admin
-
-    def supports(self, action: str) -> bool:
-        """Everything pre-armed at boot; ``kill_shard`` needs the admin."""
-        if action == "kill_shard":
-            return self._admin is not None
-        return True
-
-    def fire(self, event: FaultEvent) -> None:
-        """Delegate ``kill_shard`` to the admin; the rest are pre-armed."""
-        if event.action == "kill_shard":
-            assert self._admin is not None  # supports() gated the plan
-            self._admin.fire(event)
+    try:
+        client.request("POST", CHAOS_FAULTS_PATH, asdict(event.request()))
+    except ServiceClientError as exc:
+        raise ValueError(
+            f"fault event {event.action!r} (at request {event.at_request}) "
+            f"was not delivered to {client.host}:{client.port}: {exc}"
+        ) from exc
 
 
 # --------------------------------------------------------------------- #
@@ -404,31 +317,26 @@ def run_plan(
     host: str,
     port: int,
     plan: Optional[List[PlannedRequest]] = None,
-    fault_driver: Optional[FaultDriver] = None,
+    admin_port: Optional[int] = None,
     sleep: Optional[Callable[[float], None]] = None,
     clock: Optional[Callable[[], float]] = None,
 ) -> Trace:
     """Execute ``spec`` against a listening service; return the full trace.
 
     ``plan`` defaults to :func:`build_plan(spec) <repro.loadgen.plan.build_plan>`
-    (pass one in to reuse it); ``fault_driver`` must support every action in
-    ``spec.faults`` (validated up front — a plan with undeliverable faults
-    fails fast instead of silently running fault-free).  ``sleep``/``clock``
-    are injectable for tests.
+    (pass one in to reuse it).  Each fault event is POSTed to
+    ``/chaos/faults`` just before request ``at_request`` dispatches: on
+    ``admin_port`` (a shard supervisor's admin listener, which also serves
+    ``kill_shard``) when given, else on ``port``.  A refused event raises
+    ``ValueError`` naming the action and the server's detail.
+    ``sleep``/``clock`` are injectable for tests.
     """
     requests = build_plan(spec) if plan is None else plan
-    if spec.faults:
-        if fault_driver is None:
-            raise ValueError(
-                "spec schedules fault events but no fault driver was given"
-            )
-        unsupported = sorted(
-            {e.action for e in spec.faults if not fault_driver.supports(e.action)}
-        )
-        if unsupported:
-            raise ValueError(
-                f"fault driver cannot deliver: {', '.join(unsupported)}"
-            )
+    chaos = ServiceClient(
+        host,
+        port if admin_port is None else admin_port,
+        timeout_s=spec.client.timeout_s,
+    )
     events_at: Dict[int, List[FaultEvent]] = {}
     if requests:
         last_index = requests[-1].index
@@ -444,7 +352,7 @@ def run_plan(
     executor = ThreadPoolExecutor(max_workers=spec.max_concurrency)
     try:
         records = asyncio.run(
-            _drive(spec, requests, events_at, fault_driver, worker, executor, ticker)
+            _drive(spec, requests, events_at, chaos, worker, executor, ticker)
         )
     finally:
         executor.shutdown(wait=True)
@@ -460,7 +368,7 @@ async def _drive(
     spec: TrafficSpec,
     requests: List[PlannedRequest],
     events_at: Dict[int, List[FaultEvent]],
-    fault_driver: Optional[FaultDriver],
+    chaos: ServiceClient,
     worker: _RequestWorker,
     executor: ThreadPoolExecutor,
     clock: Callable[[], float],
@@ -474,11 +382,10 @@ async def _drive(
         if delay_s > 0.0:
             await asyncio.sleep(delay_s)
         for event in events_at.get(request.index, ()):
-            assert fault_driver is not None  # validated in run_plan
-            # Fault delivery may block (an admin HTTP call) — run it off
-            # the loop, but *await* it: the fault lands before this
-            # request dispatches, pinning chaos to the plan index.
-            await loop.run_in_executor(None, fault_driver.fire, event)
+            # Fault delivery blocks on an HTTP call — run it off the loop,
+            # but *await* it: the fault lands before this request
+            # dispatches, pinning chaos to the plan index.
+            await loop.run_in_executor(None, _deliver_fault, chaos, event)
         pending.append(loop.run_in_executor(executor, worker, request))
     results: List[RequestRecord] = list(await asyncio.gather(*pending))
     return results

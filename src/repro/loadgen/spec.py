@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.service.faults import FAULT_ACTIONS, FaultRequest
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -66,22 +67,6 @@ _ROUTES: Dict[str, Tuple[str, str, bool]] = {
 
 #: The valid ``EndpointMix.kind`` values, in canonical order.
 ENDPOINT_KINDS: Tuple[str, ...] = tuple(_ROUTES)
-
-#: The fault-plan action catalogue.  Server-side actions map onto
-#: :class:`repro.service.faults.FaultInjector` arms; ``kill_shard`` may
-#: alternatively be delivered through the supervisor's chaos admin
-#: endpoint (``POST /chaos/kill_shard``) against a real sharded binary.
-FAULT_ACTIONS: Tuple[str, ...] = (
-    "kill_worker",
-    "kill_shard",
-    "delay",
-    "abort",
-    "truncate_stream",
-    "drop_client",
-    "kill_sim_child",
-    "stall_sim",
-)
-
 
 def endpoint_route(kind: str) -> Tuple[str, str, bool]:
     """``(method, path, streamed)`` for one endpoint kind."""
@@ -187,10 +172,12 @@ class FaultEvent:
 
     ``at_request`` is a global plan index — the fault is delivered after the
     previous request has been *dispatched* and before this one is, which
-    pins chaos to a reproducible point in the request sequence.  ``count``
-    arms that many firings; ``after_rows`` positions stream faults
-    mid-stream; ``path`` scopes path-matched faults (``None`` = any);
-    ``delay_ms`` sizes ``delay`` actions.
+    pins chaos to a reproducible point in the request sequence.  The other
+    fields are the event the runner POSTs to the target's
+    ``/chaos/faults`` (see :class:`repro.service.faults.FaultRequest`):
+    ``count`` arms that many firings; ``after_rows`` positions stream
+    faults mid-stream; ``path`` scopes path-matched faults (``None`` =
+    any); ``delay_ms`` sizes ``delay`` actions.
     """
 
     action: str = "kill_worker"
@@ -212,6 +199,16 @@ class FaultEvent:
         check_non_negative(self.delay_ms, "delay_ms")
         if self.action == "delay" and self.delay_ms <= 0.0:
             raise ValueError("delay faults need delay_ms > 0")
+
+    def request(self) -> FaultRequest:
+        """The event as the ``POST /chaos/faults`` body describes it."""
+        return FaultRequest(
+            action=self.action,
+            count=self.count,
+            after_rows=self.after_rows,
+            path=self.path,
+            delay_ms=self.delay_ms,
+        )
 
 
 @dataclass(frozen=True)

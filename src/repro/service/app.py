@@ -28,7 +28,7 @@ import asyncio
 import json
 import logging
 from collections import OrderedDict
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import (
     AsyncIterator,
     Awaitable,
@@ -54,7 +54,7 @@ from repro.service.errors import (
     NotFoundError,
     ServiceError,
 )
-from repro.service.faults import FaultInjector
+from repro.service.faults import FaultInjector, parse_fault_request
 from repro.service.httpio import NDJSON_CONTENT_TYPE
 from repro.service.metrics import Metrics
 from repro.service.pool import WorkerPool
@@ -178,12 +178,11 @@ class RowStream:
 class PlanningService:
     """Everything between the HTTP layer and the repro library."""
 
-    def __init__(
-        self, config: ServiceConfig, faults: Optional[FaultInjector] = None
-    ) -> None:
+    def __init__(self, config: ServiceConfig) -> None:
         self.config = config
         self.metrics = Metrics()
-        self.faults = faults if faults is not None else FaultInjector.from_env()
+        #: Inert until ``POST /chaos/faults`` arms it (see handle_chaos).
+        self.faults = FaultInjector()
         self.pool = WorkerPool(
             config.workers,
             config.queue_limit,
@@ -316,6 +315,26 @@ class PlanningService:
                 ),
             )
         return status, payload
+
+    def handle_chaos(
+        self, method: str, path: str, body: bytes
+    ) -> Tuple[int, Payload]:
+        """One ``/chaos/*`` request: arm a fault event here.  Never raises.
+
+        Served only with ``config.chaos_admin`` (403 otherwise).  The
+        transport routes chaos requests here *before* any per-request
+        fault hook, and they bypass the metrics, so arming a fault never
+        consumes or counts as one.  ``kill_shard`` is refused with 400:
+        only the shard supervisor can deliver it.
+        """
+        try:
+            fault = parse_fault_request(self.config.chaos_admin, method, path, body)
+            self.faults.arm(fault)
+        except ServiceError as exc:
+            return exc.status, self._error_body(exc.status, exc.reason, str(exc))
+        except ValueError as exc:
+            return 400, error_payload(400, "bad request", str(exc))
+        return 200, {"fault": asdict(fault)}
 
     async def _dispatch_with_deadline(
         self, method: str, path: str, body: bytes

@@ -206,8 +206,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--chaos-admin",
         action="store_true",
-        help="allow POST /chaos/kill_shard on the shard supervisor's "
-        "loopback admin listener (load-generator fault plans; off by default)",
+        help="serve POST /chaos/faults, which arms one fault event at "
+        "runtime (load-generator fault plans; off by default).  A single "
+        "server arms itself; the shard supervisor serves it on its admin "
+        "listener, kills shards for kill_shard and forwards every other "
+        "event to each live shard",
     )
     parser.add_argument(
         "--result-cache",

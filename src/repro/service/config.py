@@ -117,10 +117,14 @@ class ServiceConfig:
         Independent of ``request_timeout_ms`` (which bounds buffered
         requests); ``None`` disables the deadline.
     chaos_admin:
-        Allow ``POST /chaos/kill_shard`` on the shard supervisor's
-        loopback admin listener, so a load generator can kill a shard at
-        a scheduled request index.  Off by default: the admin listener
-        stays read-only unless a chaos run explicitly opts in.
+        Serve ``POST /chaos/faults``, which arms one fault event at
+        runtime (see :mod:`repro.service.faults`), so a load generator can
+        fire each fault at a scheduled request index.  A single server
+        arms its own injector; the shard supervisor serves the route on
+        its admin listener, kills shards for ``kill_shard`` and forwards
+        every other event to each live shard.  Off by default: every
+        ``/chaos/`` request is answered 403 unless a chaos run explicitly
+        opts in.
     """
 
     host: str = "127.0.0.1"

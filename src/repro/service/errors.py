@@ -12,6 +12,7 @@ from __future__ import annotations
 __all__ = [
     "ServiceError",
     "BadRequestError",
+    "ForbiddenError",
     "NotFoundError",
     "MethodNotAllowedError",
     "PayloadTooLargeError",
@@ -32,6 +33,13 @@ class BadRequestError(ServiceError):
 
     status = 400
     reason = "Bad Request"
+
+
+class ForbiddenError(ServiceError):
+    """A chaos endpoint hit on a server started without ``--chaos-admin``."""
+
+    status = 403
+    reason = "Forbidden"
 
 
 class NotFoundError(ServiceError):

@@ -1,18 +1,16 @@
 """Chaos-injection hooks for fault-tolerance testing (off by default).
 
 :class:`FaultInjector` is a small, deterministic switchboard the serving
-stack consults at three points:
+stack consults at these points:
 
 * :meth:`maybe_kill_worker` — SIGKILL one live worker process of the sweep
   pool (exercises ``BrokenProcessPool`` supervision and restart budgets);
-* :meth:`take_kill_shard` — tell the shard supervisor to SIGKILL one live
-  shard process once the fleet is ready (exercises shard replacement);
 * :meth:`request_delay_s` — extra event-loop latency awaited inside the
   request deadline scope (exercises 504 deadline handling);
 * :meth:`take_abort` — truncate the HTTP response mid-body and close the
   connection (exercises client transport-error mapping and retries).
 
-Stream-aware faults reach the PR 9 NDJSON layer:
+Stream-aware faults reach the NDJSON layer:
 
 * :meth:`take_sim_fault` — SIGKILL (``kill_sim_child``) or SIGSTOP
   (``stall_sim``) the dedicated ``/v1/simulate`` child after it has
@@ -25,26 +23,20 @@ Stream-aware faults reach the PR 9 NDJSON layer:
   single response byte (exercises the client's transport-failure path).
 
 Every fault is *armed* with an explicit count and decrements as it fires,
-so chaos tests are reproducible without any randomness.  Per-request
-faults additionally take a ``skip`` count — ignore the first N matching
-requests, then start firing — so a fault plan can target "the k-th
-request" deterministically.  A freshly built injector (and therefore
-every production deployment) is completely inert: all hooks are
-constant-time no-ops until something arms them, either programmatically
-or through the ``REPRO_SERVICE_FAULTS`` environment variable — a JSON
-object such as::
+so chaos tests are reproducible without any randomness.  A freshly built
+injector (and therefore every production deployment) is completely
+inert: all hooks are constant-time no-ops until something arms them.
 
-    REPRO_SERVICE_FAULTS='{"kill_worker": 1, "delay_ms": 250,
-                           "delay_times": 2, "abort": 1,
-                           "truncate_stream": 1, "truncate_stream_skip": 3,
-                           "paths": ["/v1/underlay/energy"]}'
-
-which the service reads once at boot (see :class:`PlanningService`).
+Faults arrive at runtime, one event per ``POST /chaos/faults`` request
+(served only with ``--chaos-admin``): :func:`parse_fault_request` checks
+the request and its JSON body strictly, and :meth:`FaultInjector.arm`
+applies the event.  ``kill_shard`` is in the same catalogue but belongs to
+the shard supervisor, which kills one live shard per count and forwards
+every other action to each live shard (see :mod:`repro.service.shard`).
 
 Path scoping is *per fault*: each arm call's ``paths`` applies to that
 fault alone, and re-arming with ``paths=None`` clears the scope back to
-"any path" (the env plan's single ``paths`` list simply scopes every
-path-matched fault it arms the same way).
+"any path".
 """
 
 from __future__ import annotations
@@ -52,14 +44,122 @@ from __future__ import annotations
 import json
 import os
 import signal
-from typing import Mapping, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Optional, Tuple
 
-from repro.utils.validation import check_non_negative, check_non_negative_int
+from repro.service.errors import (
+    BadRequestError,
+    ForbiddenError,
+    MethodNotAllowedError,
+    NotFoundError,
+)
+from repro.utils.validation import (
+    check_non_negative,
+    check_non_negative_int,
+    check_positive_int,
+)
 
-__all__ = ["FaultInjector", "FAULTS_ENV_VAR"]
+__all__ = [
+    "CHAOS_FAULTS_PATH",
+    "CHAOS_PREFIX",
+    "FAULT_ACTIONS",
+    "FaultInjector",
+    "FaultRequest",
+    "parse_fault_request",
+]
 
-#: Environment variable holding the boot-time fault plan (JSON object).
-FAULTS_ENV_VAR = "REPRO_SERVICE_FAULTS"
+#: Every path under this prefix is a chaos admin request: it is served
+#: only with ``chaos_admin`` and never draws a per-request fault itself.
+CHAOS_PREFIX = "/chaos/"
+
+#: The one chaos route: ``POST`` arms one fault event.
+CHAOS_FAULTS_PATH = "/chaos/faults"
+
+#: The fault action catalogue.  ``kill_shard`` is the supervisor's; every
+#: other action maps onto one :class:`FaultInjector` arm.
+FAULT_ACTIONS: Tuple[str, ...] = (
+    "kill_worker",
+    "kill_shard",
+    "delay",
+    "abort",
+    "truncate_stream",
+    "drop_client",
+    "kill_sim_child",
+    "stall_sim",
+)
+
+
+@dataclass(frozen=True)
+class FaultRequest:
+    """One fault event: fire ``action`` ``count`` times.
+
+    ``after_rows`` positions stream faults mid-stream; ``path`` scopes
+    path-matched faults (``None`` = any path); ``delay_ms`` sizes
+    ``delay`` actions.
+    """
+
+    action: str
+    count: int = 1
+    after_rows: int = 0
+    path: Optional[str] = None
+    delay_ms: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.action not in FAULT_ACTIONS:
+            raise ValueError(
+                f"unknown fault action {self.action!r}; "
+                f"known: {', '.join(FAULT_ACTIONS)}"
+            )
+        check_positive_int(self.count, "count")
+        check_non_negative_int(self.after_rows, "after_rows")
+        check_non_negative(self.delay_ms, "delay_ms")
+        if self.path is not None and not isinstance(self.path, str):
+            raise TypeError("path must be a string or null")
+        if self.action == "delay" and self.delay_ms <= 0.0:
+            raise ValueError("delay faults need delay_ms > 0")
+
+
+_FAULT_FIELDS = tuple(f.name for f in fields(FaultRequest))
+
+
+def parse_fault_request(
+    chaos_admin: bool, method: str, path: str, body: bytes
+) -> FaultRequest:
+    """Check one ``/chaos/*`` request and parse its fault event strictly.
+
+    Raises the :class:`~repro.service.errors.ServiceError` the response
+    carries: 403 without ``chaos_admin``, 404 for any path other than
+    :data:`CHAOS_FAULTS_PATH`, 405 for a method other than ``POST``, and
+    400 for a body that is not one well-formed event (unknown keys,
+    missing ``action``, wrong types, out-of-range values).
+    """
+    if not chaos_admin:
+        raise ForbiddenError(
+            "chaos admin endpoints are disabled; start the server with "
+            "--chaos-admin"
+        )
+    if path != CHAOS_FAULTS_PATH:
+        raise NotFoundError(f"no such chaos endpoint: {path}")
+    if method != "POST":
+        raise MethodNotAllowedError(f"{path} only accepts POST")
+    try:
+        data = json.loads(body)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise BadRequestError(f"fault event is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise BadRequestError("fault event must be a JSON object")
+    unknown = sorted(set(data) - set(_FAULT_FIELDS))
+    if unknown:
+        raise BadRequestError(
+            f"unknown fault event field(s) {', '.join(unknown)}; "
+            f"known: {', '.join(_FAULT_FIELDS)}"
+        )
+    if "action" not in data:
+        raise BadRequestError("fault event needs an 'action'")
+    try:
+        return FaultRequest(**data)
+    except (TypeError, ValueError) as exc:
+        raise BadRequestError(f"invalid fault event: {exc}") from None
 
 
 class FaultInjector:
@@ -67,156 +167,60 @@ class FaultInjector:
 
     def __init__(self) -> None:
         self._kill_worker = 0
-        self._kill_shard = 0
         self._delay_s = 0.0
         self._delay_times = 0
         self._abort = 0
-        self._abort_skip = 0
         self._kill_sim_child = 0
         self._kill_sim_child_after_rows = 0
         self._stall_sim = 0
         self._stall_sim_after_rows = 0
         self._truncate_stream = 0
         self._truncate_stream_after_rows = 1
-        self._truncate_stream_skip = 0
         self._drop_client = 0
-        self._drop_client_skip = 0
         self._delay_paths: Optional[Tuple[str, ...]] = None
         self._abort_paths: Optional[Tuple[str, ...]] = None
         self._truncate_stream_paths: Optional[Tuple[str, ...]] = None
         self._drop_client_paths: Optional[Tuple[str, ...]] = None
 
     # ------------------------------------------------------------------ #
-    # Construction                                                       #
+    # Arming                                                             #
     # ------------------------------------------------------------------ #
 
-    @classmethod
-    def from_env(
-        cls, environ: Optional[Mapping[str, str]] = None
-    ) -> "FaultInjector":
-        """Build an injector from ``REPRO_SERVICE_FAULTS`` (inert if unset).
+    def arm(self, fault: FaultRequest) -> None:
+        """Arm one ``POST /chaos/faults`` event on this process.
 
         Raises
         ------
         ValueError
-            When the variable is set but is not a valid JSON fault plan —
-            a misconfigured chaos run should fail at boot, not silently
-            serve without faults.
+            For ``kill_shard``: only the shard supervisor can deliver it.
         """
-        env = os.environ if environ is None else environ
-        raw = env.get(FAULTS_ENV_VAR, "").strip()
-        injector = cls()
-        if not raw:
-            return injector
-        try:
-            plan = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        paths = None if fault.path is None else (fault.path,)
+        if fault.action == "kill_worker":
+            self.arm_kill_worker(fault.count)
+        elif fault.action == "delay":
+            self.arm_delay(fault.delay_ms / 1000.0, times=fault.count, paths=paths)
+        elif fault.action == "abort":
+            self.arm_abort(fault.count, paths=paths)
+        elif fault.action == "truncate_stream":
+            self.arm_truncate_stream(
+                fault.count, after_rows=fault.after_rows, paths=paths
+            )
+        elif fault.action == "drop_client":
+            self.arm_drop_client(fault.count, paths=paths)
+        elif fault.action == "kill_sim_child":
+            self.arm_kill_sim_child(fault.count, after_rows=fault.after_rows)
+        elif fault.action == "stall_sim":
+            self.arm_stall_sim(fault.count, after_rows=fault.after_rows)
+        else:
             raise ValueError(
-                f"{FAULTS_ENV_VAR} is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(plan, dict):
-            raise ValueError(f"{FAULTS_ENV_VAR} must be a JSON object")
-        known = {
-            "kill_worker",
-            "kill_shard",
-            "delay_ms",
-            "delay_times",
-            "abort",
-            "abort_skip",
-            "kill_sim_child",
-            "kill_sim_child_after_rows",
-            "stall_sim",
-            "stall_sim_after_rows",
-            "truncate_stream",
-            "truncate_stream_after_rows",
-            "truncate_stream_skip",
-            "drop_client",
-            "drop_client_skip",
-            "paths",
-        }
-        unknown = sorted(set(plan) - known)
-        if unknown:
-            raise ValueError(
-                f"{FAULTS_ENV_VAR} has unknown key(s) {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(known))}"
+                f"{fault.action} is delivered by the shard supervisor's admin "
+                "listener (--shards N --chaos-admin); a single server has no "
+                "shard to kill"
             )
-        paths = plan.get("paths")
-        if paths is not None:
-            if not isinstance(paths, list) or not all(
-                isinstance(p, str) for p in paths
-            ):
-                raise ValueError(f"{FAULTS_ENV_VAR} 'paths' must be a string list")
-        if "kill_worker" in plan:
-            injector.arm_kill_worker(_as_count(plan["kill_worker"], "kill_worker"))
-        if "kill_shard" in plan:
-            injector.arm_kill_shard(_as_count(plan["kill_shard"], "kill_shard"))
-        delay_ms = plan.get("delay_ms")
-        if delay_ms is not None:
-            if isinstance(delay_ms, bool) or not isinstance(delay_ms, (int, float)):
-                raise ValueError(f"{FAULTS_ENV_VAR} 'delay_ms' must be a number")
-            injector.arm_delay(
-                float(delay_ms) / 1000.0,
-                times=_as_count(plan.get("delay_times", 1), "delay_times"),
-                paths=None if paths is None else tuple(paths),
-            )
-        if "abort" in plan:
-            injector.arm_abort(
-                _as_count(plan["abort"], "abort"),
-                paths=None if paths is None else tuple(paths),
-                skip=_as_count(plan.get("abort_skip", 0), "abort_skip"),
-            )
-        if "kill_sim_child" in plan:
-            injector.arm_kill_sim_child(
-                _as_count(plan["kill_sim_child"], "kill_sim_child"),
-                after_rows=_as_count(
-                    plan.get("kill_sim_child_after_rows", 0),
-                    "kill_sim_child_after_rows",
-                ),
-            )
-        if "stall_sim" in plan:
-            injector.arm_stall_sim(
-                _as_count(plan["stall_sim"], "stall_sim"),
-                after_rows=_as_count(
-                    plan.get("stall_sim_after_rows", 0), "stall_sim_after_rows"
-                ),
-            )
-        if "truncate_stream" in plan:
-            injector.arm_truncate_stream(
-                _as_count(plan["truncate_stream"], "truncate_stream"),
-                after_rows=_as_count(
-                    plan.get("truncate_stream_after_rows", 1),
-                    "truncate_stream_after_rows",
-                ),
-                paths=None if paths is None else tuple(paths),
-                skip=_as_count(
-                    plan.get("truncate_stream_skip", 0), "truncate_stream_skip"
-                ),
-            )
-        if "drop_client" in plan:
-            injector.arm_drop_client(
-                _as_count(plan["drop_client"], "drop_client"),
-                paths=None if paths is None else tuple(paths),
-                skip=_as_count(plan.get("drop_client_skip", 0), "drop_client_skip"),
-            )
-        return injector
-
-    # ------------------------------------------------------------------ #
-    # Arming                                                             #
-    # ------------------------------------------------------------------ #
 
     def arm_kill_worker(self, times: int = 1) -> None:
         """SIGKILL one pool worker on each of the next ``times`` dispatches."""
         self._kill_worker = check_non_negative_int(times, "times")
-
-    def arm_kill_shard(self, times: int = 1) -> None:
-        """SIGKILL ``times`` shard processes once the fleet is ready.
-
-        Consumed by the *shard supervisor* (see :mod:`repro.service.shard`),
-        not by individual servers: after every shard has announced, the
-        supervisor kills one live shard per armed count — exercising
-        shard replacement and the restart budget end to end.
-        """
-        self._kill_shard = check_non_negative_int(times, "times")
 
     def arm_delay(
         self,
@@ -230,18 +234,10 @@ class FaultInjector:
         self._delay_paths = None if paths is None else tuple(paths)
 
     def arm_abort(
-        self,
-        times: int = 1,
-        paths: Optional[Tuple[str, ...]] = None,
-        skip: int = 0,
+        self, times: int = 1, paths: Optional[Tuple[str, ...]] = None
     ) -> None:
-        """Truncate and drop the connection on the next ``times`` responses.
-
-        ``skip`` matching responses pass through unharmed before the fault
-        starts firing.
-        """
+        """Truncate and drop the connection on the next ``times`` responses."""
         self._abort = check_non_negative_int(times, "times")
-        self._abort_skip = check_non_negative_int(skip, "skip")
         self._abort_paths = None if paths is None else tuple(paths)
 
     def arm_kill_sim_child(self, times: int = 1, after_rows: int = 0) -> None:
@@ -273,7 +269,6 @@ class FaultInjector:
         times: int = 1,
         after_rows: int = 1,
         paths: Optional[Tuple[str, ...]] = None,
-        skip: int = 0,
     ) -> None:
         """Cut the next ``times`` committed NDJSON streams mid-row.
 
@@ -285,18 +280,13 @@ class FaultInjector:
         self._truncate_stream_after_rows = check_non_negative_int(
             after_rows, "after_rows"
         )
-        self._truncate_stream_skip = check_non_negative_int(skip, "skip")
         self._truncate_stream_paths = None if paths is None else tuple(paths)
 
     def arm_drop_client(
-        self,
-        times: int = 1,
-        paths: Optional[Tuple[str, ...]] = None,
-        skip: int = 0,
+        self, times: int = 1, paths: Optional[Tuple[str, ...]] = None
     ) -> None:
         """Close the next ``times`` connections without any response bytes."""
         self._drop_client = check_non_negative_int(times, "times")
-        self._drop_client_skip = check_non_negative_int(skip, "skip")
         self._drop_client_paths = None if paths is None else tuple(paths)
 
     @property
@@ -304,7 +294,6 @@ class FaultInjector:
         """True while any fault remains armed."""
         return bool(
             self._kill_worker
-            or self._kill_shard
             or self._delay_times
             or self._abort
             or self._kill_sim_child
@@ -339,13 +328,6 @@ class FaultInjector:
         os.kill(pid, signal.SIGKILL)
         return True
 
-    def take_kill_shard(self) -> bool:
-        """Whether the supervisor should kill one shard now (consumes one)."""
-        if self._kill_shard <= 0:
-            return False
-        self._kill_shard -= 1
-        return True
-
     def request_delay_s(self, path: str) -> float:
         """Latency to inject into this request (0.0 when unarmed)."""
         if self._delay_times <= 0 or not self._matches(self._delay_paths, path):
@@ -356,9 +338,6 @@ class FaultInjector:
     def take_abort(self, path: str) -> bool:
         """Whether to abort this response mid-body (consumes one count)."""
         if self._abort <= 0 or not self._matches(self._abort_paths, path):
-            return False
-        if self._abort_skip > 0:
-            self._abort_skip -= 1
             return False
         self._abort -= 1
         return True
@@ -382,16 +361,12 @@ class FaultInjector:
         """Rows to let through before cutting this stream mid-chunk.
 
         ``None`` means the stream is unharmed; an int consumes one armed
-        count (after the configured skips) and tells the transport how
-        many complete rows to relay before writing a partial chunk and
-        closing.
+        count and tells the transport how many complete rows to relay
+        before writing a partial chunk and closing.
         """
         if self._truncate_stream <= 0 or not self._matches(
             self._truncate_stream_paths, path
         ):
-            return None
-        if self._truncate_stream_skip > 0:
-            self._truncate_stream_skip -= 1
             return None
         self._truncate_stream -= 1
         return self._truncate_stream_after_rows
@@ -402,14 +377,5 @@ class FaultInjector:
             self._drop_client_paths, path
         ):
             return False
-        if self._drop_client_skip > 0:
-            self._drop_client_skip -= 1
-            return False
         self._drop_client -= 1
         return True
-
-
-def _as_count(value: object, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{FAULTS_ENV_VAR} {name!r} must be an integer")
-    return check_non_negative_int(value, name)

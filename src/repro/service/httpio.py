@@ -41,11 +41,14 @@ LAST_CHUNK = b"0\r\n\r\n"
 REASONS: Dict[int, str] = {
     200: "OK",
     400: "Bad Request",
+    403: "Forbidden",
     404: "Not Found",
     405: "Method Not Allowed",
+    409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    502: "Bad Gateway",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }

@@ -23,6 +23,7 @@ from typing import Callable, Dict, Optional, Set
 from repro.service.app import PlanningService, RowStream
 from repro.service.config import ServiceConfig
 from repro.service.errors import ServiceError
+from repro.service.faults import CHAOS_PREFIX
 from repro.service.httpio import (
     LAST_CHUNK,
     encode_chunk,
@@ -170,6 +171,15 @@ class ServiceServer:
             if request is None:
                 return
             head, body = request
+            if head.path.startswith(CHAOS_PREFIX):
+                # Routed ahead of every per-request fault hook: arming a
+                # fault must never consume one.
+                status, payload = self.service.handle_chaos(
+                    head.method, head.path, body
+                )
+                writer.write(render_response(status, payload, keep_alive=False))
+                await writer.drain()
+                return
             if self.service.faults.take_drop_client(head.path):
                 # Chaos hook: the connection dies without a single
                 # response byte — the client sees a transport failure.

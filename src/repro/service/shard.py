@@ -39,13 +39,13 @@ port and return the aggregated view (counters summed, latency histograms
 merged, per-shard liveness attached).  Each shard's seed stream is offset
 by its index so two shards never hand out the same environment seed.
 
-Chaos hook: an armed ``kill_shard`` fault plan (see
-:class:`repro.service.faults.FaultInjector`) makes the supervisor SIGKILL
-one live shard per count once the fleet is ready — the restart path above
-is then exercised end to end.  The ``kill_shard`` key is stripped from the
-plan the shards inherit, and *replacement* shards inherit no plan at all —
-a count-armed fault budget belongs to the fleet boot, not to each shard
-incarnation.
+Chaos hook: with ``chaos_admin`` the admin listener also serves
+``POST /chaos/faults`` (see :mod:`repro.service.faults`).  A ``kill_shard``
+event SIGKILLs one live shard per count — the restart path above is then
+exercised end to end; every other event is forwarded to each live shard's
+own admin listener (shards inherit ``--chaos-admin``).  A replacement shard
+boots with nothing armed: faults are armed at runtime, per event, never
+inherited.
 """
 
 from __future__ import annotations
@@ -60,11 +60,17 @@ import socket
 import subprocess
 import sys
 import threading
+from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.service.config import ServiceConfig
 from repro.service.errors import ServiceError
-from repro.service.faults import FAULTS_ENV_VAR, FaultInjector
+from repro.service.faults import (
+    CHAOS_FAULTS_PATH,
+    CHAOS_PREFIX,
+    FaultRequest,
+    parse_fault_request,
+)
 from repro.service.httpio import read_request, render_response
 from repro.service.metrics import LatencyHistogram
 from repro.service.pool import RestartBudget
@@ -163,14 +169,12 @@ class ShardSupervisor:
         shards: int,
         max_shard_restarts: int = 3,
         reuse_port: Optional[bool] = None,
-        faults: Optional[FaultInjector] = None,
     ) -> None:
         self.config = config
         self.shards = check_positive_int(shards, "shards")
         self._budget = RestartBudget(
             check_non_negative_int(max_shard_restarts, "max_shard_restarts")
         )
-        self._faults = faults if faults is not None else FaultInjector.from_env()
         if reuse_port is None:
             reuse_port = hasattr(socket, "SO_REUSEPORT")
         self._reuse_port = reuse_port
@@ -309,22 +313,15 @@ class ShardSupervisor:
             argv += ["--request-timeout-ms", str(config.request_timeout_ms)]
         if not config.request_log:
             argv += ["--no-request-log"]
+        if config.chaos_admin:
+            argv += ["--chaos-admin"]
         argv += ["--result-cache" if config.result_cache else "--no-result-cache"]
         if config.result_cache_dir is not None:
             argv += ["--result-cache-dir", config.result_cache_dir]
         return argv
 
-    def _child_env(self, arm_faults: bool = True) -> Dict[str, str]:
-        """The shard environment: importable package, no ``kill_shard``.
-
-        ``arm_faults=False`` (replacement shards) strips the fault plan
-        entirely: a count-armed plan is a per-*fleet* budget, armed once at
-        boot.  If every restarted shard re-parsed the inherited env it
-        would re-arm the full plan, so each fault could fire once per
-        shard *incarnation* — and a client retrying through a fault storm
-        could draw a fresh fault on every attempt instead of converging to
-        the clean outcome the replay digest asserts.
-        """
+    def _child_env(self) -> Dict[str, str]:
+        """The shard environment: the package must stay importable."""
         env = dict(os.environ)
         package_root = str(pathlib.Path(__file__).resolve().parents[2])
         existing = env.get("PYTHONPATH")
@@ -333,24 +330,9 @@ class ShardSupervisor:
                 env["PYTHONPATH"] = package_root + os.pathsep + existing
         else:
             env["PYTHONPATH"] = package_root
-        if not arm_faults:
-            env.pop(FAULTS_ENV_VAR, None)
-            return env
-        raw = env.get(FAULTS_ENV_VAR, "").strip()
-        if raw:
-            try:
-                plan = json.loads(raw)
-            except json.JSONDecodeError:
-                return env  # the supervisor's own from_env already rejected it
-            if isinstance(plan, dict) and "kill_shard" in plan:
-                plan.pop("kill_shard")
-                if plan:
-                    env[FAULTS_ENV_VAR] = json.dumps(plan)
-                else:
-                    env.pop(FAULTS_ENV_VAR, None)
         return env
 
-    def _spawn(self, index: int, arm_faults: bool = True) -> None:
+    def _spawn(self, index: int) -> None:
         pass_fds: Tuple[int, ...] = ()
         if self._listen_sock is not None:
             pass_fds = (self._listen_sock.fileno(),)
@@ -368,7 +350,7 @@ class ShardSupervisor:
             self._child_argv(index),
             stdout=subprocess.PIPE,
             text=True,
-            env=self._child_env(arm_faults),
+            env=self._child_env(),
             pass_fds=pass_fds,
             start_new_session=True,
         )
@@ -460,9 +442,12 @@ class ShardSupervisor:
     # ------------------------------------------------------------------ #
 
     async def _fetch_json(
-        self, port: int, path: str
+        self, port: int, path: str, body: Optional[bytes] = None
     ) -> Optional[Tuple[int, Payload]]:
-        """One ``GET`` against a shard's admin listener (None on failure)."""
+        """One request to a shard's admin listener (None on failure).
+
+        A ``GET`` by default; ``body`` makes it a JSON ``POST``.
+        """
         try:
             reader, writer = await asyncio.wait_for(
                 asyncio.open_connection("127.0.0.1", port), _FANOUT_TIMEOUT_S
@@ -470,11 +455,14 @@ class ShardSupervisor:
         except (OSError, asyncio.TimeoutError):
             return None
         try:
+            method = "GET" if body is None else "POST"
             writer.write(
                 (
-                    f"GET {path} HTTP/1.1\r\n"
-                    "Host: 127.0.0.1\r\nConnection: close\r\n\r\n"
+                    f"{method} {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                    f"Content-Length: {len(body or b'')}\r\n"
+                    "Connection: close\r\n\r\n"
                 ).encode("ascii")
+                + (body or b"")
             )
             await writer.drain()
             raw = await asyncio.wait_for(reader.read(), _FANOUT_TIMEOUT_S)
@@ -588,35 +576,64 @@ class ShardSupervisor:
             f"the supervisor only serves /healthz and /metrics, not {path}",
         )
 
-    def _chaos_kill_shard(self) -> Tuple[int, Payload]:
-        """``POST /chaos/kill_shard``: SIGKILL one live shard on demand.
+    async def _chaos(
+        self, method: str, path: str, body: bytes
+    ) -> Tuple[int, Payload]:
+        """``POST /chaos/faults`` on the fleet (403 without ``chaos_admin``).
 
-        The scheduled-fault analogue of the boot-time ``kill_shard`` plan:
-        a load generator calls this at a chosen request index and the
-        supervisor's replacement path takes over.  Requires the explicit
-        ``chaos_admin`` opt-in; refused with 403 otherwise.
+        ``kill_shard`` SIGKILLs one live shard per count and lets the
+        replacement path take over; every other event is forwarded to each
+        live shard's admin listener, which arms its own injector.
         """
-        if not self.config.chaos_admin:
-            return 403, error_payload(
-                403,
-                "forbidden",
-                "chaos admin endpoints are disabled; start with --chaos-admin",
-            )
-        victims = [s for s in self._shards.values() if s.alive]
+        try:
+            fault = parse_fault_request(self.config.chaos_admin, method, path, body)
+        except ServiceError as exc:
+            return exc.status, error_payload(exc.status, exc.reason, str(exc))
+        if fault.action == "kill_shard":
+            return self._kill_shards(fault)
+        return await self._arm_shards(fault)
+
+    def _kill_shards(self, fault: FaultRequest) -> Tuple[int, Payload]:
+        victims = [s for s in self._shards.values() if s.alive][::-1]
         if not victims:
-            return 409, error_payload(
-                409, "conflict", "no live shard to kill"
+            return 409, error_payload(409, "conflict", "no live shard to kill")
+        killed: List[int] = []
+        for victim in victims[: fault.count]:
+            logger.warning(
+                "%s",
+                json.dumps(
+                    {"event": "chaos_kill_shard", "shard": victim.index},
+                    sort_keys=True,
+                ),
             )
-        victim = victims[-1]
-        logger.warning(
-            "%s",
-            json.dumps(
-                {"event": "chaos_kill_shard", "shard": victim.index},
-                sort_keys=True,
-            ),
+            victim.proc.kill()
+            killed.append(victim.index)
+        return 200, {"fault": asdict(fault), "shards": killed}
+
+    async def _arm_shards(self, fault: FaultRequest) -> Tuple[int, Payload]:
+        shards = self._reachable_shards()
+        body = json.dumps(asdict(fault)).encode("utf-8")
+        results = await asyncio.gather(
+            *(
+                self._fetch_json(shard.admin_port or 0, CHAOS_FAULTS_PATH, body)
+                for shard in shards
+            )
         )
-        victim.proc.kill()
-        return 200, {"event": "chaos_kill_shard", "shard": victim.index}
+        armed = [
+            shard.index
+            for shard, result in zip(shards, results)
+            if result is not None and result[0] == 200
+        ]
+        # A shard that died since the fan-out started is no longer live.
+        missed = [s.index for s in shards if s.index not in armed and s.alive]
+        if missed or not armed:
+            return 502, error_payload(
+                502,
+                "bad gateway",
+                f"{fault.action} armed on shard(s) {armed}; "
+                f"failed on live shard(s) {missed}",
+            )
+        return 200, {"fault": asdict(fault), "shards": armed}
 
     async def _handle_admin(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -637,15 +654,17 @@ class ShardSupervisor:
                     return
                 if request is None:
                     return
-                head, _ = request
-                if head.method == "POST" and head.path == "/chaos/kill_shard":
-                    status, payload = self._chaos_kill_shard()
+                head, body = request
+                if head.path.startswith(CHAOS_PREFIX):
+                    status, payload = await self._chaos(
+                        head.method, head.path, body
+                    )
                 elif head.method != "GET":
                     status, payload = 405, error_payload(
                         405,
                         "method not allowed",
                         "the supervisor admin endpoint is GET-only "
-                        "(POST /chaos/kill_shard requires --chaos-admin)",
+                        f"(apart from POST {CHAOS_FAULTS_PATH})",
                     )
                 else:
                     status, payload = await self._admin_response(head.path)
@@ -791,21 +810,6 @@ class ShardSupervisor:
                 sort_keys=True,
             ),
         )
-        # Chaos: kill one live shard per armed count, now that every
-        # shard is up — the exit events drive the replacement path.
-        while self._faults.take_kill_shard():
-            victims = [s for s in self._shards.values() if s.alive]
-            if not victims:
-                break
-            victim = victims[-1]
-            logger.warning(
-                "%s",
-                json.dumps(
-                    {"event": "chaos_kill_shard", "shard": victim.index},
-                    sort_keys=True,
-                ),
-            )
-            victim.proc.kill()
         if on_ready is not None:
             on_ready(self)
 
@@ -825,10 +829,7 @@ class ShardSupervisor:
             ),
         )
         if self._budget.spend():
-            # Replacement shards spawn with the fault plan stripped: the
-            # count-armed plan is a fleet-boot budget, not a per-
-            # incarnation one (see _child_env).
-            self._spawn(index, arm_faults=False)
+            self._spawn(index)
             logger.warning(
                 "%s",
                 json.dumps(

@@ -73,10 +73,12 @@ def _child_main(spec: ScenarioSpec, conn: Connection) -> None:
     """Child-process body: stream rows, then a terminal status tuple."""
     # On fork platforms this child inherits the server loop's signal
     # machinery, including the ``signal.set_wakeup_fd`` socketpair shared
-    # with the parent.  Left in place, the parent's own cleanup
-    # ``terminate()`` makes the child write SIGTERM into that shared pipe
-    # — which the parent's loop then reads as the *server* being told to
-    # shut down.  Detach before any signal can arrive.
+    # with the parent: a SIGTERM or SIGINT handled here would be written
+    # into that shared pipe and read by the parent's loop as the *server*
+    # being told to shut down.  Detach as early as possible.  A signal can
+    # still land before these lines run (a stall fault may SIGSTOP the
+    # child first), which is why the parent only ever ends a child with
+    # SIGKILL: it runs no handler.
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
@@ -148,7 +150,7 @@ class SimulationRunner:
         it through ``RowStream.on_close``, which runs even if this
         generator is never started).  The child process itself is cleaned
         up here: generator teardown (``aclose``/``GeneratorExit``) or
-        normal exhaustion terminates and joins it.
+        normal exhaustion SIGKILLs (if still running) and joins it.
         ``stall_timeout_s`` bounds the gap between consecutive rows — a
         child that stops producing is killed and the stream ends with an
         ``{"row": "error", ...}`` line (the connection then closes without
@@ -163,11 +165,10 @@ class SimulationRunner:
         child_conn.close()
         loop = asyncio.get_running_loop()
         fault = self._faults.take_sim_fault() if self._faults is not None else None
-        stalled = False
         rows_sent = 0
         try:
             if fault is not None and fault[1] <= 0:
-                stalled = self._apply_sim_fault(process, fault[0])
+                self._apply_sim_fault(process, fault[0])
                 fault = None
             waited = 0.0
             while True:
@@ -198,7 +199,7 @@ class SimulationRunner:
                     rows_sent += 1
                     yield value  # type: ignore[misc]
                     if fault is not None and rows_sent >= fault[1]:
-                        stalled = self._apply_sim_fault(process, fault[0])
+                        self._apply_sim_fault(process, fault[0])
                         fault = None
                 elif kind == "done":
                     return
@@ -207,30 +208,25 @@ class SimulationRunner:
                     return
         finally:
             parent_conn.close()
-            if stalled and process.is_alive() and process.pid is not None:
-                # SIGTERM stays pending on a stopped process; resume it
-                # first so the terminate below can actually be delivered.
-                try:
-                    os.kill(process.pid, signal.SIGCONT)
-                except (ProcessLookupError, OSError):  # pragma: no cover
-                    pass
             if process.is_alive():
-                process.terminate()
+                # SIGKILL ends a stopped child too, and runs no handler: a
+                # child that has not yet detached from the shared wakeup fd
+                # cannot relay it to the server (see _child_main).
+                process.kill()
             process.join(timeout=5.0)
 
     @staticmethod
-    def _apply_sim_fault(process: BaseProcess, action: str) -> bool:
-        """Fire an armed child fault; returns whether the child is stopped."""
+    def _apply_sim_fault(process: BaseProcess, action: str) -> None:
+        """Fire an armed child fault: SIGKILL (``kill``) or SIGSTOP."""
         if not process.is_alive() or process.pid is None:
-            return False
+            return
         if action == "kill":
             process.kill()
-            return False
+            return
         try:
             os.kill(process.pid, signal.SIGSTOP)
         except (ProcessLookupError, OSError):  # pragma: no cover
-            return False
-        return True
+            pass
 
     @staticmethod
     def _receive(conn: Connection) -> Tuple[str, Any]:

@@ -1,4 +1,8 @@
-"""End-to-end loadgen runs: verdicts, fault recovery, bit-identical replay."""
+"""End-to-end loadgen runs: verdicts, fault recovery, bit-identical replay.
+
+Fault events reach the in-process server the way they reach a real binary:
+``run_plan`` POSTs each one to ``/chaos/faults`` at its request index.
+"""
 
 import json
 
@@ -9,8 +13,6 @@ from repro.loadgen import (
     ClientPolicy,
     EndpointMix,
     FaultEvent,
-    InjectorFaultDriver,
-    PrearmedFaultDriver,
     TrafficSpec,
     evaluate,
     load_trace,
@@ -31,7 +33,16 @@ def server():
         result_cache=False,
         max_sims=4,
         sim_stall_timeout_ms=2000.0,
+        chaos_admin=True,
     )
+    with ThreadedServer(config) as srv:
+        yield srv
+
+
+@pytest.fixture(scope="module")
+def plain_server():
+    """A server started without ``chaos_admin``: it refuses fault events."""
+    config = ServiceConfig(port=0, workers=0, request_log=False)
     with ThreadedServer(config) as srv:
         yield srv
 
@@ -96,22 +107,19 @@ class TestCleanRun:
 class TestFaultedRun:
     def test_faults_are_absorbed_and_accounted(self, server):
         spec = small_spec(faults=FAULTS)
-        driver = InjectorFaultDriver(server.service.faults)
-        trace = run_plan(spec, server.config.host, server.port,
-                         fault_driver=driver)
+        trace = run_plan(spec, server.config.host, server.port)
         verdict = evaluate(trace.records)
         assert verdict.passed, verdict.violations
         assert sum(r.retries for r in trace.records) >= 1
 
     def test_replay_is_bit_identical(self, server):
         spec = small_spec(faults=FAULTS)
-        driver = InjectorFaultDriver(server.service.faults)
-        first = run_plan(spec, server.config.host, server.port,
-                         fault_driver=driver)
-        second = run_plan(spec, server.config.host, server.port,
-                          fault_driver=driver)
+        first = run_plan(spec, server.config.host, server.port)
+        second = run_plan(spec, server.config.host, server.port)
         assert outcome_digest(first.records) == outcome_digest(second.records)
         assert evaluate(second.records).passed
+        # Both runs drew the faults they armed.
+        assert sum(r.retries for r in second.records) >= 1
 
     def test_unretried_truncation_is_accounted_not_violating(self, server):
         spec = TrafficSpec(
@@ -131,9 +139,7 @@ class TestFaultedRun:
             max_concurrency=1,  # deterministic fault → request assignment
             time_scale=0.0,
         )
-        driver = InjectorFaultDriver(server.service.faults)
-        trace = run_plan(spec, server.config.host, server.port,
-                         fault_driver=driver)
+        trace = run_plan(spec, server.config.host, server.port)
         verdict = evaluate(trace.records)
         assert verdict.passed, verdict.violations
         hit = trace.records[0]
@@ -142,15 +148,16 @@ class TestFaultedRun:
         assert hit.rows == 1  # one complete row before the mid-row cut
         assert verdict.counts["truncated"] == 1
 
-    def test_fault_plan_without_driver_fails_fast(self, server):
-        with pytest.raises(ValueError, match="fault driver"):
-            run_plan(small_spec(faults=FAULTS), server.config.host, server.port)
+    def test_fault_plan_without_chaos_admin_fails_fast(self, plain_server):
+        with pytest.raises(ValueError, match="'kill_worker'.*--chaos-admin"):
+            run_plan(small_spec(faults=FAULTS), plain_server.config.host,
+                     plain_server.port)
+        assert not plain_server.service.faults.armed
 
     def test_undeliverable_actions_fail_fast(self, server):
         spec = small_spec(faults=(FaultEvent(action="kill_shard"),))
-        with pytest.raises(ValueError, match="kill_shard"):
-            run_plan(spec, server.config.host, server.port,
-                     fault_driver=PrearmedFaultDriver(None))
+        with pytest.raises(ValueError, match="'kill_shard'.*supervisor"):
+            run_plan(spec, server.config.host, server.port)
 
 
 class TestCli:
@@ -211,15 +218,20 @@ class TestCli:
         replayed = json.loads(capsys.readouterr().out)
         assert replayed["digest_mismatch"] is True
 
-    def test_plan_summary_and_env_plan(self, tmp_path, capsys):
+    def test_plan_summary(self, tmp_path, capsys):
         assert loadgen_main(["plan", "--preset", "smoke"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["n_requests"] > 0
         assert "kill_worker" in summary["faults"]
 
-        assert loadgen_main(["plan", "--preset", "smoke", "--env-plan"]) == 0
-        env_plan = json.loads(capsys.readouterr().out)
-        assert env_plan["truncate_stream"] == 1
+    def test_refused_fault_event_exits_2(self, plain_server, tmp_path, capsys):
+        spec_path = self._write_spec(tmp_path, small_spec(faults=FAULTS))
+        assert loadgen_main([
+            "run", "--spec", spec_path,
+            "--host", plain_server.config.host,
+            "--port", str(plain_server.port),
+        ]) == 2
+        assert "kill_worker" in capsys.readouterr().err
 
     def test_usage_errors_exit_2(self, tmp_path, capsys):
         assert loadgen_main(["run", "--port", "1"]) == 2

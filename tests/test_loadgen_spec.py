@@ -1,12 +1,13 @@
-"""TrafficSpec model, arrival processes, plan determinism, fault-plan compile."""
+"""TrafficSpec model, arrival processes, plan determinism, fault-event bodies."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from repro.loadgen.arrivals import arrival_offsets_s
-from repro.loadgen.plan import build_plan, env_fault_plan
+from repro.loadgen.plan import build_plan
 from repro.loadgen.presets import bench_spec, smoke_spec
 from repro.loadgen.spec import (
     ENDPOINT_KINDS,
@@ -179,36 +180,13 @@ class TestPlan:
         assert [r.payload_digest for r in a] != [r.payload_digest for r in b]
 
 
-class TestEnvFaultPlan:
-    def test_smoke_plan_compiles_to_known_injector_keys(self):
-        from repro.service.faults import FaultInjector, FAULTS_ENV_VAR
+class TestFaultEventBodies:
+    def test_smoke_plan_events_parse_as_route_bodies(self):
+        """What the runner POSTs is what ``/chaos/faults`` arms."""
+        from repro.service.faults import CHAOS_FAULTS_PATH, parse_fault_request
 
-        spec = smoke_spec(include_shard_kill=True)
-        plan_json = json.dumps(env_fault_plan(spec))
-        injector = FaultInjector.from_env(environ={FAULTS_ENV_VAR: plan_json})
-        assert injector.armed
-
-    def test_kill_shard_is_excluded(self):
-        spec = smoke_spec(include_shard_kill=True)
-        assert "kill_shard" not in env_fault_plan(spec)
-
-    def test_skip_counts_requests_before_the_event(self):
-        spec = TrafficSpec(
-            duration_s=2.0,
-            mix=(
-                EndpointMix(
-                    kind="underlay_stream", arrival=ArrivalSpec(rate_per_s=8.0)
-                ),
-            ),
-            faults=(
-                FaultEvent(
-                    action="truncate_stream",
-                    at_request=3,
-                    path="/v1/underlay/energy",
-                ),
-            ),
-        )
-        compiled = env_fault_plan(spec)
-        assert compiled["truncate_stream"] == 1
-        assert compiled["truncate_stream_skip"] == 3
-        assert compiled["paths"] == ["/v1/underlay/energy"]
+        for event in smoke_spec(include_shard_kill=True).faults:
+            body = json.dumps(asdict(event.request())).encode()
+            parsed = parse_fault_request(True, "POST", CHAOS_FAULTS_PATH, body)
+            assert parsed == event.request()
+            assert parsed.action == event.action

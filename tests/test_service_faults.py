@@ -1,12 +1,33 @@
-"""FaultInjector: inert defaults, env parsing, arming, count decrement."""
+"""FaultInjector: inert defaults, arming, count decrement, /chaos/faults."""
 
+import http.client
 import json
 
 import pytest
 
-from repro.service.app import PlanningService
+from repro.service.client import ServiceClientError
 from repro.service.config import ServiceConfig
-from repro.service.faults import FAULTS_ENV_VAR, FaultInjector
+from repro.service.faults import CHAOS_FAULTS_PATH, FaultInjector, FaultRequest
+from repro.service.testing import ThreadedServer
+
+EBAR_BODY = {"p": 0.01, "b": 2, "mt": 2, "mr": 2, "solver": "table"}
+
+
+def post_raw(port, path, raw, method="POST"):
+    """One request with a verbatim body; returns (status, JSON payload)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request(
+            method, path, body=raw, headers={"Content-Type": "application/json"}
+        )
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def post_fault(port, **event):
+    return post_raw(port, CHAOS_FAULTS_PATH, json.dumps(event).encode())
 
 
 class TestInertDefault:
@@ -20,127 +41,144 @@ class TestInertDefault:
         assert faults.take_abort("/v1/ebar") is False
         assert faults.maybe_kill_worker(object()) is False
 
-    def test_from_env_without_the_variable_is_inert(self):
-        assert not FaultInjector.from_env(environ={}).armed
 
-
-class TestFromEnv:
-    def _env(self, plan):
-        return {FAULTS_ENV_VAR: json.dumps(plan)}
-
+class TestArm:
     def test_full_plan_arms_everything(self):
-        faults = FaultInjector.from_env(
-            environ=self._env(
-                {
-                    "kill_worker": 2,
-                    "delay_ms": 250,
-                    "delay_times": 3,
-                    "abort": 1,
-                    "paths": ["/v1/underlay/energy"],
-                }
-            )
-        )
+        faults = FaultInjector()
+        faults.arm(FaultRequest("kill_worker", count=2))
+        faults.arm(FaultRequest("delay", count=2, delay_ms=250.0))
+        faults.arm(FaultRequest("abort", path="/v1/underlay/energy"))
         assert faults.armed
-        assert faults.request_delay_s("/v1/underlay/energy") == 0.25
+        assert faults.request_delay_s("/x") == 0.25
+        assert faults.request_delay_s("/y") == 0.25
+        assert faults.request_delay_s("/z") == 0.0
+        assert faults.take_abort("/v1/ebar") is False  # path miss
         assert faults.take_abort("/v1/underlay/energy") is True
+        assert faults.armed  # kill_worker waits for a worker process
 
     def test_stream_plan_arms_stream_faults(self):
-        faults = FaultInjector.from_env(
-            environ=self._env(
-                {
-                    "kill_sim_child": 1,
-                    "kill_sim_child_after_rows": 2,
-                    "truncate_stream": 1,
-                    "truncate_stream_after_rows": 3,
-                    "drop_client": 1,
-                    "paths": ["/v1/simulate"],
-                }
-            )
-        )
+        faults = FaultInjector()
+        faults.arm(FaultRequest("kill_sim_child", after_rows=2))
+        faults.arm(FaultRequest("truncate_stream", after_rows=3))
+        faults.arm(FaultRequest("drop_client", path="/v1/simulate"))
         assert faults.armed
         assert faults.take_sim_fault() == ("kill", 2)
         assert faults.take_truncate_stream("/v1/simulate") == 3
+        assert faults.take_drop_client("/v1/ebar") is False  # path miss
         assert faults.take_drop_client("/v1/simulate") is True
+        assert not faults.armed
 
     def test_stall_plan_arms_stall(self):
-        faults = FaultInjector.from_env(
-            environ=self._env({"stall_sim": 1, "stall_sim_after_rows": 1})
-        )
+        faults = FaultInjector()
+        faults.arm(FaultRequest("stall_sim", after_rows=1))
         assert faults.take_sim_fault() == ("stall", 1)
         assert faults.take_sim_fault() is None
 
-    def test_skip_counters_from_env(self):
-        faults = FaultInjector.from_env(
-            environ=self._env(
-                {"truncate_stream": 1, "truncate_stream_skip": 2}
-            )
-        )
-        assert faults.take_truncate_stream("/a") is None
-        assert faults.take_truncate_stream("/b") is None
-        assert faults.take_truncate_stream("/c") == 1
-        assert faults.take_truncate_stream("/d") is None
-
-    def test_kill_shard_from_env(self):
-        faults = FaultInjector.from_env(environ=self._env({"kill_shard": 2}))
-        assert faults.take_kill_shard() is True
-        assert faults.take_kill_shard() is True
-        assert faults.take_kill_shard() is False
-
     def test_delay_defaults_to_one_shot(self):
-        faults = FaultInjector.from_env(environ=self._env({"delay_ms": 100}))
+        faults = FaultInjector()
+        faults.arm(FaultRequest("delay", delay_ms=100.0))
         assert faults.request_delay_s("/x") == 0.1
         assert faults.request_delay_s("/x") == 0.0
 
-    def test_blank_value_is_inert(self):
-        assert not FaultInjector.from_env(environ={FAULTS_ENV_VAR: "  "}).armed
 
-    @pytest.mark.parametrize(
-        "raw",
-        [
-            "{not json",
-            '"just a string"',
-            "[1, 2]",
-            '{"surprise": 1}',
-            '{"kill_worker": "one"}',
-            '{"kill_worker": true}',
-            '{"kill_worker": -1}',
-            '{"delay_ms": "fast"}',
-            '{"delay_ms": 10, "delay_times": 1.5}',
-            '{"abort": 1, "paths": "/v1/ebar"}',
-            '{"abort": 1, "paths": [1]}',
-            '{"kill_sim_child": "yes"}',
-            '{"stall_sim": 1, "stall_sim_after_rows": -1}',
-            '{"truncate_stream": 1.5}',
-            '{"drop_client": 1, "drop_client_skip": "three"}',
-        ],
+#: Bodies ``POST /chaos/faults`` must refuse with 400, keyed by what is wrong.
+MALFORMED_EVENTS = {
+    "not json": b"{not json",
+    "a string": b'"just a string"',
+    "a list": b"[1, 2]",
+    "missing action": b'{"count": 1}',
+    "unknown key": b'{"action": "abort", "surprise": 1}',
+    "unknown action": b'{"action": "bogus"}',
+    "bool count": b'{"action": "kill_worker", "count": true}',
+    "string count": b'{"action": "kill_worker", "count": "one"}',
+    "yes as count": b'{"action": "kill_sim_child", "count": "yes"}',
+    "negative count": b'{"action": "kill_worker", "count": -1}',
+    "fractional count": b'{"action": "truncate_stream", "count": 1.5}',
+    "fractional delay count": b'{"action": "delay", "delay_ms": 10, "count": 1.5}',
+    "negative after_rows": b'{"action": "stall_sim", "after_rows": -1}',
+    "non-numeric delay_ms": b'{"action": "delay", "delay_ms": "fast"}',
+    "zero delay_ms": b'{"action": "delay", "delay_ms": 0}',
+    "non-string path": b'{"action": "abort", "path": 1}',
+    "list path": b'{"action": "abort", "path": ["/v1/ebar"]}',
+}
+
+
+@pytest.fixture(scope="module")
+def chaos_server():
+    config = ServiceConfig(
+        port=0, workers=0, coalesce_ms=0.0, request_log=False, chaos_admin=True
     )
-    def test_malformed_plans_fail_loudly(self, raw):
-        with pytest.raises(ValueError):
-            FaultInjector.from_env(environ={FAULTS_ENV_VAR: raw})
+    with ThreadedServer(config) as srv:
+        yield srv
 
-    def test_service_reads_the_plan_at_boot(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV_VAR, '{"abort": 1}')
-        service = PlanningService(
-            ServiceConfig(workers=0, coalesce_ms=0.0, request_log=False)
-        )
-        try:
-            assert service.faults.armed
-            assert service.faults.take_abort("/v1/ebar") is True
-        finally:
-            service.close()
 
-    def test_explicit_injector_overrides_the_env(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV_VAR, '{"abort": 5}')
-        faults = FaultInjector()
-        service = PlanningService(
-            ServiceConfig(workers=0, coalesce_ms=0.0, request_log=False),
-            faults=faults,
+class TestChaosRoute:
+    def test_post_arms_the_live_injector(self, chaos_server):
+        client = chaos_server.client()
+        served = client.metrics_snapshot()["requests_total"]
+        status, payload = post_fault(
+            chaos_server.port, action="abort", path="/v1/ebar"
         )
-        try:
-            assert service.faults is faults
-            assert not service.faults.armed
-        finally:
-            service.close()
+        assert status == 200
+        assert payload["fault"] == {
+            "action": "abort",
+            "count": 1,
+            "after_rows": 0,
+            "path": "/v1/ebar",
+            "delay_ms": 0.0,
+        }
+        # Chaos requests are not service traffic: the POST is not counted,
+        # only the second metrics read is.
+        assert client.metrics_snapshot()["requests_total"] == served + 1
+        assert chaos_server.service.faults.take_abort("/v1/ebar") is True
+        assert not chaos_server.service.faults.armed
+
+    @pytest.mark.parametrize("raw", MALFORMED_EVENTS.values(), ids=MALFORMED_EVENTS)
+    def test_malformed_events_answer_400(self, chaos_server, raw):
+        status, payload = post_raw(chaos_server.port, CHAOS_FAULTS_PATH, raw)
+        assert status == 400
+        assert payload["status"] == 400
+        assert payload["detail"]
+        assert not chaos_server.service.faults.armed
+
+    def test_kill_shard_names_the_supervisor(self, chaos_server):
+        status, payload = post_fault(chaos_server.port, action="kill_shard")
+        assert 400 <= status < 500
+        assert "supervisor" in payload["detail"]
+        assert not chaos_server.service.faults.armed
+
+    def test_unknown_chaos_path_and_method(self, chaos_server):
+        status, _ = post_raw(chaos_server.port, "/chaos/unknown", b"{}")
+        assert status == 404
+        status, _ = post_raw(chaos_server.port, CHAOS_FAULTS_PATH, None, "GET")
+        assert status == 405
+
+    @pytest.mark.parametrize("action", ["drop_client", "abort", "delay"])
+    def test_unscoped_fault_skips_chaos_requests(self, chaos_server, action):
+        faults = chaos_server.service.faults
+        event = {"action": action, "delay_ms": 50.0}
+        assert post_fault(chaos_server.port, **event)[0] == 200
+        # The next /chaos/faults request gets its whole answer and leaves
+        # the armed fault for the next service request to draw.
+        status, payload = post_fault(chaos_server.port, action="bogus")
+        assert (status, payload["status"]) == (400, 400)
+        assert faults.armed
+        client = chaos_server.client()
+        if action == "delay":
+            client.ebar(**EBAR_BODY)
+        else:
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.request("POST", "/v1/ebar", EBAR_BODY)
+            assert excinfo.value.status == 599
+        assert not faults.armed
+
+    def test_forbidden_without_chaos_admin(self):
+        config = ServiceConfig(port=0, workers=0, request_log=False)
+        with ThreadedServer(config) as server:
+            status, payload = post_fault(server.port, action="abort")
+            assert status == 403
+            assert "--chaos-admin" in payload["detail"]
+            assert not server.service.faults.armed
 
 
 class TestCounts:
@@ -191,21 +229,17 @@ class TestCounts:
         assert faults.take_sim_fault() == ("stall", 2)
         assert faults.take_sim_fault() is None
 
-    def test_truncate_respects_paths_and_skip(self):
+    def test_truncate_respects_paths(self):
         faults = FaultInjector()
-        faults.arm_truncate_stream(
-            1, after_rows=2, paths=("/v1/simulate",), skip=1
-        )
+        faults.arm_truncate_stream(1, after_rows=2, paths=("/v1/simulate",))
         assert faults.take_truncate_stream("/v1/ebar") is None  # path miss
-        assert faults.take_truncate_stream("/v1/simulate") is None  # skipped
         assert faults.take_truncate_stream("/v1/simulate") == 2
         assert faults.take_truncate_stream("/v1/simulate") is None
 
-    def test_drop_client_consumes_after_skip(self):
+    def test_drop_client_consumes_one_count_per_request(self):
         faults = FaultInjector()
-        faults.arm_drop_client(2, skip=1)
-        assert faults.take_drop_client("/a") is False
+        faults.arm_drop_client(2)
+        assert faults.take_drop_client("/a") is True
         assert faults.take_drop_client("/b") is True
-        assert faults.take_drop_client("/c") is True
-        assert faults.take_drop_client("/d") is False
+        assert faults.take_drop_client("/c") is False
         assert not faults.armed

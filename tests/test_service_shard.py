@@ -15,6 +15,7 @@ from repro.service import (
     LatencyHistogram,
     RestartBudget,
     ServiceClient,
+    ServiceClientError,
     ServiceConfig,
     aggregate_snapshots,
     work,
@@ -137,12 +138,10 @@ class TestAggregateSnapshots:
 class Fleet:
     """A ``repro-service --shards N`` subprocess plus its announce info."""
 
-    def __init__(self, tmp_path, *extra_args, env_extra=None, shards=2):
+    def __init__(self, tmp_path, *extra_args, shards=2):
         env = dict(os.environ)
         env.pop("REPRO_NO_CACHE", None)
         env["REPRO_CACHE_DIR"] = str(tmp_path / "table-cache")
-        if env_extra:
-            env.update(env_extra)
         self.proc = subprocess.Popen(
             [
                 sys.executable,
@@ -293,7 +292,12 @@ class TestShardedFleet:
         running.stop()
 
     def test_kill_shard_fault_plan_drives_replacement(self, fleet):
-        running = fleet(env_extra={"REPRO_SERVICE_FAULTS": '{"kill_shard": 1}'})
+        running = fleet("--chaos-admin")
+        running.wait_healthy()
+        killed = running.admin().request(
+            "POST", "/chaos/faults", {"action": "kill_shard"}
+        )
+        assert killed["shards"] == [1]
         health = running.wait_healthy(min_restarts=1)
         assert health["shards"]["restarts"] == 1
         assert health["status"] == "ok"
@@ -301,6 +305,42 @@ class TestShardedFleet:
             distance=DISTANCES, **UNDERLAY_ARGS
         )
         assert payload["rows"] == _underlay_direct()
+        running.stop()
+
+
+    def test_chaos_faults_arm_every_live_shard(self, fleet):
+        running = fleet("--chaos-admin")
+        running.wait_healthy()
+        admin = running.admin()
+        with pytest.raises(ServiceClientError) as excinfo:
+            admin.request("POST", "/chaos/faults", {"action": "bogus"})
+        assert excinfo.value.status == 400
+        armed = admin.request(
+            "POST",
+            "/chaos/faults",
+            {"action": "drop_client", "path": "/v1/underlay/energy"},
+        )
+        assert armed["shards"] == [0, 1]
+        # Each shard, reached on its own admin port, drops exactly its
+        # next matching request.
+        for entry in admin.metrics_snapshot()["shards"]["per_shard"]:
+            shard = ServiceClient("127.0.0.1", entry["admin_port"], timeout_s=30.0)
+            with pytest.raises(ServiceClientError) as excinfo:
+                shard.underlay_energy(distance=DISTANCES, **UNDERLAY_ARGS)
+            assert excinfo.value.status == 599
+            payload = shard.underlay_energy(distance=DISTANCES, **UNDERLAY_ARGS)
+            assert payload["rows"] == _underlay_direct()
+        running.stop()
+
+    def test_chaos_faults_forbidden_without_chaos_admin(self, fleet):
+        running = fleet()
+        with pytest.raises(ServiceClientError) as excinfo:
+            running.admin().request(
+                "POST", "/chaos/faults", {"action": "kill_shard"}
+            )
+        assert excinfo.value.status == 403
+        assert "--chaos-admin" in excinfo.value.message
+        assert running.wait_healthy()["shards"]["restarts"] == 0
         running.stop()
 
 

@@ -7,15 +7,23 @@ backpressure reply without its retry hint.
 """
 
 import asyncio
+import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.service.app import PlanningService
-from repro.service.client import ServiceClientError
+from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.config import ServiceConfig
 from repro.service.errors import OverloadedError
 from repro.service.testing import ThreadedServer
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 STALL_TIMEOUT_MS = 1200.0
 
@@ -175,3 +183,48 @@ class TestTransportFaults:
                 )
             )
         assert excinfo.value.status == 599
+
+
+class TestStallKeepsTheBinaryUp:
+    def test_stall_fault_does_not_drain_the_real_server(self):
+        """A stalled simulate child must not shut its server down.
+
+        Only the real binary installs the asyncio signal wakeup fd a forked
+        child inherits (the in-process harness runs without signal
+        handlers).  A child stopped before it detaches from that fd must
+        be ended with SIGKILL: a SIGTERM would run its inherited handler,
+        which writes the signal into the pipe it shares with the server,
+        and the server would drain and exit 0.
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.service",
+                "--port", "0", "--workers", "0",
+                "--chaos-admin", "--sim-stall-timeout-ms", "500",
+                "--no-request-log", "--quiet",
+            ],
+            stdout=subprocess.PIPE,
+            text=True,
+            cwd=REPO_ROOT,
+            env=env,
+        )
+        try:
+            announced = json.loads(proc.stdout.readline())
+            client = ServiceClient(
+                announced["host"], announced["port"], timeout_s=30.0
+            )
+            client.request("POST", "/chaos/faults", {"action": "stall_sim"})
+            rows = list(client.simulate_stream(dict(SIM_BODY, n_nodes=8)))
+            assert rows[-1]["row"] == "error"
+            assert rows[-1]["status"] == 504
+            time.sleep(1.0)  # a self-inflicted drain starts within this
+            assert proc.poll() is None
+            assert client.healthz() == {"status": "ok"}
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
