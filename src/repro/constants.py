@@ -23,14 +23,16 @@ symbol                  paper value              meaning
 ======================  =======================  =============================
 
 :class:`SystemConstants` stores the quoted values and exposes the linear
-(SI-unit) versions used by :mod:`repro.energy`.  A frozen dataclass keeps an
-experiment's constant set immutable once constructed; variations (ablations)
-create a new instance via :meth:`SystemConstants.replace`.
+(SI-unit) versions used by :mod:`repro.energy`, each converted once per
+instance (the energy formulas read them on every call).  A frozen dataclass
+keeps an experiment's constant set immutable once constructed; variations
+(ablations) create a new instance via :meth:`SystemConstants.replace`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,52 +121,52 @@ class SystemConstants:
     # Linear / SI views                                                  #
     # ------------------------------------------------------------------ #
 
-    @property
+    @functools.cached_property
     def p_ct_w(self) -> Watts:
         """Transmitter circuit power [W]."""
         return float(milliwatts_to_watts(self.p_ct_mw))
 
-    @property
+    @functools.cached_property
     def p_cr_w(self) -> Watts:
         """Receiver circuit power [W]."""
         return float(milliwatts_to_watts(self.p_cr_mw))
 
-    @property
+    @functools.cached_property
     def p_syn_w(self) -> Watts:
         """Synthesizer power [W]."""
         return float(milliwatts_to_watts(self.p_syn_mw))
 
-    @property
+    @functools.cached_property
     def g1_w(self) -> Watts:
         """Local path-gain factor at 1 m [W]."""
         return float(milliwatts_to_watts(self.g1_mw))
 
-    @property
+    @functools.cached_property
     def link_margin_linear(self) -> LinearRatio:
         """Link margin ``M_l`` as a linear ratio."""
         return float(db_to_linear(self.link_margin_db))
 
-    @property
+    @functools.cached_property
     def noise_figure_linear(self) -> LinearRatio:
         """Noise figure ``N_f`` as a linear ratio."""
         return float(db_to_linear(self.noise_figure_db))
 
-    @property
+    @functools.cached_property
     def sigma2_w_hz(self) -> WattsPerHz:
         """Thermal noise PSD ``sigma^2`` [W/Hz]."""
         return float(dbm_per_hz_to_watts_per_hz(self.sigma2_dbm_hz))
 
-    @property
+    @functools.cached_property
     def n0_w_hz(self) -> WattsPerHz:
         """Receiver-referred noise PSD ``N_0`` [W/Hz]."""
         return float(dbm_per_hz_to_watts_per_hz(self.n0_dbm_hz))
 
-    @property
+    @functools.cached_property
     def antenna_gain_linear(self) -> LinearRatio:
         """Combined antenna gain ``G_t G_r`` as a linear ratio."""
         return float(dbi_to_linear(self.antenna_gain_dbi))
 
-    @property
+    @functools.cached_property
     def carrier_frequency_hz(self) -> Hertz:
         """Carrier frequency implied by the wavelength [Hz]."""
         return SPEED_OF_LIGHT / self.wavelength_m
@@ -193,10 +195,15 @@ class SystemConstants:
         per bit over the ``D``-meter cooperative link (square-law fall-off,
         i.e. free space, as the paper assumes for the long haul).  Accepts an
         array of distances, returning elementwise gains.
+
+        The square is one multiply: ``x ** 2`` on a Python float calls C
+        ``pow()``, which can land 1 ULP away from the ``x * x`` NumPy uses
+        for an array, and the scalar and array paths must agree bit for bit.
         """
         if np.any(np.asarray(distance_m) <= 0.0):
             raise ValueError(f"distance_m must be positive, got {distance_m}")
-        numerator = (4.0 * np.pi * distance_m) ** 2
+        scaled = 4.0 * np.pi * distance_m
+        numerator = scaled * scaled
         denominator = self.antenna_gain_linear * self.wavelength_m**2
         return (
             numerator

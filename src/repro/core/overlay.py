@@ -27,16 +27,18 @@ the direct path, how far can the relay cluster sit from Pt (D2) and from Pr
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.energy.model import EnergyModel
 from repro.energy.optimize import (
     DEFAULT_B_RANGE,
+    best_over_b,
     maximize_mimo_distance,
     minimize_over_b,
 )
+from repro.utils.units import JoulesArray, MetersArray
 from repro.utils.validation import (
     check_finite,
     check_positive,
@@ -44,7 +46,7 @@ from repro.utils.validation import (
     check_probability,
 )
 
-__all__ = ["OverlaySystem", "OverlayDistanceResult", "RelayEnergy"]
+__all__ = ["OverlaySystem", "OverlayDistanceResult", "OverlayArrays", "RelayEnergy"]
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,23 @@ class OverlayDistanceResult:
         check_positive_int(self.b_miso, "b_miso")
 
 
+class OverlayArrays(NamedTuple):
+    """:class:`OverlayDistanceResult` fields over a D1 axis, one entry per
+    point (the scalar fields are shared by every point)."""
+
+    m: int
+    bandwidth: float
+    p_direct: float
+    p_relay: float
+    d1: MetersArray
+    e1: JoulesArray
+    b_direct: np.ndarray
+    d2: MetersArray
+    b_simo: np.ndarray
+    d3: MetersArray
+    b_miso: np.ndarray
+
+
 class OverlaySystem:
     """Algorithm 1 with its energy and distance analyses.
 
@@ -123,9 +142,10 @@ class OverlaySystem:
         b_range: Sequence[int] = DEFAULT_B_RANGE,
     ):
         self.model = model
-        self.b_range = tuple(int(b) for b in b_range)
+        self.b_range = tuple(check_positive_int(b, "b") for b in b_range)
         if not self.b_range:
             raise ValueError("b_range must be non-empty")
+        self._b_values = np.array(self.b_range)
 
     # ------------------------------------------------------------------ #
     # Algorithm 1 energy accounting                                      #
@@ -227,75 +247,87 @@ class OverlaySystem:
         )
 
     # ------------------------------------------------------------------ #
-    # Vectorized D1-axis sweep                                           #
+    # The D1 axis in one array pass                                      #
     # ------------------------------------------------------------------ #
 
-    def _direct_energy_over_d1(
-        self, d1: np.ndarray, p_direct: float, bandwidth: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _direct_energy(
+        self, d1: MetersArray, p_direct: float, bandwidth: float
+    ) -> Tuple[np.ndarray, JoulesArray]:
         """Step 1 over a D1 vector: per-point ``(b_direct, E_1)`` arrays.
 
-        For each candidate ``b`` the direct-link total is evaluated over the
-        whole distance axis at once (one ``e_bar_b`` solve per ``b`` instead
-        of one per grid point); the reduction over ``b`` replicates
-        :func:`minimize_over_b` — infeasible sizes skipped, first minimum
-        wins — on bit-identical per-point values.
+        ``e^{MIMOt}(1, 1)`` of every size at every point is one
+        ``(|b|, n)`` grid; a size the scalar search would skip is NaN
+        (refused ``e_bar_b``) or infinite (overflowing PA).
         """
-        totals = np.full((len(self.b_range), d1.size), np.inf)
-        for row, b in enumerate(self.b_range):
-            try:
-                pa = self.model.mimo_tx_pa_batch(p_direct, b, 1, 1, d1, bandwidth)
-                circuit = self.model.mimo_tx(
-                    p_direct, b, 1, 1, float(d1[0]), bandwidth
-                ).circuit
-            except ValueError:
-                continue
-            totals[row] = pa + circuit
-        if np.isinf(totals).all(axis=0).any():
-            raise ValueError("no feasible constellation size in the given range")
-        best = np.argmin(totals, axis=0)
-        b_direct = np.array(self.b_range)[best]
-        return b_direct, totals[best, np.arange(d1.size)]
+        model = self.model
+        pa = model.mimo_tx_pa_grid(p_direct, 1, 1, d1, bandwidth, self.b_range)
+        v = model.mimo_vectors(p_direct, 1, 1, bandwidth, self.b_range)
+        rows, e1 = best_over_b(pa + v.tx_circuit[:, None])
+        return self._b_values[rows], e1
 
-    def _max_distance_over_budgets(
+    def _max_distance(
         self,
-        budgets: np.ndarray,
+        budgets: JoulesArray,
         p_relay: float,
         mt: int,
         mr: int,
         bandwidth: float,
         with_rx_circuit: bool,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, MetersArray]:
         """Steps 2/3 over a budget vector: ``(b, D)`` maximizing the reach.
 
-        Vector form of :func:`maximize_mimo_distance` over all budgets at
-        once; the quadratic inversion of
-        :meth:`repro.energy.model.EnergyModel.max_mimo_distance` is applied
-        per candidate ``b`` to the whole budget axis.
+        :meth:`EnergyModel.max_mimo_distance`'s closed-form inversion for
+        every size at every budget: 0.0 where the budget does not cover the
+        circuit terms (decided before ``e_bar_b`` is needed, so even a size
+        the solver refuses reads 0.0 there), NaN (skipped) where it does but
+        ``e_bar_b`` is refused.
         """
-        c = self.model.constants
-        unit_gain = c.longhaul_gain(1.0)
-        reaches = np.full((len(self.b_range), budgets.size), -np.inf)
-        for row, b in enumerate(self.b_range):
-            alpha = c.peak_to_average_alpha(b)
-            circuit = (c.p_ct_w + c.p_syn_w) / (b * bandwidth)
-            extra = self.model.mimo_rx(b, bandwidth).total if with_rx_circuit else 0.0
-            headroom = budgets - circuit - extra
-            try:
-                ebar = self.model.ebar(p_relay, b, mt, mr)
-            except ValueError:
-                # Exhausted budgets still yield a 0.0 candidate (the scalar
-                # inversion returns before ever solving e_bar_b there).
-                reaches[row] = np.where(headroom <= 0.0, 0.0, -np.inf)
-                continue
-            d_squared = headroom * mt / ((1.0 + alpha) * ebar * unit_gain)
-            reaches[row] = np.where(
-                headroom <= 0.0, 0.0, np.sqrt(np.maximum(d_squared, 0.0))
-            )
-        if np.isinf(reaches).all(axis=0).any():
-            raise ValueError("no feasible constellation size in the given range")
-        best = np.argmax(reaches, axis=0)
-        return np.array(self.b_range)[best], reaches[best, np.arange(budgets.size)]
+        v = self.model.mimo_vectors(p_relay, mt, mr, bandwidth, self.b_range)
+        headroom = budgets - v.tx_circuit[:, None]
+        if with_rx_circuit:
+            headroom = headroom - v.rx_circuit[:, None]
+        d_squared = headroom * mt / v.reach_denominator[:, None]
+        reach = np.where(headroom <= 0.0, 0.0, np.sqrt(np.maximum(d_squared, 0.0)))
+        rows, distance = best_over_b(reach, maximize=True)
+        return self._b_values[rows], distance
+
+    def distance_arrays(
+        self,
+        d1_values: Sequence[float],
+        m: int,
+        bandwidth: float,
+        p_direct: float = 0.005,
+        p_relay: float = 0.0005,
+    ) -> OverlayArrays:
+        """Steps 1-3 over the whole D1 axis, one array pass per step.
+
+        Every constellation size is priced at every point in one
+        ``(|b|, n)`` pass of ``+ - * / sqrt`` on the memoized per-b vectors
+        (:meth:`EnergyModel.mimo_vectors`), then reduced with the scalar
+        search's rules (:func:`best_over_b`).  Each entry equals what
+        :meth:`distance_analysis` returns at that point, bit for bit.
+        """
+        m = check_positive_int(m, "m")
+        p_direct = check_probability(p_direct, "p_direct")
+        p_relay = check_probability(p_relay, "p_relay")
+        bandwidth = check_positive(bandwidth, "bandwidth")
+        d1 = np.asarray([check_positive(v, "d1") for v in d1_values], dtype=float)
+        b_direct, e1 = self._direct_energy(d1, p_direct, bandwidth)
+        b_simo, d2 = self._max_distance(e1, p_relay, 1, m, bandwidth, False)
+        b_miso, d3 = self._max_distance(e1, p_relay, m, 1, bandwidth, True)
+        return OverlayArrays(
+            m=m,
+            bandwidth=bandwidth,
+            p_direct=p_direct,
+            p_relay=p_relay,
+            d1=d1,
+            e1=e1,
+            b_direct=b_direct,
+            d2=d2,
+            b_simo=b_simo,
+            d3=d3,
+            b_miso=b_miso,
+        )
 
     def distance_analyses(
         self,
@@ -305,41 +337,32 @@ class OverlaySystem:
         p_direct: float = 0.005,
         p_relay: float = 0.0005,
     ) -> List[OverlayDistanceResult]:
-        """Vectorized :meth:`distance_analysis` over the whole D1 axis.
-
-        Produces exactly the same results as calling
-        :meth:`distance_analysis` per point (the per-``b`` kernels run the
-        identical arithmetic, just across the distance vector), while
-        solving each ``e_bar_b`` once per constellation size instead of once
-        per grid point.
-        """
-        m = check_positive_int(m, "m")
-        p_direct = check_probability(p_direct, "p_direct")
-        p_relay = check_probability(p_relay, "p_relay")
-        bandwidth = check_positive(bandwidth, "bandwidth")
-        d1 = np.asarray([check_positive(v, "d1") for v in d1_values], dtype=float)
-        b_direct, e1 = self._direct_energy_over_d1(d1, p_direct, bandwidth)
-        b_simo, d2 = self._max_distance_over_budgets(
-            e1, p_relay, 1, m, bandwidth, with_rx_circuit=False
-        )
-        b_miso, d3 = self._max_distance_over_budgets(
-            e1, p_relay, m, 1, bandwidth, with_rx_circuit=True
-        )
+        """:meth:`distance_arrays` as one :class:`OverlayDistanceResult` per
+        point — equal to calling :meth:`distance_analysis` per point."""
+        a = self.distance_arrays(d1_values, m, bandwidth, p_direct, p_relay)
         return [
             OverlayDistanceResult(
-                d1=float(d1[i]),
-                m=m,
-                bandwidth=float(bandwidth),
-                p_direct=p_direct,
-                p_relay=p_relay,
-                e1=float(e1[i]),
-                b_direct=int(b_direct[i]),
-                d2=float(d2[i]),
-                b_simo=int(b_simo[i]),
-                d3=float(d3[i]),
-                b_miso=int(b_miso[i]),
+                d1=d1,
+                m=a.m,
+                bandwidth=a.bandwidth,
+                p_direct=a.p_direct,
+                p_relay=a.p_relay,
+                e1=e1,
+                b_direct=b_direct,
+                d2=d2,
+                b_simo=b_simo,
+                d3=d3,
+                b_miso=b_miso,
             )
-            for i in range(d1.size)
+            for d1, e1, b_direct, d2, b_simo, d3, b_miso in zip(
+                a.d1.tolist(),
+                a.e1.tolist(),
+                a.b_direct.tolist(),
+                a.d2.tolist(),
+                a.b_simo.tolist(),
+                a.d3.tolist(),
+                a.b_miso.tolist(),
+            )
         ]
 
     def distance_sweep(

@@ -26,21 +26,24 @@ the analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.schemes import HopEnergy, hop_energy
 from repro.energy.model import EnergyModel
-from repro.energy.optimize import DEFAULT_B_RANGE, minimize_over_b
+from repro.energy.optimize import DEFAULT_B_RANGE, best_over_b, minimize_over_b
+from repro.network.comimonet import LinkKind
+from repro.utils.units import JoulesArray, MetersArray
 from repro.utils.validation import (
     check_finite,
+    check_non_negative_arrays,
     check_positive,
     check_positive_int,
     check_probability,
 )
 
-__all__ = ["UnderlaySystem", "UnderlayEnergyResult"]
+__all__ = ["UnderlaySystem", "UnderlayEnergyResult", "UnderlayArrays"]
 
 
 @dataclass(frozen=True)
@@ -66,14 +69,32 @@ class UnderlayEnergyResult:
         check_finite(self.peak_pa, "peak_pa")
 
 
+class UnderlayArrays(NamedTuple):
+    """:class:`UnderlayEnergyResult` fields (with its :class:`HopEnergy`
+    sums) over a long-haul distance axis, one entry per distance."""
+
+    mt: int
+    mr: int
+    d: float
+    distance: MetersArray
+    b: np.ndarray
+    total: JoulesArray  # HopEnergy.total, circuits included
+    pa_local_a: JoulesArray
+    pa_longhaul: JoulesArray
+    pa_local_b: JoulesArray
+    total_pa: JoulesArray
+    peak_pa: JoulesArray
+
+
 class UnderlaySystem:
     """Algorithm 2 with the Section 6.2 energy analysis."""
 
     def __init__(self, model: EnergyModel, b_range: Sequence[int] = DEFAULT_B_RANGE):
         self.model = model
-        self.b_range = tuple(int(b) for b in b_range)
+        self.b_range = tuple(check_positive_int(b, "b") for b in b_range)
         if not self.b_range:
             raise ValueError("b_range must be non-empty")
+        self._b_values = np.array(self.b_range)
 
     # ------------------------------------------------------------------ #
 
@@ -163,6 +184,85 @@ class UnderlaySystem:
             >= required_margin
         )
 
+    def pa_energy_arrays(
+        self,
+        p: float,
+        mt: int,
+        mr: int,
+        d: float,
+        distances: Sequence[float],
+        bandwidth: float,
+    ) -> UnderlayArrays:
+        """:meth:`pa_energy` over the long-haul distance axis in one array pass.
+
+        :func:`hop_energy`'s sums for every constellation size at every
+        distance form ``(|b|, n)`` grids built from the memoized per-b
+        vectors (:meth:`EnergyModel.mimo_vectors`,
+        :meth:`EnergyModel.local_vectors`) with ``+`` and ``*`` in the
+        scalar operation order.  A size the scalar search skips — refused by
+        either link, or a hop whose total overflows — is NaN, and
+        :func:`best_over_b` picks the first minimum of the PA total.  Each
+        entry equals :meth:`pa_energy` at that distance, bit for bit.
+        """
+        p = check_probability(p, "p")
+        mt = check_positive_int(mt, "mt")
+        mr = check_positive_int(mr, "mr")
+        d = check_positive(d, "d")
+        bandwidth = check_positive(bandwidth, "bandwidth")
+        dist = np.asarray(
+            [check_positive(float(v), "distance") for v in distances], dtype=float
+        )
+        model = self.model
+        local = model.local_vectors(p, d, bandwidth, self.b_range)
+        mimo = model.mimo_vectors(p, mt, mr, bandwidth, self.b_range)
+        mimo_pa = model.mimo_tx_pa_grid(p, mt, mr, dist, bandwidth, self.b_range)
+        # hop_energy's phases; an absent phase adds 0.0, which is exact
+        none = np.zeros(len(self.b_range))
+        local_total = local.pa + local.tx_circuit
+        pa_local_a = local.pa if mt > 1 else none
+        pa_local_b = mr * local.pa if mr > 1 else none
+        intra_a = local_total + (mt - 1) * local.rx_circuit if mt > 1 else none
+        intra_b = mr * local_total + mr * local.rx_circuit if mr > 1 else none
+        longhaul = mt * (mimo_pa + mimo.tx_circuit[:, None]) + mr * mimo.rx_circuit[:, None]
+        total = intra_a[:, None] + longhaul + intra_b[:, None]
+        pa_longhaul = mt * mimo_pa
+        pa_total = pa_local_a[:, None] + pa_longhaul + pa_local_b[:, None]
+        feasible = ~np.isnan(local.pa)[:, None] & np.isfinite(total)
+        rows, best_pa_total = best_over_b(np.where(feasible, pa_total, np.nan))
+        columns = np.arange(dist.size)
+        chosen_longhaul = pa_longhaul[rows, columns]
+        chosen_a = pa_local_a[rows]
+        chosen_b = pa_local_b[rows]
+        # HopEnergy.pa_peak: the long haul against each sequential local PA
+        peak = chosen_longhaul
+        if mt > 1:
+            peak = np.maximum(peak, chosen_a)
+        if mr > 1:
+            peak = np.maximum(peak, chosen_b / mr)
+        chosen_total = total[rows, columns]
+        # the dataclass checks the rows path skips (b is checked in __init__)
+        check_non_negative_arrays(
+            total=chosen_total,
+            pa_local_a=chosen_a,
+            pa_longhaul=chosen_longhaul,
+            pa_local_b=chosen_b,
+            total_pa=best_pa_total,
+            peak_pa=peak,
+        )
+        return UnderlayArrays(
+            mt=mt,
+            mr=mr,
+            d=d,
+            distance=dist,
+            b=self._b_values[rows],
+            total=chosen_total,
+            pa_local_a=chosen_a,
+            pa_longhaul=chosen_longhaul,
+            pa_local_b=chosen_b,
+            total_pa=best_pa_total,
+            peak_pa=peak,
+        )
+
     def pa_energy_sweep(
         self,
         p: float,
@@ -172,55 +272,43 @@ class UnderlaySystem:
         distances: Sequence[float],
         bandwidth: float,
     ) -> List[UnderlayEnergyResult]:
-        """Vectorized :meth:`pa_energy` over the long-haul distance axis.
-
-        For each candidate ``b`` the hop's total PA energy is evaluated over
-        the whole ``D`` vector in one shot (one ``e_bar_b`` solve and one
-        local-link inversion per ``b``, instead of one per grid point); the
-        reduction over ``b`` then matches :func:`minimize_over_b` exactly —
-        infeasible sizes skipped, first minimum wins — on bit-identical
-        per-point totals, so the returned rows equal the scalar path's.
-        """
-        p = check_probability(p, "p")
-        mt = check_positive_int(mt, "mt")
-        mr = check_positive_int(mr, "mr")
-        check_positive(d, "d")
-        check_positive(bandwidth, "bandwidth")
-        dist = np.asarray(
-            [check_positive(float(v), "distance") for v in distances], dtype=float
-        )
-        totals = np.full((len(self.b_range), dist.size), np.inf)
-        for row, b in enumerate(self.b_range):
-            try:
-                # hop_energy prices the local link before the long haul, so a
-                # b infeasible for either segment is skipped for every D
-                local_pa = self.model.local_tx(p, b, d, bandwidth).pa
-                pa_vec = self.model.mimo_tx_pa_batch(p, b, mt, mr, dist, bandwidth)
-            except ValueError:
-                continue
-            pa_local_a = local_pa if mt > 1 else 0.0
-            pa_local_b = mr * local_pa if mr > 1 else 0.0
-            totals[row] = pa_local_a + mt * pa_vec + pa_local_b
-        if np.isinf(totals).all(axis=0).any():
-            raise ValueError("no feasible constellation size in the given range")
-        best = np.argmin(totals, axis=0)
-        results = []
-        for j in range(dist.size):
-            b = self.b_range[int(best[j])]
-            hop = self._hop(p, b, mt, mr, d, float(dist[j]), bandwidth)
-            results.append(
-                UnderlayEnergyResult(
-                    mt=mt,
-                    mr=mr,
+        """:meth:`pa_energy_arrays` as one :class:`UnderlayEnergyResult` per
+        distance — equal to calling :meth:`pa_energy` per distance, ``hop``
+        included."""
+        a = self.pa_energy_arrays(p, mt, mr, d, distances, bandwidth)
+        kind = LinkKind.classify(a.mt, a.mr)
+        return [
+            UnderlayEnergyResult(
+                mt=a.mt,
+                mr=a.mr,
+                b=b,
+                d=a.d,
+                distance=distance,
+                total_pa=total_pa,
+                peak_pa=peak_pa,
+                hop=HopEnergy(
+                    kind=kind,
+                    mt=a.mt,
+                    mr=a.mr,
                     b=b,
-                    d=float(d),
-                    distance=float(dist[j]),
-                    total_pa=hop.pa_total,
-                    peak_pa=hop.pa_peak,
-                    hop=hop,
-                )
+                    total=total,
+                    pa_local_a=pa_local_a,
+                    pa_longhaul=pa_longhaul,
+                    pa_local_b=pa_local_b,
+                ),
             )
-        return results
+            for b, distance, total_pa, peak_pa, total, pa_local_a, pa_longhaul, pa_local_b
+            in zip(
+                a.b.tolist(),
+                a.distance.tolist(),
+                a.total_pa.tolist(),
+                a.peak_pa.tolist(),
+                a.total.tolist(),
+                a.pa_local_a.tolist(),
+                a.pa_longhaul.tolist(),
+                a.pa_local_b.tolist(),
+            )
+        ]
 
     def sweep(
         self,

@@ -19,14 +19,23 @@ from radiated (PA) energy, not from circuit consumption.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.constants import PAPER_CONSTANTS, SystemConstants
-from repro.utils.units import Hertz, Joules, JoulesArray, Meters, MetersArray
 from repro.energy.ebar import solve_ebar
+from repro.utils.units import (
+    Hertz,
+    Joules,
+    JoulesArray,
+    LinearRatioArray,
+    Meters,
+    MetersArray,
+    Watts,
+)
 from repro.utils.validation import (
     check_non_negative,
     check_positive,
@@ -34,11 +43,22 @@ from repro.utils.validation import (
     check_probability,
 )
 
-__all__ = ["EnergyModel", "EnergyBreakdown", "DEFAULT_PACKET_BITS"]
+__all__ = [
+    "EnergyModel",
+    "EnergyBreakdown",
+    "MimoVectors",
+    "LocalVectors",
+    "DEFAULT_PACKET_BITS",
+    "B_VECTOR_MEMO_SIZE",
+]
 
 #: Default information size ``n`` for the synchronization-transient term
 #: ``P_syn T_tr / n`` (per-bit amortization of the 5 us synthesizer settle).
 DEFAULT_PACKET_BITS = 10_000
+
+#: Per-b vector sets one :class:`EnergyModel` keeps per kind (long-haul and
+#: local); the least recently used set is dropped first.
+B_VECTOR_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -56,6 +76,44 @@ class EnergyBreakdown:
     def total(self) -> Joules:
         """``pa + circuit`` — the quantity the formulas denote ``e^{...}``."""
         return self.pa + self.circuit
+
+
+class MimoVectors(NamedTuple):
+    """Per-b inputs of formulas (3) and (4) for one ``(p, mt, mr, B)`` key.
+
+    Entry ``k`` belongs to the ``k``-th size of the ``b_range`` the vectors
+    were built for and holds the float the scalar formula computes, the
+    last two being the products :meth:`EnergyModel.mimo_tx` and
+    :meth:`EnergyModel.max_mimo_distance` form before they touch the
+    distance or the budget.  NaN wherever ``e_bar_b`` is refused.  The
+    arrays are read-only: they live in the model's memo.
+    """
+
+    alpha: LinearRatioArray  # PA inefficiency alpha_b
+    tx_circuit: JoulesArray  # e_C^{MIMOt} = (P_ct + P_syn)/(bB)
+    rx_circuit: JoulesArray  # e^{MIMOr} = (P_cr + P_syn)/(bB)
+    ebar: JoulesArray  # e_bar_b
+    pa_per_gain: JoulesArray  # (1/mt)(1 + alpha) e_bar_b
+    reach_denominator: JoulesArray  # (1 + alpha) e_bar_b longhaul_gain(1)
+
+
+class LocalVectors(NamedTuple):
+    """Per-b formula (1) and (2) energies of one ``(p, d, B)`` local link.
+
+    Every entry of a size that :meth:`EnergyModel.local_tx` or
+    :meth:`EnergyModel.local_rx` refuses is NaN.  Read-only, like
+    :class:`MimoVectors`.
+    """
+
+    pa: JoulesArray  # e_PA^{Lt}
+    tx_circuit: JoulesArray  # e_C^{Lt}
+    rx_circuit: JoulesArray  # e^{Lr}
+
+
+def _frozen(values: Sequence[object]) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 class EnergyModel:
@@ -82,7 +140,10 @@ class EnergyModel:
         ``(p, b, mt, mr)``: the experiment sweeps re-ask for the same points
         thousands of times (every distance cell re-prices the same link),
         and the providers are pure functions of their arguments, so caching
-        is exact.  Pass False for a stateful custom provider.
+        is exact.  Pass False for a stateful custom provider.  The same flag
+        governs the bounded memo of :meth:`mimo_vectors` and
+        :meth:`local_vectors`, whose ``e_bar_b`` entries come from the
+        provider too.
     """
 
     def __init__(
@@ -104,6 +165,16 @@ class EnergyModel:
         self._ebar_cache: Optional[Dict[Tuple[float, int, int, int], float]] = (
             {} if memoize_ebar else None
         )
+        self._mimo_vectors: Callable[
+            [float, int, int, Hertz, Tuple[int, ...]], MimoVectors
+        ] = self._build_mimo_vectors
+        self._local_vectors: Callable[
+            [float, Meters, Hertz, Tuple[int, ...]], LocalVectors
+        ] = self._build_local_vectors
+        if memoize_ebar:
+            memo = functools.lru_cache(maxsize=B_VECTOR_MEMO_SIZE)
+            self._mimo_vectors = memo(self._build_mimo_vectors)
+            self._local_vectors = memo(self._build_local_vectors)
 
     # ------------------------------------------------------------------ #
     # e_bar_b passthrough                                                #
@@ -203,38 +274,8 @@ class EnergyModel:
         alpha = c.peak_to_average_alpha(b)
         ebar = self.ebar(p, b, mt, mr)
         pa = (1.0 / mt) * (1.0 + alpha) * ebar * c.longhaul_gain(distance)
-        circuit = (c.p_ct_w + c.p_syn_w) / (b * bandwidth)
+        circuit = self._mimo_circuit(c.p_ct_w, b, bandwidth)
         return EnergyBreakdown(pa=float(pa), circuit=float(circuit))
-
-    def mimo_tx_pa_batch(
-        self,
-        p: float,
-        b: int,
-        mt: int,
-        mr: int,
-        distances: MetersArray,
-        bandwidth: Hertz,
-    ) -> JoulesArray:
-        """PA component of :meth:`mimo_tx` over an array of link distances.
-
-        Elementwise identical to ``mimo_tx(...).pa`` at each distance (the
-        same operation order on the same floats), which lets the experiment
-        sweeps evaluate a whole distance axis per constellation size in one
-        shot.  The circuit component is distance-independent —
-        ``mimo_tx(p, b, mt, mr, d, bandwidth).circuit`` at any ``d``.
-        """
-        p = check_probability(p, "p")
-        b = check_positive_int(b, "b")
-        mt = check_positive_int(mt, "mt")
-        mr = check_positive_int(mr, "mr")
-        bandwidth = check_positive(bandwidth, "bandwidth")
-        d = np.asarray(distances, dtype=float)
-        if np.any(d <= 0.0):
-            raise ValueError("distances must be strictly positive")
-        c = self.constants
-        alpha = c.peak_to_average_alpha(b)
-        ebar = self.ebar(p, b, mt, mr)
-        return (1.0 / mt) * (1.0 + alpha) * ebar * c.longhaul_gain(d)
 
     # ------------------------------------------------------------------ #
     # Formula (4): long-haul reception                                   #
@@ -244,9 +285,104 @@ class EnergyModel:
         """``e^{MIMOr} = (P_cr + P_syn)/(bB)`` — circuit-only reception."""
         b = check_positive_int(b, "b")
         bandwidth = check_positive(bandwidth, "bandwidth")
-        c = self.constants
-        circuit = (c.p_cr_w + c.p_syn_w) / (b * bandwidth)
+        circuit = self._mimo_circuit(self.constants.p_cr_w, b, bandwidth)
         return EnergyBreakdown(pa=0.0, circuit=float(circuit))
+
+    def _mimo_circuit(self, power_w: Watts, b: int, bandwidth: Hertz) -> Joules:
+        """``(P + P_syn)/(bB)``, the circuit term of formulas (3) and (4)."""
+        return (power_w + self.constants.p_syn_w) / (b * bandwidth)
+
+    # ------------------------------------------------------------------ #
+    # Per-b vectors for the constellation-size searches                  #
+    # ------------------------------------------------------------------ #
+
+    def mimo_vectors(
+        self, p: float, mt: int, mr: int, bandwidth: Hertz, b_range: Sequence[int]
+    ) -> MimoVectors:
+        """Formula (3)/(4) inputs for every ``b`` in ``b_range`` at once.
+
+        Each entry is the scalar formula's own float (``alpha_b``, the two
+        circuit terms and :meth:`ebar`), so array arithmetic on these
+        vectors in the scalar operation order reproduces :meth:`mimo_tx`,
+        :meth:`mimo_rx` and :meth:`max_mimo_distance` bit for bit.  A size
+        the ``e_bar_b`` provider refuses holds NaN in ``ebar``.  Memoized
+        per ``(p, mt, mr, bandwidth, b_range)``, at most
+        :data:`B_VECTOR_MEMO_SIZE` keys.
+        """
+        return self._mimo_vectors(p, mt, mr, bandwidth, tuple(b_range))
+
+    def local_vectors(
+        self, p: float, d: Meters, bandwidth: Hertz, b_range: Sequence[int]
+    ) -> LocalVectors:
+        """:meth:`local_tx` / :meth:`local_rx` energies for every ``b`` at once.
+
+        NaN marks a size either method refuses (a lax ``p`` makes the AWGN
+        inversion of formula (1) non-positive for the larger sizes).  Memoized
+        per ``(p, d, bandwidth, b_range)`` like :meth:`mimo_vectors`.
+        """
+        return self._local_vectors(p, d, bandwidth, tuple(b_range))
+
+    def mimo_tx_pa_grid(
+        self,
+        p: float,
+        mt: int,
+        mr: int,
+        distances: MetersArray,
+        bandwidth: Hertz,
+        b_range: Sequence[int],
+    ) -> JoulesArray:
+        """PA component of :meth:`mimo_tx` for every ``b`` at every distance.
+
+        Row ``k``, column ``j`` is ``mimo_tx(p, b_range[k], mt, mr,
+        distances[j], bandwidth).pa`` bit for bit (same operations, same
+        order), NaN for a size the ``e_bar_b`` provider refuses.  The
+        distances must already be validated as positive and finite.
+        """
+        v = self.mimo_vectors(p, mt, mr, bandwidth, b_range)
+        return v.pa_per_gain[:, None] * self.constants.longhaul_gain(distances)
+
+    def _build_mimo_vectors(
+        self, p: float, mt: int, mr: int, bandwidth: Hertz, b_range: Tuple[int, ...]
+    ) -> MimoVectors:
+        p = check_probability(p, "p")
+        mt = check_positive_int(mt, "mt")
+        mr = check_positive_int(mr, "mr")
+        bandwidth = check_positive(bandwidth, "bandwidth")
+        sizes = [check_positive_int(b, "b") for b in b_range]
+        c = self.constants
+        ebar = []
+        for b in sizes:
+            try:
+                ebar.append(self.ebar(p, b, mt, mr))
+            except ValueError:
+                ebar.append(np.nan)
+        alpha = _frozen([c.peak_to_average_alpha(b) for b in sizes])
+        e_bar = _frozen(ebar)
+        return MimoVectors(
+            alpha=alpha,
+            tx_circuit=_frozen([self._mimo_circuit(c.p_ct_w, b, bandwidth) for b in sizes]),
+            rx_circuit=_frozen([self._mimo_circuit(c.p_cr_w, b, bandwidth) for b in sizes]),
+            ebar=e_bar,
+            pa_per_gain=_frozen((1.0 / mt) * (1.0 + alpha) * e_bar),
+            reach_denominator=_frozen((1.0 + alpha) * e_bar * c.longhaul_gain(1.0)),
+        )
+
+    def _build_local_vectors(
+        self, p: float, d: Meters, bandwidth: Hertz, b_range: Tuple[int, ...]
+    ) -> LocalVectors:
+        p = check_probability(p, "p")
+        d = check_positive(d, "d")
+        bandwidth = check_positive(bandwidth, "bandwidth")
+        rows = []
+        for b in b_range:
+            b = check_positive_int(b, "b")
+            try:
+                tx = self.local_tx(p, b, d, bandwidth)
+                rows.append((tx.pa, tx.circuit, self.local_rx(b, bandwidth).circuit))
+            except ValueError:
+                rows.append((np.nan, np.nan, np.nan))
+        pa, tx_circuit, rx_circuit = _frozen(rows).reshape(-1, 3).T
+        return LocalVectors(pa=pa, tx_circuit=tx_circuit, rx_circuit=rx_circuit)
 
     # ------------------------------------------------------------------ #
     # Distance inversion (overlay analysis, Section 3)                   #
@@ -282,7 +418,7 @@ class EnergyModel:
             raise ValueError("extra_circuit must be non-negative")
         c = self.constants
         alpha = c.peak_to_average_alpha(b)
-        circuit = (c.p_ct_w + c.p_syn_w) / (b * bandwidth)
+        circuit = self._mimo_circuit(c.p_ct_w, b, bandwidth)
         headroom = energy_budget - circuit - extra_circuit
         if headroom <= 0.0:
             return 0.0

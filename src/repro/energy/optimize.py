@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.energy.model import EnergyModel
 from repro.utils.units import Hertz, Joules, Meters
 from repro.utils.validation import check_finite, check_positive_int
@@ -27,6 +29,7 @@ __all__ = [
     "minimize_mimo_tx_energy",
     "maximize_mimo_distance",
     "minimize_over_b",
+    "best_over_b",
 ]
 
 #: The paper's constellation sweep: "constellation size b varies from 1 to 16".
@@ -72,6 +75,34 @@ def minimize_over_b(
     if best is None:
         raise ValueError("no feasible constellation size in the given range")
     return best
+
+
+def best_over_b(
+    values: np.ndarray, maximize: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`minimize_over_b` over a ``(|b|, n)`` grid.
+
+    Row ``k`` holds the objective of the ``k``-th candidate size at each of
+    ``n`` points.  NaN marks a size the scalar search skips; when
+    minimizing, so does an infinite objective (the scalar energy checks
+    reject it).  Returns, per point, the winning row index and its value.
+    The rules are the scalar search's: the first best row wins, a point
+    with no feasible size raises the same ``ValueError``, and an infinite
+    maximum raises the one :class:`OptimizationResult` would.
+    """
+    if maximize:
+        skipped = -np.inf
+        scored = np.where(np.isnan(values), skipped, values)
+        rows, best = scored.argmax(axis=0), scored.max(axis=0)
+    else:
+        skipped = np.inf
+        scored = np.where(np.isfinite(values), values, skipped)
+        rows, best = scored.argmin(axis=0), scored.min(axis=0)
+    if not np.isfinite(best).all():
+        if (best == skipped).any():
+            raise ValueError("no feasible constellation size in the given range")
+        check_finite(float(best[~np.isfinite(best)][0]), "value")
+    return rows, best
 
 
 def minimize_mimo_tx_energy(

@@ -95,8 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--coalesce-ms",
         type=float,
-        default=2.0,
-        help="request-coalescing window in milliseconds",
+        default=0.0,
+        help="request-coalescing window in milliseconds (0 merges only "
+        "requests that arrive in the same event-loop tick)",
     )
     parser.add_argument(
         "--max-coalesce",

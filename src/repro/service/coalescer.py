@@ -10,10 +10,13 @@ documented — and tested — to be elementwise bit-identical to their scalar
 counterparts, a coalesced response equals the response the same request
 would have produced alone.
 
-The batch function runs synchronously inside the event loop (the kernels
-are vectorized NumPy on at most ``max_batch`` points — microseconds), so
-batches are also serialized: no cross-batch interleaving can reorder
-floating-point reductions.
+The batch function runs synchronously inside the event loop, so batches
+are also serialized: no cross-batch interleaving can reorder
+floating-point reductions.  The kernels are one array pass over every
+constellation size: on a shared 2-vCPU host a one-point overlay or
+underlay batch measured ~0.05-0.1 ms in-process and ~0.3-0.4 ms inside
+a busy server, a 64-point one ~0.15-0.3 ms in-process
+(``docs/performance.md`` section 3).
 """
 
 from __future__ import annotations

@@ -37,8 +37,11 @@ class ServiceConfig:
     coalesce_ms:
         Request-coalescing window: concurrent single-point requests that
         share a batch group and arrive within this many milliseconds of the
-        first are merged into one batch-kernel call.  ``0`` still merges
-        requests landing in the same event-loop tick.
+        first are merged into one batch-kernel call.  The default ``0``
+        still merges requests landing in the same event-loop tick, and
+        waits no longer: a one-point overlay or underlay batch costs
+        ~0.1-0.4 ms, so a wider window mostly adds its own length to every
+        scalar request (``docs/performance.md`` section 3 has the curve).
     max_coalesce:
         Hard cap on one coalesced batch; a full batch flushes immediately.
     queue_limit:
@@ -130,7 +133,7 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
     workers: int = 2
-    coalesce_ms: float = 2.0
+    coalesce_ms: float = 0.0
     max_coalesce: int = 64
     queue_limit: int = 32
     seed: Optional[int] = None

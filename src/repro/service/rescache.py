@@ -40,7 +40,9 @@ from repro.utils.fsio import atomic_write_bytes
 __all__ = ["ResultCache", "RESULT_CACHE_VERSION", "canonical_digest"]
 
 #: Bump when the response payload contract changes; old entries are ignored.
-RESULT_CACHE_VERSION = 1
+#: 2: the long-haul gain squares with one multiply, which moved some
+#: served overlay floats by 1 ULP.
+RESULT_CACHE_VERSION = 2
 
 Payload = Dict[str, object]
 

@@ -14,13 +14,14 @@ so repeated sweeps do not re-solve the energy tables.
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.beamforming.pairwise import NullSteeringPair
 from repro.core.overlay import OverlayDistanceResult, OverlaySystem
-from repro.core.underlay import UnderlaySystem
+from repro.core.underlay import UnderlayEnergyResult, UnderlaySystem
 from repro.channel.multipath import MultipathEnvironment
 from repro.energy.ebar import solve_ebar
 from repro.energy.model import EnergyModel
@@ -39,6 +40,7 @@ __all__ = [
     "interweave_delta",
     "interweave_amplitudes",
     "overlay_row_dict",
+    "underlay_row_dict",
 ]
 
 Row = Dict[str, object]
@@ -89,35 +91,48 @@ def ebar_exact(request: EbarRequest) -> float:
 # --------------------------------------------------------------------- #
 
 
-def overlay_row_dict(result: OverlayDistanceResult) -> Row:
-    """One JSON row of the Figure 6 analysis; relaying is *feasible* at a
-    D1 point when both reach distances are strictly positive."""
+def _overlay_row(
+    d1: float, m: int, bandwidth: float, p_direct: float, p_relay: float,
+    e1: float, b_direct: int, d2: float, b_simo: int, d3: float, b_miso: int,
+) -> Row:
     return {
-        "d1": result.d1,
-        "m": result.m,
-        "bandwidth": result.bandwidth,
-        "p_direct": result.p_direct,
-        "p_relay": result.p_relay,
-        "e1": result.e1,
-        "b_direct": result.b_direct,
-        "d2": result.d2,
-        "b_simo": result.b_simo,
-        "d3": result.d3,
-        "b_miso": result.b_miso,
-        "feasible": bool(result.d2 > 0.0 and result.d3 > 0.0),
+        "d1": d1,
+        "m": m,
+        "bandwidth": bandwidth,
+        "p_direct": p_direct,
+        "p_relay": p_relay,
+        "e1": e1,
+        "b_direct": b_direct,
+        "d2": d2,
+        "b_simo": b_simo,
+        "d3": d3,
+        "b_miso": b_miso,
+        "feasible": bool(d2 > 0.0 and d3 > 0.0),
     }
 
 
+def overlay_row_dict(result: OverlayDistanceResult) -> Row:
+    """One JSON row of the Figure 6 analysis; relaying is *feasible* at a
+    D1 point when both reach distances are strictly positive."""
+    return _overlay_row(*astuple(result))
+
+
 def overlay_rows(request: OverlayRequest) -> List[Row]:
-    """Algorithm 1 feasibility over the request's D1 axis (vectorized)."""
-    results = _overlay(request.convention).distance_analyses(
+    """Algorithm 1 feasibility over the request's D1 axis, built straight
+    from :meth:`OverlaySystem.distance_arrays`; each row equals
+    :func:`overlay_row_dict` of the scalar analysis at that point."""
+    a = _overlay(request.convention).distance_arrays(
         request.d1,
         request.m,
         request.bandwidth,
         p_direct=request.p_direct,
         p_relay=request.p_relay,
     )
-    return [overlay_row_dict(result) for result in results]
+    columns = (a.e1, a.b_direct, a.d2, a.b_simo, a.d3, a.b_miso)
+    return [
+        _overlay_row(d1, a.m, a.bandwidth, a.p_direct, a.p_relay, *point)
+        for d1, *point in zip(a.d1.tolist(), *(column.tolist() for column in columns))
+    ]
 
 
 # --------------------------------------------------------------------- #
@@ -125,9 +140,38 @@ def overlay_rows(request: OverlayRequest) -> List[Row]:
 # --------------------------------------------------------------------- #
 
 
+def _underlay_row(
+    mt: int, mr: int, b: int, d: float, distance: float, total_pa: float, peak_pa: float
+) -> Row:
+    return {
+        "mt": mt,
+        "mr": mr,
+        "b": b,
+        "d": d,
+        "distance": distance,
+        "total_pa": total_pa,
+        "peak_pa": peak_pa,
+    }
+
+
+def underlay_row_dict(result: UnderlayEnergyResult) -> Row:
+    """One JSON row of the Algorithm 2 PA-energy accounting."""
+    return _underlay_row(
+        result.mt,
+        result.mr,
+        result.b,
+        result.d,
+        result.distance,
+        result.total_pa,
+        result.peak_pa,
+    )
+
+
 def underlay_rows(request: UnderlayRequest) -> List[Row]:
-    """Algorithm 2 PA-energy accounting over the request's distance axis."""
-    results = _underlay(request.convention).pa_energy_sweep(
+    """Algorithm 2 PA energy over the request's distance axis, built
+    straight from :meth:`UnderlaySystem.pa_energy_arrays`; each row equals
+    :func:`underlay_row_dict` of the scalar ``pa_energy`` at that distance."""
+    a = _underlay(request.convention).pa_energy_arrays(
         request.p,
         request.mt,
         request.mr,
@@ -135,17 +179,10 @@ def underlay_rows(request: UnderlayRequest) -> List[Row]:
         request.distances,
         request.bandwidth,
     )
+    columns = (a.b, a.distance, a.total_pa, a.peak_pa)
     return [
-        {
-            "mt": result.mt,
-            "mr": result.mr,
-            "b": result.b,
-            "d": result.d,
-            "distance": result.distance,
-            "total_pa": result.total_pa,
-            "peak_pa": result.peak_pa,
-        }
-        for result in results
+        _underlay_row(a.mt, a.mr, b, a.d, distance, total_pa, peak_pa)
+        for b, distance, total_pa, peak_pa in zip(*(column.tolist() for column in columns))
     ]
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import numbers
 from typing import Optional
 
+import numpy as np
+
 __all__ = [
     "check_positive",
     "check_positive_int",
@@ -19,6 +21,7 @@ __all__ = [
     "check_finite",
     "check_non_negative",
     "check_non_negative_int",
+    "check_non_negative_arrays",
 ]
 
 
@@ -47,6 +50,20 @@ def check_non_negative(value: float, name: str) -> float:
     if value < 0.0:
         raise ValueError(f"{name} must be non-negative, got {value}")
     return value
+
+
+def check_non_negative_arrays(**arrays: np.ndarray) -> None:
+    """:func:`check_non_negative` on every element of equal-length arrays.
+
+    One vectorized test over all of them; the first offending element
+    raises the scalar check's ``ValueError``, named after its array.
+    """
+    names = list(arrays)
+    grid = np.stack(list(arrays.values()))
+    bad = ~((grid >= 0.0) & (grid < np.inf))
+    if bad.any():
+        row, column = np.argwhere(bad)[0]
+        check_non_negative(float(grid[row, column]), names[row])
 
 
 def check_non_negative_int(value: int, name: str) -> int:

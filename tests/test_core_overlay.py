@@ -111,6 +111,20 @@ class TestVectorizedDistanceAnalyses:
         scalar = [system.distance_analysis(d1, 3, 20e3) for d1 in (200.0, 300.0)]
         assert vec == scalar
 
+    def test_longhaul_square_agrees_between_scalar_and_array(self):
+        """(4 pi D)^2 as a Python-float power (C pow) landed 1 ULP off the
+        array square at this D1, so one served e1 differed from the scalar
+        Algorithm 1 (the gain is now one multiply on both paths)."""
+        system = OverlaySystem(EnergyModel(ebar_convention="paper"))
+        kwargs = dict(
+            p_direct=0.0009668210143997612, p_relay=9.668210143997612e-05
+        )
+        d1 = 109.2812963273322
+        scalar = system.distance_analysis(d1, 3, 40e3, **kwargs)
+        (vec,) = system.distance_analyses([d1], 3, 40e3, **kwargs)
+        assert repr(vec) == repr(scalar)
+        assert scalar.e1 == 2.3456010538721273e-05
+
     def test_sweep_order_preserved(self, system_div):
         rows = system_div.distance_sweep((150.0, 250.0), (2, 3), (20e3, 40e3))
         key = [(r.bandwidth, r.m, r.d1) for r in rows]

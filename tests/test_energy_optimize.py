@@ -1,10 +1,14 @@
 """Constellation-size optimizer tests."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.energy.optimize import (
     DEFAULT_B_RANGE,
     OptimizationResult,
+    best_over_b,
     maximize_mimo_distance,
     minimize_mimo_tx_energy,
     minimize_over_b,
@@ -43,6 +47,54 @@ class TestMinimizeOverB:
 
     def test_default_range_is_paper_sweep(self):
         assert DEFAULT_B_RANGE == tuple(range(1, 17))
+
+
+class TestBestOverB:
+    """Each column of the grid, searched by minimize_over_b with NaN (and,
+    when minimizing, an infinite energy) raising ValueError, must give the
+    same row, value and error."""
+
+    COLUMNS = [
+        [3.0, 1.0, 1.0, 2.0],  # tie: the first minimum wins
+        [math.nan, 5.0, math.nan, 4.0],  # skipped sizes
+        [math.inf, 7.0, 7.5, math.nan],  # an overflowing energy is skipped
+        [0.0, 0.0, math.nan, 0.0],  # zero reach ties (maximize)
+    ]
+
+    @staticmethod
+    def scalar(column, maximize):
+        def objective(b):
+            value = column[b - 1]
+            if math.isnan(value) or (not maximize and math.isinf(value)):
+                raise ValueError("skipped")
+            return value
+
+        return minimize_over_b(objective, range(1, len(column) + 1), maximize=maximize)
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_matches_minimize_over_b_per_column(self, maximize):
+        columns = [c for c in self.COLUMNS if not (maximize and math.inf in c)]
+        rows, best = best_over_b(np.array(columns).T, maximize=maximize)
+        for column, row, value in zip(columns, rows.tolist(), best.tolist()):
+            expected = self.scalar(column, maximize)
+            assert (row + 1, value) == (expected.b, expected.value)
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_no_feasible_size_raises_the_scalar_error(self, maximize):
+        column = [math.nan, math.nan]
+        with pytest.raises(ValueError) as scalar:
+            self.scalar(column, maximize)
+        with pytest.raises(ValueError) as array:
+            best_over_b(np.array([column, [1.0, 2.0]]).T, maximize=maximize)
+        assert str(array.value) == str(scalar.value)
+
+    def test_infinite_maximum_raises_the_optimization_result_error(self):
+        column = [math.nan, 2.0, math.inf, 1.0]
+        with pytest.raises(ValueError) as scalar:
+            self.scalar(column, maximize=True)
+        with pytest.raises(ValueError) as array:
+            best_over_b(np.array([column]).T, maximize=True)
+        assert str(array.value) == str(scalar.value) == "value must be finite, got inf"
 
 
 class TestEnergyObjectives:

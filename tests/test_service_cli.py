@@ -20,7 +20,7 @@ class TestArgumentMapping:
         assert config.host == "127.0.0.1"
         assert config.port == 8123
         assert config.workers == 2
-        assert config.coalesce_ms == 2.0
+        assert config.coalesce_ms == 0.0
         assert config.request_log is True
 
     def test_full_flag_set(self):

@@ -122,6 +122,68 @@ class TestCoalescedBitIdentity:
             assert payload["amplitudes"][0] == pair.amplitude_at(pt, delta), pt
 
 
+#: Non-round inputs where the long-haul square once differed by 1 ULP
+#: between the scalar analysis and the array pass (the served e1 was off).
+REPRODUCER = dict(
+    d1=109.2812963273322,
+    m=3,
+    bandwidth=40e3,
+    p_direct=0.0009668210143997612,
+    p_relay=9.668210143997612e-05,
+)
+
+
+class TestNonRoundInputs:
+    def test_overlay_reproducer_coalesced_matches_scalar_analysis(self, server):
+        r = REPRODUCER
+        d1_values = [r["d1"], r["d1"] * 1.37, r["d1"] / 2.9]
+        responses = _volley(
+            server,
+            [
+                lambda c, d1=d1: c.overlay_feasible(
+                    d1, r["m"], r["bandwidth"], r["p_direct"], r["p_relay"], "paper"
+                )
+                for d1 in d1_values
+            ],
+        )
+        system = work._overlay("paper")
+        for d1, payload in zip(d1_values, responses):
+            expected = system.distance_analysis(
+                d1, r["m"], r["bandwidth"], r["p_direct"], r["p_relay"]
+            )
+            assert payload["rows"] == [work.overlay_row_dict(expected)], d1
+        assert responses[0]["rows"][0]["e1"] == 2.3456010538721273e-05
+
+    def test_overlay_reproducer_sweep_matches_scalar_analysis(self, server):
+        r = REPRODUCER
+        d1_values = [r["d1"], 37.251773, 260.0000001]
+        payload = server.client().overlay_feasible(
+            d1_values, r["m"], r["bandwidth"], r["p_direct"], r["p_relay"], "paper"
+        )
+        system = work._overlay("paper")
+        assert payload["rows"] == [
+            work.overlay_row_dict(
+                system.distance_analysis(
+                    d1, r["m"], r["bandwidth"], r["p_direct"], r["p_relay"]
+                )
+            )
+            for d1 in d1_values
+        ]
+
+    def test_underlay_non_round_distances_match_scalar_energy(self, server):
+        distances = [109.2812963273322, 57.01310044, 233.3333333]
+        sweep = server.client().underlay_energy(
+            9.668210143997612e-05, 3, 2, 4.2, distances, 40e3
+        )
+        system = work._underlay("paper")
+        assert sweep["rows"] == [
+            work.underlay_row_dict(
+                system.pa_energy(9.668210143997612e-05, 3, 2, 4.2, dist, 40e3)
+            )
+            for dist in distances
+        ]
+
+
 class TestPooledBitIdentity:
     def test_overlay_sweep_matches_per_point_analysis(self, server):
         d1_values = [25.0, 45.0, 65.0]
