@@ -1,31 +1,11 @@
 """Benchmarks for the extension systems beyond the paper's headline scope."""
 
 import numpy as np
-import pytest
 
 from repro.baselines.power_game import PowerControlGame
-from repro.channel.doppler import JakesFadingProcess
 from repro.energy.model import EnergyModel
-from repro.modulation import BPSKModem
 from repro.network import CoMIMONet, SUNode
 from repro.network.protocol import SessionSimulator
-from repro.phy.hop import simulate_hop
-from repro.sensing import CooperativeSensor, EnergyDetector
-
-
-class TestHopSimulation:
-    def test_full_mimo_hop_100k_bits(self, benchmark):
-        result = benchmark(
-            simulate_hop, 100_000, BPSKModem(), 25.0, 10.0, 3, 2, 8.0, 7
-        )
-        assert result.ber < 0.01
-
-
-class TestSensing:
-    def test_cooperative_faded_detection(self, benchmark):
-        sensor = CooperativeSensor(EnergyDetector(500, 0.05), 4, "or")
-        pd = benchmark(sensor.detection_probability_faded, 0.15, 20_000, 1)
-        assert pd > 0.8
 
 
 class TestPowerGame:
@@ -39,14 +19,6 @@ class TestPowerGame:
         game = PowerControlGame(g, h, price=1e12)
         outcome = benchmark(game.run)
         assert outcome.converged
-
-
-class TestDoppler:
-    def test_jakes_100k_samples(self, benchmark):
-        proc = JakesFadingProcess(doppler_hz=10.0, n_oscillators=32, rng=0)
-        t = np.linspace(0.0, 10.0, 100_000)
-        h = benchmark(proc.sample, t)
-        assert h.shape == (100_000,)
 
 
 class TestProtocol:
@@ -66,19 +38,3 @@ class TestProtocol:
 
         result = benchmark(run)
         assert result.completed
-
-
-class TestCoding:
-    def test_viterbi_20k_info_bits(self, benchmark):
-        from repro.phy.coded import simulate_coded_link
-
-        result = benchmark(simulate_coded_link, 20_000, 8.0)
-        assert result.ber < result.channel_ber
-
-
-class TestCapacity:
-    def test_ergodic_capacity_2x2(self, benchmark):
-        from repro.analysis.capacity import ergodic_capacity
-
-        c = benchmark(ergodic_capacity, 2, 2, 10.0, 20_000, 0)
-        assert 4.0 < c < 7.0

@@ -5,17 +5,9 @@
   ``delta = pi (2 r cos(alpha) / w - 1)`` so the pair's waves cancel toward
   the primary receiver;
 * :mod:`repro.beamforming.pattern` — radiation patterns of the resulting
-  two-element array (Figure 8's simulated beamformer curve);
-* :mod:`repro.beamforming.multinull` — the N-element generalization: up to
-  ``N - 1`` simultaneous nulls via null-space projection (extension beyond
-  the paper's pairwise scheme).
+  two-element array (Figure 8's simulated beamformer curve).
 """
 
-from repro.beamforming.multinull import (
-    null_steering_weights,
-    steering_vector,
-    weighted_amplitude,
-)
 from repro.beamforming.pairwise import (
     NullSteeringPair,
     pair_amplitude,
@@ -29,7 +21,4 @@ __all__ = [
     "NullSteeringPair",
     "radiation_pattern",
     "pattern_null_angle",
-    "steering_vector",
-    "null_steering_weights",
-    "weighted_amplitude",
 ]

@@ -14,11 +14,6 @@ USRP hardware and we substitute with :mod:`repro.channel.indoor` and
 """
 
 from repro.channel.awgn import awgn, noise_variance_per_symbol
-from repro.channel.doppler import (
-    JakesFadingProcess,
-    coherence_time_s,
-    max_doppler_hz,
-)
 from repro.channel.indoor import IndoorChannel, Obstacle, Wall
 from repro.channel.multipath import MultipathEnvironment, Scatterer
 from repro.channel.pathloss import (
@@ -48,7 +43,4 @@ __all__ = [
     "IndoorChannel",
     "Obstacle",
     "Wall",
-    "JakesFadingProcess",
-    "max_doppler_hz",
-    "coherence_time_s",
 ]

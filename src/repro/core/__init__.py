@@ -19,7 +19,6 @@ from repro.core.interweave import (
     form_pairs,
 )
 from repro.core.overlay import OverlayDistanceResult, OverlaySystem
-from repro.core.planning import HopOption, RoutePlan, hop_options, plan_route
 from repro.core.schemes import (
     HopEnergy,
     HopStep,
@@ -45,8 +44,4 @@ __all__ = [
     "InterweaveCluster",
     "InterweaveTrial",
     "form_pairs",
-    "HopOption",
-    "RoutePlan",
-    "hop_options",
-    "plan_route",
 ]

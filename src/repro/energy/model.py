@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,8 +56,9 @@ __all__ = [
 #: ``P_syn T_tr / n`` (per-bit amortization of the 5 us synthesizer settle).
 DEFAULT_PACKET_BITS = 10_000
 
-#: Per-b vector sets one :class:`EnergyModel` keeps per kind (long-haul and
-#: local); the least recently used set is dropped first.
+#: Entries one :class:`EnergyModel` keeps per memo (``e_bar_b`` values,
+#: long-haul and local per-b vector sets); the least recently used entry is
+#: dropped first.
 B_VECTOR_MEMO_SIZE = 1024
 
 
@@ -135,15 +136,12 @@ class EnergyModel:
         Normalization convention forwarded to the default solver; ignored
         when an explicit ``ebar_provider`` is given.  See
         :func:`repro.energy.ebar.average_ber`.
-    memoize_ebar:
-        When True (default), successful ``e_bar_b`` queries are memoized per
-        ``(p, b, mt, mr)``: the experiment sweeps re-ask for the same points
-        thousands of times (every distance cell re-prices the same link),
-        and the providers are pure functions of their arguments, so caching
-        is exact.  Pass False for a stateful custom provider.  The same flag
-        governs the bounded memo of :meth:`mimo_vectors` and
-        :meth:`local_vectors`, whose ``e_bar_b`` entries come from the
-        provider too.
+
+    Successful ``e_bar_b`` queries are memoized per ``(p, b, mt, mr)``, at
+    most :data:`B_VECTOR_MEMO_SIZE` keys: the experiment sweeps re-ask for
+    the same points thousands of times (every distance cell re-prices the
+    same link), and the providers are pure functions of their arguments, so
+    caching is exact.
     """
 
     def __init__(
@@ -152,29 +150,25 @@ class EnergyModel:
         ebar_provider: Optional[Callable[[float, int, int, int], float]] = None,
         packet_bits: int = DEFAULT_PACKET_BITS,
         ebar_convention: str = "paper",
-        memoize_ebar: bool = True,
     ) -> None:
         self.constants = constants
         self.ebar_convention = ebar_convention
-        self._ebar = ebar_provider or (
-            lambda p, b, mt, mr: solve_ebar(
-                p, b, mt, mr, n0=constants.n0_w_hz, convention=ebar_convention
+        memo = functools.lru_cache(maxsize=B_VECTOR_MEMO_SIZE)
+        self._ebar: Callable[[float, int, int, int], float] = memo(
+            ebar_provider
+            or (
+                lambda p, b, mt, mr: solve_ebar(
+                    p, b, mt, mr, n0=constants.n0_w_hz, convention=ebar_convention
+                )
             )
         )
         self.packet_bits = check_positive_int(packet_bits, "packet_bits")
-        self._ebar_cache: Optional[Dict[Tuple[float, int, int, int], float]] = (
-            {} if memoize_ebar else None
-        )
         self._mimo_vectors: Callable[
             [float, int, int, Hertz, Tuple[int, ...]], MimoVectors
-        ] = self._build_mimo_vectors
+        ] = memo(self._build_mimo_vectors)
         self._local_vectors: Callable[
             [float, Meters, Hertz, Tuple[int, ...]], LocalVectors
-        ] = self._build_local_vectors
-        if memoize_ebar:
-            memo = functools.lru_cache(maxsize=B_VECTOR_MEMO_SIZE)
-            self._mimo_vectors = memo(self._build_mimo_vectors)
-            self._local_vectors = memo(self._build_local_vectors)
+        ] = memo(self._build_local_vectors)
 
     # ------------------------------------------------------------------ #
     # e_bar_b passthrough                                                #
@@ -182,16 +176,7 @@ class EnergyModel:
 
     def ebar(self, p: float, b: int, mt: int, mr: int) -> Joules:
         """Required received energy per bit over the ``mt x mr`` link [J]."""
-        cache = self._ebar_cache
-        if cache is None:
-            return self._ebar(p, b, mt, mr)
-        key = (p, b, mt, mr)
-        try:
-            return cache[key]
-        except KeyError:
-            value = self._ebar(p, b, mt, mr)
-            cache[key] = value
-            return value
+        return self._ebar(p, b, mt, mr)
 
     # ------------------------------------------------------------------ #
     # Formula (1): local transmission                                    #

@@ -1,7 +1,6 @@
 """``python -m repro.lintkit`` dispatch."""
 
-import sys
-
 from repro.lintkit.cli import main
 
-sys.exit(main())
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -171,6 +171,7 @@ class CallSite:
         check_non_negative_int(self.col, "col")
 
     def to_dict(self) -> Dict[str, object]:
+        """JSON-serializable form; :meth:`from_dict` inverts it."""
         return {
             "callee": self.callee,
             "line": self.line,
@@ -233,6 +234,7 @@ class FunctionInfo:
         check_non_negative_int(self.col, "col")
 
     def to_dict(self) -> Dict[str, object]:
+        """JSON-serializable form; :meth:`from_dict` inverts it."""
         return {
             "qualname": self.qualname,
             "name": self.name,
@@ -284,6 +286,7 @@ class ClassInfo:
     attr_types: Tuple[Tuple[str, str], ...]
 
     def to_dict(self) -> Dict[str, object]:
+        """JSON-serializable form; :meth:`from_dict` inverts it."""
         return {
             "name": self.name,
             "bases": list(self.bases),

@@ -6,7 +6,6 @@ The paper's experiments use BPSK (overlay and interweave testbeds, Section
 """
 
 from repro.modulation.base import Modem
-from repro.modulation.dpsk import DBPSKModem, DQPSKModem
 from repro.modulation.gmsk import GMSKModem, GMSKWaveform
 from repro.modulation.gray import (
     bits_to_ints,
@@ -31,8 +30,6 @@ __all__ = [
     "QAMModem",
     "GMSKModem",
     "GMSKWaveform",
-    "DBPSKModem",
-    "DQPSKModem",
     "gray_encode",
     "gray_decode",
     "bits_to_ints",

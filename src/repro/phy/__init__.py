@@ -14,8 +14,6 @@ from repro.phy.frame import (
     verify_crc,
     with_crc,
 )
-from repro.phy.coded import CodedLinkResult, simulate_coded_link
-from repro.phy.hop import HopSimulationResult, simulate_hop
 from repro.phy.link import LinkResult, simulate_link, simulate_packet_link
 from repro.phy.relay import RelayChainResult, simulate_relay_chain
 
@@ -31,8 +29,4 @@ __all__ = [
     "simulate_packet_link",
     "RelayChainResult",
     "simulate_relay_chain",
-    "HopSimulationResult",
-    "simulate_hop",
-    "CodedLinkResult",
-    "simulate_coded_link",
 ]

@@ -165,6 +165,7 @@ class RowStream:
         self._closed = False
 
     async def close(self) -> None:
+        """Close the row generator and run ``on_close``; later calls do nothing."""
         if self._closed:
             return
         self._closed = True

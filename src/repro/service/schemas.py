@@ -169,6 +169,7 @@ class EbarRequest:
 
 
 def parse_ebar_request(data: object) -> EbarRequest:
+    """Validate a ``/v1/ebar`` body; :class:`BadRequestError` on any defect."""
     body = _require_object(data)
     solver = _as_str(body.get("solver", "table"), "solver")
     if solver not in EBAR_SOLVERS:
@@ -225,6 +226,7 @@ class OverlayRequest:
 
 
 def parse_overlay_request(data: object, max_points: int = 4096) -> OverlayRequest:
+    """Validate a ``/v1/overlay/feasible`` body (``d1`` or ``d1_values``)."""
     body = _require_object(data)
     d1, scalar = _axis(body, "d1", "d1_values", max_points)
     try:
@@ -276,6 +278,7 @@ class UnderlayRequest:
 
 
 def parse_underlay_request(data: object, max_points: int = 4096) -> UnderlayRequest:
+    """Validate a ``/v1/underlay/energy`` body (``distance`` or ``distances``)."""
     body = _require_object(data)
     distances, scalar = _axis(body, "distance", "distances", max_points)
     try:
@@ -393,6 +396,7 @@ class InterweaveRequest:
 
 
 def parse_interweave_request(data: object, max_points: int = 4096) -> InterweaveRequest:
+    """Validate a ``/v1/interweave/pattern`` body (``point`` or ``points``)."""
     body = _require_object(data)
     if "point" in body and "points" in body:
         raise BadRequestError("give either 'point' or 'points', not both")

@@ -138,6 +138,7 @@ class SimulationRunner:
         self._active += 1
 
     def release(self) -> None:
+        """Free the slot :meth:`acquire` reserved."""
         self._active = max(0, self._active - 1)
 
     async def stream(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.constants import PAPER_CONSTANTS
 from repro.energy.ebar import solve_ebar
-from repro.energy.model import EnergyModel
+from repro.energy.model import B_VECTOR_MEMO_SIZE, EnergyModel
 
 
 class TestLocalTx:
@@ -144,6 +144,25 @@ class TestProviderPlumbing:
         model = EnergyModel(ebar_provider=provider)
         model.mimo_tx(0.001, 2, 2, 3, 100.0, 10e3)
         assert calls == [(0.001, 2, 2, 3)]
+
+    def test_ebar_memo_is_bounded(self):
+        """A long-lived model keeps the newest keys and re-solves the oldest."""
+        calls = []
+
+        def provider(p, b, mt, mr):
+            calls.append((p, b, mt, mr))
+            return 1e-19
+
+        model = EnergyModel(ebar_provider=provider)
+        keys = [(1e-3 * (1.0 + k / 8192.0), 2, 2, 3) for k in range(B_VECTOR_MEMO_SIZE + 1)]
+        for key in keys:
+            model.ebar(*key)
+        assert len(calls) == len(keys)
+        model.ebar(*keys[-1])
+        assert len(calls) == len(keys)
+        model.ebar(*keys[0])
+        assert calls[-1] == keys[0]
+        assert len(calls) == len(keys) + 1
 
     def test_convention_threads_to_solver(self):
         paper = EnergyModel(ebar_convention="paper")

@@ -1,12 +1,11 @@
 """Public-API integrity checks.
 
 A release-quality library keeps its ``__all__`` lists honest and its
-public surface documented.  These tests walk every subpackage and assert:
+public surface documented.  These tests walk every package and module
+under ``repro`` and assert:
 
 * every name in ``__all__`` actually resolves;
-* every public module, class and function has a docstring;
-* the package docstrings mention the modules they re-export (guarding the
-  navigational docs against drift).
+* every public module, class and function has a docstring.
 """
 
 import importlib
@@ -17,50 +16,31 @@ import pytest
 
 import repro
 
-SUBPACKAGES = [
-    "repro",
-    "repro.analysis",
-    "repro.baselines",
-    "repro.beamforming",
-    "repro.channel",
-    "repro.coding",
-    "repro.core",
-    "repro.energy",
-    "repro.experiments",
-    "repro.geometry",
-    "repro.mac",
-    "repro.modulation",
-    "repro.network",
-    "repro.phy",
-    "repro.sensing",
-    "repro.simulation",
-    "repro.stbc",
-    "repro.testbed",
-    "repro.utils",
+
+#: ``(name, is_package)`` for ``repro`` and every module below it.
+#: ``__main__`` modules are skipped: importing one runs its command line.
+MODULES = [("repro", True)] + [
+    (info.name, info.ispkg)
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    if not info.name.endswith(".__main__")
 ]
+PACKAGES = [name for name, is_package in MODULES if is_package]
 
 
 def _walk_modules():
     """Every module under the repro package."""
-    seen = []
-    for pkg_name in SUBPACKAGES:
-        pkg = importlib.import_module(pkg_name)
-        seen.append(pkg)
-        if hasattr(pkg, "__path__"):
-            for info in pkgutil.iter_modules(pkg.__path__):
-                seen.append(importlib.import_module(f"{pkg_name}.{info.name}"))
-    return {m.__name__: m for m in seen}.values()
+    return [importlib.import_module(name) for name, _ in MODULES]
 
 
 class TestAllLists:
-    @pytest.mark.parametrize("pkg_name", SUBPACKAGES)
+    @pytest.mark.parametrize("pkg_name", PACKAGES)
     def test_all_names_resolve(self, pkg_name):
         pkg = importlib.import_module(pkg_name)
         assert hasattr(pkg, "__all__"), f"{pkg_name} lacks __all__"
         for name in pkg.__all__:
             assert hasattr(pkg, name), f"{pkg_name}.__all__ lists missing {name!r}"
 
-    @pytest.mark.parametrize("pkg_name", SUBPACKAGES)
+    @pytest.mark.parametrize("pkg_name", PACKAGES)
     def test_no_duplicate_exports(self, pkg_name):
         pkg = importlib.import_module(pkg_name)
         assert len(pkg.__all__) == len(set(pkg.__all__))

@@ -42,6 +42,7 @@ UNDERLAY_BODY = {
 
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
+    """Result cache forced on (CI exports REPRO_NO_CACHE=1), in tmp dirs."""
     config = ServiceConfig(
         port=0,
         workers=0,
@@ -51,8 +52,11 @@ def server(tmp_path_factory):
         max_sims=1,
         sim_stall_timeout_ms=5000.0,
     )
-    with ThreadedServer(config) as srv:
-        yield srv
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("REPRO_NO_CACHE", raising=False)
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("table-cache")))
+        with ThreadedServer(config) as srv:
+            yield srv
 
 
 def wait_for_idle(server, deadline_s=10.0):

@@ -90,6 +90,12 @@ class TestOptIn:
 
 
 class TestCacheInterop:
+    @pytest.fixture(autouse=True)
+    def _cache_on(self, tmp_path, monkeypatch):
+        """Force caching on (CI exports REPRO_NO_CACHE=1) and into tmp dirs."""
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "table-cache"))
+
     def test_stream_served_from_cache_matches(self, tmp_path):
         config = ServiceConfig(
             port=0,
