@@ -209,7 +209,6 @@ def run_variant(server, calls, n_threads):
 def server_metrics_summary(metrics):
     summary = {
         "coalesce": metrics["coalesce"],
-        "ebar_cache": metrics["ebar_cache"],
         "result_cache": metrics.get("result_cache", {"hits": 0, "misses": 0}),
         "pool": metrics["pool"],
         "responses_by_status": metrics["responses_by_status"],

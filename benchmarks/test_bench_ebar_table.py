@@ -1,18 +1,16 @@
-"""Benchmarks: vectorized ``e_bar_b`` grid solving and table caching.
+"""Benchmarks: vectorized ``e_bar_b`` grid solving and the table memo.
 
 Run via ``scripts/bench_energy.sh`` to regenerate ``BENCH_energy.json``;
-the three comparisons of interest are
+the comparisons of interest are
 
 * ``batch_solve_default_grid`` vs ``scalar_solve_default_grid`` — the
   vectorized bisection against the per-point ``brentq`` loop it replaced
   (the PR's headline >= 10x);
-* ``cold_build`` — table construction including the solve;
-* ``warm_disk_load`` — table construction when only the on-disk cache is
-  warm (the experiment/CI steady state: no root-finding at all).
+* ``cold_build`` vs ``warm_memo_hit`` — table construction including the
+  solve, against a second construction in the same process.
 """
 
 import numpy as np
-import pytest
 
 from repro.energy.ebar import solve_ebar, solve_ebar_batch
 from repro.energy.table import (
@@ -64,28 +62,16 @@ def test_cold_build(benchmark):
     )
 
 
-def test_warm_disk_load(benchmark, tmp_path):
-    """Construction against a warm on-disk cache (memo cleared each round)."""
-    EbarTable(cache_dir=tmp_path)  # populate the disk cache
-
-    def load():
-        EbarTable.clear_memory_cache()
-        return EbarTable(cache_dir=tmp_path)
-
-    table = benchmark(load)
-    assert len(table) > 0
-
-
-def test_warm_memo_hit(benchmark, tmp_path):
+def test_warm_memo_hit(benchmark):
     """Construction against the process-level memo (the in-process path)."""
-    EbarTable(cache_dir=tmp_path)
-    table = benchmark(EbarTable, cache_dir=tmp_path)
+    EbarTable()
+    table = benchmark(EbarTable)
     assert len(table) > 0
 
 
-def test_batch_lookup_scales(benchmark, tmp_path):
+def test_batch_lookup_scales(benchmark):
     """Array lookup over 10k BER queries (the sweeps' access pattern)."""
-    table = EbarTable(cache_dir=tmp_path)
+    table = EbarTable()
     rng = np.random.default_rng(0)
     p = rng.uniform(0.0005, 0.1, 10_000)
     out = benchmark(table.lookup, p, 2, 2, 2)

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Regenerate BENCH_energy.json: the energy-layer performance evidence
-# (vectorized grid solve vs scalar loop, cold/warm table construction).
+# (vectorized grid solve vs scalar loop, cold build vs memo hit).
 # Each benchmark keeps pytest-benchmark's summary statistics; the raw
 # per-round timings (stats.data) are dropped.
 #

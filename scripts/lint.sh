@@ -7,7 +7,7 @@
 #   1. repro.lintkit (always available — stdlib + numpy; per-file rules
 #      RP101-RP107/RP204/RP205, project-graph rules RP201-RP203/RP206/RP302
 #      and the RP301/RP303/RP304 dimensional-analysis rules) over
-#      src, tests, benchmarks and scripts, against the committed baseline
+#      src, tests, benchmarks and scripts
 #   2. ruff check    (skipped with a notice when ruff is not installed)
 #   3. mypy --strict on the typed core (skipped when mypy is not installed)
 #
@@ -23,8 +23,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 status=0
 
 echo "== repro.lintkit =="
-python -m repro.lintkit src tests benchmarks scripts \
-    --baseline lint-baseline.json --statistics || status=1
+python -m repro.lintkit src tests benchmarks scripts --statistics || status=1
 
 echo
 echo "== ruff =="

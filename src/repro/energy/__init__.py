@@ -12,8 +12,8 @@ Layout:
   e_bar_b" step;
 * :mod:`repro.energy.table` — the precomputed ``e_bar_b`` lookup table that
   Algorithms 1 and 2 load into each SU node ("Preprocessing"), built by one
-  vectorized :func:`repro.energy.ebar.solve_ebar_batch` call and cached
-  in-process and on disk (see ``default_cache_dir``).
+  vectorized :func:`repro.energy.ebar.solve_ebar_batch` call and memoized
+  per process.
 """
 
 from repro.energy.ebar import (
@@ -27,7 +27,7 @@ from repro.energy.optimize import (
     minimize_mimo_tx_energy,
     maximize_mimo_distance,
 )
-from repro.energy.table import EbarTable, default_cache_dir
+from repro.energy.table import EbarTable
 
 __all__ = [
     "average_ber",
@@ -39,5 +39,4 @@ __all__ = [
     "minimize_mimo_tx_energy",
     "maximize_mimo_distance",
     "EbarTable",
-    "default_cache_dir",
 ]

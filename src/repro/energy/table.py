@@ -12,38 +12,20 @@ callable signature as the exact solver so it can be plugged directly into
 :class:`repro.energy.model.EnergyModel`.
 
 The grid is stored as one dense ``(p, b, mt, mr)`` ndarray filled by a
-single :func:`repro.energy.ebar.solve_ebar_batch` call, and construction is
-cached at two levels:
-
-* a **process-level memo** shares the solved grid between all instances
-  with identical grid/``n0``/convention specs in the same process;
-* an **on-disk cache** (one ``.npy`` file in NumPy's native array format,
-  keyed by a hash of the spec) makes repeat experiment/benchmark runs skip
-  the solve entirely.  Warm loads go through ``np.load(..., mmap_mode="r")``:
-  the grid is *memory-mapped read-only* rather than deserialized, so every
-  process on the host — serving shards, pool workers, parallel experiment
-  jobs — shares one page-cache-resident copy zero-copy instead of each
-  materializing its own.  Writes stay atomic (serialize to a temp file,
-  then ``os.replace``), so concurrent readers never observe a torn file.
-  The cache directory defaults to ``$XDG_CACHE_HOME/repro-comimo`` (falling
-  back to ``~/.cache/repro-comimo``) and can be overridden per instance
-  (``cache_dir=...``) or via ``REPRO_CACHE_DIR``.  Set ``REPRO_NO_CACHE=1``
-  (or pass ``use_cache=False``) to disable both levels — e.g. for hermetic
-  CI runs that must not touch the home directory.
+single :func:`repro.energy.ebar.solve_ebar_batch` call.  A process-level
+memo shares the solved grid between all instances with identical
+grid/``n0``/convention specs in the same process; set ``REPRO_NO_CACHE=1``
+(or pass ``use_cache=False``) to solve afresh every time.
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
 import os
-import pathlib
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.energy.ebar import CONVENTIONS, DEFAULT_N0, solve_ebar_batch
-from repro.utils.fsio import atomic_write_bytes
 from repro.utils.units import WattsPerHz
 from repro.utils.validation import check_positive
 
@@ -54,7 +36,6 @@ __all__ = [
     "DEFAULT_P_GRID",
     "DEFAULT_B_GRID",
     "DEFAULT_M_GRID",
-    "default_cache_dir",
 ]
 
 #: BER grid matching the paper's sweep "BER p_b varies from 0.1 to 0.0005".
@@ -64,31 +45,11 @@ DEFAULT_B_GRID: Tuple[int, ...] = tuple(range(1, 17))
 #: Cooperative node counts 1..4 on each side (Section 6 sweeps).
 DEFAULT_M_GRID: Tuple[int, ...] = (1, 2, 3, 4)
 
-#: Bump when the on-disk layout or the solver semantics change — old cache
-#: files then miss and are rebuilt rather than misread.  v2: one raw ``.npy``
-#: grid per spec, loaded with ``mmap_mode="r"`` (zero-copy, page-cache
-#: shared across processes) instead of the v1 ``np.savez`` archive.
-_CACHE_FORMAT_VERSION = 2
-
-#: Grid spec key: axes, n0 (hex), convention, cache format version.
+#: Grid spec key: axes, n0 (hex), convention.
 _MemoKey = Tuple[object, ...]
 
 #: Process-level memo: spec key -> solved (read-only) grid ndarray.
 _GRID_MEMO: Dict[_MemoKey, np.ndarray] = {}
-
-
-def default_cache_dir() -> pathlib.Path:
-    """Resolve the on-disk cache directory for solved ``e_bar_b`` grids.
-
-    Precedence: ``REPRO_CACHE_DIR`` env var, then
-    ``$XDG_CACHE_HOME/repro-comimo``, then ``~/.cache/repro-comimo``.
-    """
-    explicit = os.environ.get("REPRO_CACHE_DIR")
-    if explicit:
-        return pathlib.Path(explicit)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = pathlib.Path(xdg) if xdg else pathlib.Path.home() / ".cache"
-    return base / "repro-comimo"
 
 
 def _cache_disabled_by_env() -> bool:
@@ -113,11 +74,8 @@ class EbarTable:
         ``e_bar_b`` normalization convention, forwarded to the solver
         (see :func:`repro.energy.ebar.average_ber`).
     use_cache:
-        When True (default), consult the process memo and the on-disk cache
-        before solving, and populate both after a fresh solve.
-    cache_dir:
-        On-disk cache location override; defaults to
-        :func:`default_cache_dir`.
+        When True (default), share the solved grid through the process
+        memo.
     """
 
     def __init__(
@@ -129,7 +87,6 @@ class EbarTable:
         n0: WattsPerHz = DEFAULT_N0,
         convention: str = "paper",
         use_cache: bool = True,
-        cache_dir: Union[str, pathlib.Path, None] = None,
     ) -> None:
         if convention not in CONVENTIONS:
             raise ValueError(
@@ -145,20 +102,14 @@ class EbarTable:
         self.convention = convention
         self._init_axes(p_values, b_values, mt_values, mr_values)
 
-        caching = use_cache and not _cache_disabled_by_env()
-        cache_path = None
-        grid = _GRID_MEMO.get(self._memo_key()) if caching else None
-        if grid is None and caching:
-            cache_path = self._cache_path(cache_dir)
-            grid = self._load_cached_grid(cache_path)
-        freshly_solved = grid is None
-        if freshly_solved:
-            grid = self._build()
+        if not use_cache or _cache_disabled_by_env():
+            self._grid = self._build()
+            return
+        key = self._memo_key()
+        grid = _GRID_MEMO.get(key)
+        if grid is None:
+            grid = _GRID_MEMO[key] = self._build()
         self._grid = grid
-        if caching:
-            _GRID_MEMO.setdefault(self._memo_key(), grid)
-            if freshly_solved:
-                self._save_cached_grid(cache_path or self._cache_path(cache_dir), grid)
 
     # ------------------------------------------------------------------ #
     # Construction internals                                             #
@@ -203,54 +154,7 @@ class EbarTable:
             self.mr_values,
             self.n0.hex(),
             self.convention,
-            _CACHE_FORMAT_VERSION,
         )
-
-    def _cache_path(self, cache_dir: Union[str, pathlib.Path, None]) -> pathlib.Path:
-        spec = repr(self._memo_key()).encode()
-        digest = hashlib.sha256(spec).hexdigest()[:20]
-        base = pathlib.Path(cache_dir) if cache_dir is not None else default_cache_dir()
-        return base / f"ebar-v{_CACHE_FORMAT_VERSION}-{digest}.npy"
-
-    def _load_cached_grid(self, path: pathlib.Path) -> Optional[np.ndarray]:
-        """Memory-map a cached grid read-only (zero-copy, shared pages).
-
-        Every process that loads the same cache file maps the same
-        page-cache copy: shards and pool workers share one warm grid
-        instead of each deserializing their own.  The file was written
-        atomically, so any successfully opened file is complete; anything
-        malformed (truncated tmp leftovers, foreign files, stale shapes)
-        is treated as a miss and re-solved.
-        """
-        try:
-            grid = np.load(path, mmap_mode="r", allow_pickle=False)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(grid, np.ndarray) or grid.dtype != np.float64:
-            return None
-        if grid.shape != (
-            len(self.p_values),
-            len(self.b_values),
-            len(self.mt_values),
-            len(self.mr_values),
-        ):
-            return None
-        return grid
-
-    def _save_cached_grid(self, path: pathlib.Path, grid: np.ndarray) -> None:
-        """Serialize the solved grid and publish it atomically.
-
-        The ``.npy`` bytes are built in memory (the default grid is only a
-        few KiB) and handed to :func:`atomic_write_bytes`, so concurrent
-        readers either miss or map a complete file — never a torn one.  An
-        unwritable cache directory is a silent no-op; the in-memory table
-        still works.
-        """
-        buffer = io.BytesIO()
-        np.lib.format.write_array(
-            buffer, np.ascontiguousarray(grid), allow_pickle=False
-        )
-        atomic_write_bytes(path, buffer.getvalue())
 
     @classmethod
     def clear_memory_cache(cls) -> None:

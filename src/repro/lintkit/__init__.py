@@ -8,7 +8,7 @@ conventions mechanically using only the stdlib :mod:`ast` module (no
 third-party lint dependency), in three tiers:
 
 - **per-file rules** (RP101–RP107, RP204, RP205, RP301/303/304) are pure
-  functions of a single module's source — cacheable and parallel;
+  functions of a single module's source, checked in parallel;
 - **project rules** (RP201–RP203, RP206, RP302) walk a best-effort call
   graph (:mod:`repro.lintkit.graph`) built from per-module summaries,
   catching path properties: blocking work reachable inside
@@ -24,15 +24,11 @@ third-party lint dependency), in three tiers:
   arguments contradicting annotated parameters.  Select the whole tier
   with ``--select RP3``.
 
-Warm runs are incremental: per-file results (including the summaries the
-graph is rebuilt from) are content-hash cached, so an unchanged tree
-re-parses nothing.  Findings can be ratcheted with a committed baseline
-and exported as SARIF for code-scanning UIs.
+Findings can be exported as JSON or as SARIF for code-scanning UIs.
 
 Usage::
 
-    python -m repro.lintkit src tests benchmarks scripts \\
-        --baseline lint-baseline.json          # the CI gate (exit 1 on new findings)
+    python -m repro.lintkit src tests benchmarks scripts  # the CI gate (exit 1 on findings)
     python -m repro.lintkit --list-rules       # describe the RP-rules
     python -m repro.lintkit src --format sarif --output lint.sarif
 
@@ -41,11 +37,9 @@ Suppress a finding on one line with a trailing comment::
     gain = 10 ** (x / 10)  # lint: ignore[RP101]
 
 See ``docs/static_analysis.md`` for the full rule catalogue with bad/good
-examples, the project-graph architecture and the baseline workflow.
+examples and the project-graph architecture.
 """
 
-from repro.lintkit.baseline import Baseline, load_baseline, write_baseline
-from repro.lintkit.cache import AnalysisCache
 from repro.lintkit.engine import (
     LintStats,
     ModuleContext,
@@ -68,8 +62,6 @@ from repro.lintkit import projectrules as _projectrules  # noqa: F401
 from repro.lintkit import unitrules as _unitrules  # noqa: F401
 
 __all__ = [
-    "AnalysisCache",
-    "Baseline",
     "Finding",
     "LintStats",
     "ModuleContext",
@@ -82,9 +74,7 @@ __all__ = [
     "analyze_paths",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "register",
     "register_project",
     "summarize_module",
-    "write_baseline",
 ]

@@ -2,8 +2,7 @@
 
 Exit status 0 when the tree is clean, 1 when findings remain, 2 on usage
 errors — the contract both the tier-1 gate (``tests/test_lintkit_clean.py``)
-and CI rely on.  With ``--baseline``, findings recorded in the committed
-baseline file do not affect the exit status; everything new still does.
+and CI rely on.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from repro.lintkit.baseline import Baseline, load_baseline, partition, write_baseline
-from repro.lintkit.cache import AnalysisCache
 from repro.lintkit.engine import (
     LintStats,
     all_project_rules,
@@ -60,33 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
         "used by CI to upload the report as an artifact",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="accepted-findings file: baselined findings are reported "
-        "but do not fail the run",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="accept the current findings: write their fingerprints to "
-        "FILE and exit 0",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         metavar="N",
         help="worker processes for parsing (default: the CPU count)",
-    )
-    parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="ignore the content-hash analysis cache (REPRO_NO_CACHE=1 "
-        "does the same)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="override the analysis-cache directory",
     )
     parser.add_argument(
         "--no-project",
@@ -96,8 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--statistics",
         action="store_true",
-        help="print per-rule finding counts, cache hit rates and "
-        "suppression totals",
+        help="print per-rule finding counts and suppression totals",
     )
     parser.add_argument(
         "--list-rules",
@@ -135,38 +108,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.select:
         select = [part.strip() for part in args.select.split(",") if part.strip()]
     stats = LintStats()
-    cache = AnalysisCache(args.cache_dir) if args.cache_dir else None
     try:
         findings = analyze_paths(
             args.paths,
             select=select,
             stats=stats,
             jobs=args.jobs,
-            cache=cache,
-            incremental=not args.no_incremental,
             project=not args.no_project,
         )
     except (FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        write_baseline(args.write_baseline, findings)
-        print(
-            f"wrote {len(findings)} finding(s) to baseline {args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    baseline = Baseline()
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    new_findings, baselined = partition(findings, baseline)
-    stats.baselined = len(baselined)
 
     rendered = _render(findings, args.format)
     if rendered:
@@ -178,15 +130,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for rule_id in sorted(stats.per_rule):
             print(f"{rule_id}: {stats.per_rule[rule_id]} finding(s)", file=sys.stderr)
         print(
-            f"checked {stats.files} file(s) "
-            f"({stats.parsed} parsed, {stats.cached} from cache), "
-            f"{len(findings)} finding(s), {stats.baselined} baselined, "
+            f"checked {stats.files} file(s), {len(findings)} finding(s), "
             f"{stats.suppressed} suppressed",
             file=sys.stderr,
         )
-    if args.format == "text" and new_findings:
-        print(f"{len(new_findings)} finding(s)", file=sys.stderr)
-    return 1 if new_findings else 0
+    if args.format == "text" and findings:
+        print(f"{len(findings)} finding(s)", file=sys.stderr)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -9,17 +9,15 @@ and returns the surviving findings sorted by location.
 Two analysis tiers share that parse:
 
 * **Per-file rules** (:class:`Rule`, the RP1xx family plus RP204/RP205)
-  see one module at a time.  Their results depend only on that file's
-  bytes, so they are cached content-addressed by :class:`AnalysisCache`.
+  see one module at a time; their results depend only on that file's
+  bytes, so files can be checked in parallel.
 * **Project rules** (:class:`ProjectRule`, RP201–RP203) see the whole
-  tree as a :class:`~repro.lintkit.graph.ProjectGraph`.  They re-run every
-  invocation — they are cheap graph walks — but the graph itself is
-  rebuilt from cached :class:`~repro.lintkit.graph.ModuleSummary` records,
-  so a warm run over an unchanged tree re-parses *zero* files.
+  tree as a :class:`~repro.lintkit.graph.ProjectGraph`, built from the
+  :class:`~repro.lintkit.graph.ModuleSummary` each parse also yields.
 
-:func:`analyze_paths` is the full driver (both tiers, incremental cache,
-parallel parsing); :func:`lint_paths` remains the simple per-file-only
-entry point.
+:func:`analyze_paths` is the full driver (both tiers, parallel parsing);
+:func:`lint_paths` remains the simple per-file-only entry point.  Both run
+every file through the same parse → rules → suppression step.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from typing import (
     Type,
 )
 
-from repro.lintkit.cache import AnalysisCache, lintkit_rule_key
 from repro.lintkit.findings import Finding
 from repro.lintkit.graph import ModuleSummary, ProjectGraph, summarize_module
 from repro.lintkit.unitcheck import infer_module
@@ -273,9 +270,13 @@ def all_rules(select: Optional[Iterable[str]] = None) -> List[Rule]:
     return [_REGISTRY[rule_id]() for rule_id in ids]
 
 
-def _suppressions(lines: Sequence[str]) -> Dict[int, FrozenSet[str]]:
+#: Line number -> rule ids suppressed on that line.
+_Suppressions = Dict[int, FrozenSet[str]]
+
+
+def _suppressions(lines: Sequence[str]) -> _Suppressions:
     """Per-line suppressed rule ids (1-based line numbers)."""
-    table: Dict[int, FrozenSet[str]] = {}
+    table: _Suppressions = {}
     for lineno, text in enumerate(lines, start=1):
         match = _SUPPRESS_RE.search(text)
         if match:
@@ -296,31 +297,61 @@ def _is_test_path(path: Path) -> bool:
 
 @dataclass
 class LintStats:
-    """Mutable run statistics (files seen, findings suppressed).
-
-    ``parsed``/``cached`` split ``files`` for incremental runs: a warm
-    :func:`analyze_paths` pass over an unchanged tree reports
-    ``parsed == 0``.  ``baselined`` counts findings swallowed by a
-    ``--baseline`` file (tallied by the CLI, not the engine).
-    """
+    """Mutable run statistics (files seen, findings suppressed)."""
 
     files: int = 0
     suppressed: int = 0
     per_rule: Dict[str, int] = field(default_factory=dict)
-    parsed: int = 0
-    cached: int = 0
-    baselined: int = 0
 
     def __post_init__(self) -> None:
         check_non_negative_int(self.files, "files")
         check_non_negative_int(self.suppressed, "suppressed")
-        check_non_negative_int(self.parsed, "parsed")
-        check_non_negative_int(self.cached, "cached")
-        check_non_negative_int(self.baselined, "baselined")
 
     def count(self, finding: Finding) -> None:
         """Tally one (unsuppressed) finding into the per-rule counters."""
         self.per_rule[finding.rule_id] = self.per_rule.get(finding.rule_id, 0) + 1
+
+    def add(self, findings: Iterable[Finding], suppressed: int) -> None:
+        """Tally one file's surviving findings and suppressed count."""
+        self.suppressed += suppressed
+        for finding in findings:
+            self.count(finding)
+
+
+def _check_module(
+    source: str, path: str, rules: Sequence[Rule], is_test: bool
+) -> Tuple[List[Finding], int, Optional[ast.Module], _Suppressions]:
+    """Parse once, run the per-file rules and drop suppressed findings.
+
+    Returns the sorted surviving findings, the suppressed count, and the
+    parsed tree with its suppression table for the project tier.
+    Unparseable source yields a single ``RP000`` finding and no tree.
+    """
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        parse_error = Finding(
+            path=path,
+            line=int(exc.lineno or 1),
+            col=int(exc.offset or 0) + 1 if exc.offset else 1,
+            rule_id=PARSE_ERROR_RULE_ID,
+            message=f"could not parse file: {exc.msg}",
+        )
+        return [parse_error], 0, None, {}
+    lines = tuple(source.splitlines())
+    ctx = ModuleContext(path=path, tree=tree, lines=lines, is_test=is_test)
+    suppressions = _suppressions(lines)
+    findings: List[Finding] = []
+    suppressed = 0
+    for rule in rules:
+        if not rule.applies_to(ctx):
+            continue
+        for finding in rule.check(ctx):
+            if finding.rule_id in suppressions.get(finding.line, frozenset()):
+                suppressed += 1
+            else:
+                findings.append(finding)
+    return sorted(findings), suppressed, tree, suppressions
 
 
 def lint_source(
@@ -340,34 +371,10 @@ def lint_source(
     active = list(rules) if rules is not None else all_rules()
     if is_test is None:
         is_test = _is_test_path(Path(path))
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path=path,
-                line=int(exc.lineno or 1),
-                col=int(exc.offset or 0) + 1 if exc.offset else 1,
-                rule_id=PARSE_ERROR_RULE_ID,
-                message=f"could not parse file: {exc.msg}",
-            )
-        ]
-    lines = tuple(source.splitlines())
-    ctx = ModuleContext(path=path, tree=tree, lines=lines, is_test=bool(is_test))
-    suppressed = _suppressions(lines)
-    findings: List[Finding] = []
-    for rule in active:
-        if not rule.applies_to(ctx):
-            continue
-        for finding in rule.check(ctx):
-            if finding.rule_id in suppressed.get(finding.line, frozenset()):
-                if stats is not None:
-                    stats.suppressed += 1
-                continue
-            findings.append(finding)
-            if stats is not None:
-                stats.count(finding)
-    return sorted(findings)
+    findings, suppressed, _, _ = _check_module(source, path, active, bool(is_test))
+    if stats is not None:
+        stats.add(findings, suppressed)
+    return findings
 
 
 def _iter_python_files(paths: Iterable[str]) -> List[Path]:
@@ -402,8 +409,12 @@ def lint_paths(
 
 
 # --------------------------------------------------------------------- #
-# Full analysis driver: per-file rules + project graph, incrementally   #
+# Full analysis driver: per-file rules + project graph                  #
 # --------------------------------------------------------------------- #
+
+#: One file's result: surviving findings, suppressed count, and the
+#: module summary the project graph is built from (None if unparseable).
+_FileResult = Tuple[List[Finding], int, Optional[ModuleSummary]]
 
 
 def _analyze_source(
@@ -411,77 +422,35 @@ def _analyze_source(
     path: str,
     rules: Sequence[Rule],
     root: Optional[str],
-) -> Dict[str, Any]:
-    """One file -> a JSON-able cache entry payload.
-
-    The payload carries per-file findings, the suppressed count, and the
-    :class:`ModuleSummary` the project graph is rebuilt from — everything
-    a warm run needs in place of the parse.
-    """
+) -> _FileResult:
+    """Check one file and distil it into a :class:`ModuleSummary`."""
     is_test = _is_test_path(Path(path))
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        parse_error = Finding(
-            path=path,
-            line=int(exc.lineno or 1),
-            col=int(exc.offset or 0) + 1 if exc.offset else 1,
-            rule_id=PARSE_ERROR_RULE_ID,
-            message=f"could not parse file: {exc.msg}",
-        )
-        return {
-            "findings": [parse_error.to_dict()],
-            "suppressed": 0,
-            "summary": None,
-        }
-    lines = tuple(source.splitlines())
-    ctx = ModuleContext(path=path, tree=tree, lines=lines, is_test=is_test)
-    suppressed_map = _suppressions(lines)
-    findings: List[Finding] = []
-    suppressed_count = 0
-    for rule in rules:
-        if not rule.applies_to(ctx):
-            continue
-        for finding in rule.check(ctx):
-            if finding.rule_id in suppressed_map.get(finding.line, frozenset()):
-                suppressed_count += 1
-                continue
-            findings.append(finding)
+    findings, suppressed, tree, suppressions = _check_module(
+        source, path, rules, is_test
+    )
+    if tree is None:
+        return findings, suppressed, None
     summary = summarize_module(
         tree,
         path,
         is_test,
-        suppressions=suppressed_map,
+        suppressions=suppressions,
         root=root,
         unit_facts=infer_module(tree),
     )
-    return {
-        "findings": [finding.to_dict() for finding in sorted(findings)],
-        "suppressed": suppressed_count,
-        "summary": summary.to_dict(),
-    }
+    return findings, suppressed, summary
 
 
 #: (path, source, per-file select ids, module root) for one worker call.
 _WorkItem = Tuple[str, str, Optional[List[str]], Optional[str]]
 
 
-def _analyze_worker(item: _WorkItem) -> Tuple[str, Dict[str, Any]]:
+def _analyze_worker(item: _WorkItem) -> _FileResult:
     """Process-pool worker: analyze one already-read file."""
     path, source, file_ids, root = item
     import repro.lintkit  # noqa: F401  (populate registries in fresh workers)
 
-    return path, _analyze_source(source, path, all_rules(file_ids), root)
-
-
-def _finding_from_dict(data: Dict[str, Any]) -> Finding:
-    return Finding(
-        path=str(data["path"]),
-        line=int(data["line"]),
-        col=int(data["col"]),
-        rule_id=str(data["rule"]),
-        message=str(data["message"]),
-    )
+    return _analyze_source(source, path, all_rules(file_ids), root)
 
 
 def analyze_paths(
@@ -489,89 +458,59 @@ def analyze_paths(
     select: Optional[Iterable[str]] = None,
     stats: Optional[LintStats] = None,
     jobs: Optional[int] = None,
-    cache: Optional[AnalysisCache] = None,
-    incremental: bool = True,
     project: bool = True,
     root: Optional[str] = None,
 ) -> List[Finding]:
-    """Run both analysis tiers over files/trees, incrementally and in parallel.
+    """Run both analysis tiers over files/trees, in parallel.
 
     Parameters
     ----------
     jobs:
-        Worker processes for parsing cache-miss files (default: the
-        sysinfo CPU count; values <= 1 parse serially in-process).
-    cache, incremental:
-        ``incremental=False`` (or ``REPRO_NO_CACHE=1``) disables the
-        content-hash cache; ``cache`` overrides the default location.
+        Worker processes for parsing (default: the sysinfo CPU count;
+        values <= 1 parse serially in-process).
     project:
         Run the graph tier (RP2xx).  Per-file results are unaffected.
     root:
         Directory that module dotted names are computed relative to
         (default: heuristic based on ``src``/``repro`` path components).
     """
-    select_list = list(select) if select is not None else None
-    file_ids, project_ids = split_select(select_list)
-    rules = all_rules(file_ids)
-    entry_cache = cache if cache is not None else AnalysisCache()
-    use_cache = incremental and entry_cache.enabled
-    rule_key = lintkit_rule_key(
-        ",".join(sorted(select_list)) if select_list is not None else ""
+    file_ids, project_ids = split_select(
+        list(select) if select is not None else None
     )
-
-    payloads: Dict[str, Dict[str, Any]] = {}
-    misses: List[_WorkItem] = []
-    miss_keys: Dict[str, str] = {}
+    sources: Dict[str, str] = {}
     for file_path in _iter_python_files(paths):
-        path = str(file_path)
         if stats is not None:
             stats.files += 1
-        source = file_path.read_text(encoding="utf-8")
-        entry_key = AnalysisCache.entry_key(source, path, rule_key)
-        cached = entry_cache.get(entry_key) if use_cache else None
-        if cached is not None:
-            payloads[path] = cached
-            if stats is not None:
-                stats.cached += 1
-            continue
-        misses.append((path, source, file_ids, root))
-        miss_keys[path] = entry_key
+        sources[str(file_path)] = file_path.read_text(encoding="utf-8")
+    items: List[_WorkItem] = [
+        (path, source, file_ids, root) for path, source in sources.items()
+    ]
 
     worker_count = jobs if jobs is not None else available_cpu_count()
-    if worker_count > 1 and len(misses) > 1:
+    results: List[_FileResult]
+    if worker_count > 1 and len(items) > 1:
         with ProcessPoolExecutor(
-            max_workers=min(worker_count, len(misses))
+            max_workers=min(worker_count, len(items))
         ) as executor:
-            for path, payload in executor.map(_analyze_worker, misses):
-                payloads[path] = payload
+            results = list(executor.map(_analyze_worker, items))
     else:
-        for item in misses:
-            path = item[0]
-            payloads[path] = _analyze_source(item[1], path, rules, root)
-    for path, _, _, _ in misses:
-        if stats is not None:
-            stats.parsed += 1
-        if use_cache:
-            entry_cache.put(miss_keys[path], payloads[path])
+        rules = all_rules(file_ids)
+        results = [
+            _analyze_source(source, path, rules, root)
+            for path, source, _, _ in items
+        ]
 
     findings: List[Finding] = []
-    for path in payloads:
-        payload = payloads[path]
-        for data in payload.get("findings", []):
-            finding = _finding_from_dict(data)
-            findings.append(finding)
-            if stats is not None:
-                stats.count(finding)
+    summaries: List[ModuleSummary] = []
+    for file_findings, suppressed, summary in results:
+        findings.extend(file_findings)
         if stats is not None:
-            stats.suppressed += int(payload.get("suppressed", 0))
+            stats.add(file_findings, suppressed)
+        if summary is not None:
+            summaries.append(summary)
 
     run_project = project and (project_ids is None or bool(project_ids))
     if run_project:
-        summaries = [
-            ModuleSummary.from_dict(payload["summary"])
-            for payload in payloads.values()
-            if payload.get("summary") is not None
-        ]
         graph = ProjectGraph(summaries)
         suppression_index: Dict[Tuple[str, int], FrozenSet[str]] = {}
         for summary in summaries:

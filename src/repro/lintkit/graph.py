@@ -5,11 +5,11 @@ know what a function reaches two or three calls away — a ``time.sleep``
 buried in a helper is just as fatal to the event loop as one written in the
 handler itself.  This module provides the substrate:
 
-* :func:`summarize_module` distils one parsed module into a serializable
+* :func:`summarize_module` distils one parsed module into a
   :class:`ModuleSummary` — imports, classes (with best-effort ``self.attr``
   types), and every function/method with its call sites.  Summaries are
-  plain data (``to_dict`` / ``from_dict``), so the incremental cache can
-  persist them and a warm run rebuilds the graph without re-parsing.
+  frozen plain-data records, so the parallel driver's worker processes
+  hand them back by pickling.
 * :class:`ProjectGraph` stitches summaries together and resolves call
   sites to project functions: module-level functions, methods (through
   ``self``, single inheritance and constructor-assigned attribute types),
@@ -170,41 +170,6 @@ class CallSite:
         check_non_negative_int(self.line, "line")
         check_non_negative_int(self.col, "col")
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form; :meth:`from_dict` inverts it."""
-        return {
-            "callee": self.callee,
-            "line": self.line,
-            "col": self.col,
-            "awaited": self.awaited,
-            "stmt_expr": self.stmt_expr,
-            "offloaded": self.offloaded,
-            "deferred": self.deferred,
-            "keywords": list(self.keywords),
-            "first_arg_none": self.first_arg_none,
-            "arg_units": list(self.arg_units),
-            "kwarg_units": [list(pair) for pair in self.kwarg_units],
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "CallSite":
-        return CallSite(
-            callee=str(data["callee"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            awaited=bool(data["awaited"]),
-            stmt_expr=bool(data["stmt_expr"]),
-            offloaded=bool(data["offloaded"]),
-            deferred=bool(data["deferred"]),
-            keywords=tuple(str(k) for k in data["keywords"]),
-            first_arg_none=bool(data["first_arg_none"]),
-            arg_units=tuple(str(u) for u in data.get("arg_units", [])),
-            kwarg_units=tuple(
-                (str(pair[0]), str(pair[1]))
-                for pair in data.get("kwarg_units", [])
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class FunctionInfo:
@@ -233,49 +198,6 @@ class FunctionInfo:
         check_non_negative_int(self.line, "line")
         check_non_negative_int(self.col, "col")
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form; :meth:`from_dict` inverts it."""
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "line": self.line,
-            "col": self.col,
-            "is_async": self.is_async,
-            "cls": self.cls,
-            "calls": [site.to_dict() for site in self.calls],
-            "params": list(self.params),
-            "param_units": list(self.param_units),
-            "return_unit": self.return_unit,
-            "attr_reads": [list(pair) for pair in self.attr_reads],
-            "attr_writes": [list(pair) for pair in self.attr_writes],
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "FunctionInfo":
-        cls = data.get("cls")
-        return FunctionInfo(
-            qualname=str(data["qualname"]),
-            name=str(data["name"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            is_async=bool(data["is_async"]),
-            cls=str(cls) if cls is not None else None,
-            calls=tuple(
-                CallSite.from_dict(site) for site in data["calls"]
-            ),
-            params=tuple(str(p) for p in data.get("params", [])),
-            param_units=tuple(str(u) for u in data.get("param_units", [])),
-            return_unit=str(data.get("return_unit", "")),
-            attr_reads=tuple(
-                (str(pair[0]), int(pair[1]))
-                for pair in data.get("attr_reads", [])
-            ),
-            attr_writes=tuple(
-                (str(pair[0]), int(pair[1]))
-                for pair in data.get("attr_writes", [])
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class ClassInfo:
@@ -284,25 +206,6 @@ class ClassInfo:
     name: str
     bases: Tuple[str, ...]
     attr_types: Tuple[Tuple[str, str], ...]
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form; :meth:`from_dict` inverts it."""
-        return {
-            "name": self.name,
-            "bases": list(self.bases),
-            "attr_types": [list(pair) for pair in self.attr_types],
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "ClassInfo":
-        return ClassInfo(
-            name=str(data["name"]),
-            bases=tuple(str(b) for b in data["bases"]),
-            attr_types=tuple(
-                (str(pair[0]), str(pair[1]))
-                for pair in data["attr_types"]
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -316,41 +219,6 @@ class ModuleSummary:
     functions: Tuple[FunctionInfo, ...] = ()
     classes: Tuple[ClassInfo, ...] = ()
     suppressions: Tuple[Tuple[int, Tuple[str, ...]], ...] = ()
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form, for the incremental analysis cache."""
-        return {
-            "path": self.path,
-            "module": self.module,
-            "is_test": self.is_test,
-            "imports": [list(pair) for pair in self.imports],
-            "functions": [fn.to_dict() for fn in self.functions],
-            "classes": [cls.to_dict() for cls in self.classes],
-            "suppressions": [
-                [line, list(ids)] for line, ids in self.suppressions
-            ],
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "ModuleSummary":
-        return ModuleSummary(
-            path=str(data["path"]),
-            module=str(data["module"]),
-            is_test=bool(data["is_test"]),
-            imports=tuple(
-                (str(pair[0]), str(pair[1])) for pair in data["imports"]
-            ),
-            functions=tuple(
-                FunctionInfo.from_dict(fn) for fn in data["functions"]
-            ),
-            classes=tuple(
-                ClassInfo.from_dict(cls) for cls in data["classes"]
-            ),
-            suppressions=tuple(
-                (int(entry[0]), tuple(str(i) for i in entry[1]))
-                for entry in data["suppressions"]
-            ),
-        )
 
 
 # --------------------------------------------------------------------- #

@@ -18,8 +18,8 @@ RP206     ``self.<attr>`` read-modify-write spanning an ``await`` in a
 
 RP201–RP203 and RP206 are graph rules (:class:`ProjectRule`): they run once per
 analysis over the whole summary set.  RP204/RP205 are per-file rules in
-the same family — they need no cross-module context, which keeps them
-eligible for the incremental per-file cache.
+the same family — they need no cross-module context, so they run in the
+parallel per-file pass.
 
 Everything here is best-effort by design: an unresolvable callee produces
 no edge and therefore no finding.  The rules err toward silence, and every
@@ -88,9 +88,7 @@ def _blocking_primitive(site: CallSite) -> Optional[str]:
     if dotted == "time.sleep":
         return "time.sleep()"
     if terminal == "load" and parts[0] in ("np", "numpy"):
-        if "mmap_mode" not in site.keywords:
-            return "un-memmapped np.load()"
-        return None
+        return "file I/O via np.load()"
     if terminal in _KERNEL_SOLVE_NAMES:
         return f"direct kernel solve {terminal}()"
     return None

@@ -28,7 +28,7 @@ The result of :func:`infer_module` is a :class:`ModuleUnitFacts` bundle:
 The latter two are merged into the :class:`~repro.lintkit.graph.
 ModuleSummary` by :func:`~repro.lintkit.graph.summarize_module`, so the
 cross-module RP302 check (argument unit vs annotated parameter unit) runs
-over cached summaries on the PR 7 project graph without re-parsing.
+over the summaries on the project graph, from the one parse per file.
 
 This module deliberately imports nothing from the engine or the graph —
 only :mod:`ast` and the unit lattice — so both can import it freely.

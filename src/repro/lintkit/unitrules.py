@@ -17,7 +17,7 @@ lattice); this module adapts its output to the engine's two rule tiers:
 * **RP302** (project tier) — a call argument whose inferred unit
   contradicts the callee parameter's ``Annotated`` unit, checked across
   the project graph's resolved call edges so cross-module calls are
-  covered without re-parsing (argument units ride along in the cached
+  covered without re-parsing (argument units ride along in the
   :class:`~repro.lintkit.graph.ModuleSummary` records).
 
 All four are library-only: tests re-derive conversions on purpose as

@@ -27,7 +27,6 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-from collections import OrderedDict
 from dataclasses import asdict, replace
 from typing import (
     AsyncIterator,
@@ -38,6 +37,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -99,12 +99,10 @@ STREAMABLE_ENDPOINTS = frozenset(
     {"/v1/simulate", "/v1/overlay/feasible", "/v1/underlay/energy"}
 )
 
-#: Bounded size of the ``e_bar_b`` response cache (FIFO eviction).
-EBAR_CACHE_SIZE = 4096
-
 Payload = Dict[str, object]
 Row = Dict[str, object]
 Point = Tuple[float, float]
+ResultT = TypeVar("ResultT")
 
 _EbarKey = Tuple[str, int, int]  # (convention, mt, mr)
 _EbarItem = Tuple[float, int]  # (p, b)
@@ -199,8 +197,6 @@ class PlanningService:
             if cache.enabled:  # REPRO_NO_CACHE wins over the config flag
                 self._result_cache = cache
         self._tables: Dict[str, EbarTable] = {}
-        self._ebar_cache: "OrderedDict[Tuple[str, str, float, int, int, int], float]"
-        self._ebar_cache = OrderedDict()
         base_seed = (
             config.seed
             if config.seed is not None
@@ -228,7 +224,7 @@ class PlanningService:
     # ------------------------------------------------------------------ #
 
     def preload(self) -> None:
-        """Solve (or load) the default-convention table before serving."""
+        """Solve the default-convention table before serving."""
         self._table(self.config.table_convention)
 
     def mark_draining(self) -> None:
@@ -344,20 +340,27 @@ class PlanningService:
 
         Chaos latency (if armed) is injected *inside* the deadline scope,
         so an injected stall is cancelled and surfaced as 504 exactly like
-        a genuinely slow sweep.  ``asyncio.wait_for`` cancels the handler
-        coroutine at the deadline; a task already running inside a worker
-        process finishes there and is discarded (processes cannot be
-        preempted mid-compute), but the event loop and the connection are
-        freed immediately.
+        a genuinely slow sweep.
+        """
+        delay_s = self.faults.request_delay_s(path)
+        return await self._within_deadline(
+            self._run_request(method, path, body, delay_s)
+        )
+
+    async def _within_deadline(self, work: Awaitable[ResultT]) -> ResultT:
+        """Await ``work`` under the per-request deadline, if one is set.
+
+        ``asyncio.wait_for`` cancels the work at the deadline and
+        :class:`DeadlineExceededError` (504) is raised; a task already
+        running inside a worker process finishes there and is discarded
+        (processes cannot be preempted mid-compute), but the event loop
+        and the connection are freed immediately.
         """
         timeout_s = self.config.request_timeout_s
-        delay_s = self.faults.request_delay_s(path)
         if timeout_s is None:
-            return await self._run_request(method, path, body, delay_s)
+            return await work
         try:
-            return await asyncio.wait_for(
-                self._run_request(method, path, body, delay_s), timeout_s
-            )
+            return await asyncio.wait_for(work, timeout_s)
         except asyncio.TimeoutError:
             raise DeadlineExceededError(
                 f"request exceeded the {timeout_s * 1000.0:g} ms deadline "
@@ -434,10 +437,11 @@ class PlanningService:
         """Open one streaming request.  Never raises.
 
         Returns a :class:`RowStream` once the request has validated and
-        its first unit of work is admitted — everything that can fail
-        with a clean HTTP status (parse errors, 429 backpressure, 404)
-        fails *here* and comes back as an ordinary ``(status, payload)``
-        for a buffered error response.  After a RowStream is returned the
+        its first unit of work is done — everything that can fail with a
+        clean HTTP status (parse errors, 429 backpressure, 404, a first
+        sweep segment past the per-request deadline's 504) fails *here*
+        and comes back as an ordinary ``(status, payload)`` for a
+        buffered error response.  After a RowStream is returned the
         transport is committed to a 200; mid-stream failures surface as a
         terminal ``{"row": "error"}`` line followed by connection close
         without the final chunk.
@@ -446,7 +450,12 @@ class PlanningService:
         started = loop.time()
         self.metrics.record_request(path)
         try:
-            stream = await self._open_stream(path, body)
+            stream = await self._within_deadline(self._open_stream(path, body))
+        except DeadlineExceededError as exc:
+            self.metrics.deadline_timeout()
+            status, payload = exc.status, self._error_body(
+                exc.status, exc.reason, str(exc)
+            )
         except ServiceError as exc:
             status, payload = exc.status, self._error_body(
                 exc.status, exc.reason, str(exc)
@@ -499,8 +508,9 @@ class PlanningService:
             segments = self._segment_axis(underlay.distances)
             run = self._underlay_segment_runner(underlay)
 
-        # The first segment is admitted *before* committing to a 200, so
-        # backpressure (429) and axis errors still get clean JSON replies.
+        # The first segment runs *before* committing to a 200, so
+        # backpressure (429), axis errors and the deadline (504) still get
+        # clean JSON replies.
         first = await run(segments[0])
         rows = self._stream_sweep(first, segments[1:], run, digest)
         return RowStream(self._count_rows(rows))
@@ -645,22 +655,10 @@ class PlanningService:
     # ------------------------------------------------------------------ #
 
     async def _handle_ebar(self, request: EbarRequest) -> Payload:
-        cache_key = (
-            request.solver,
-            request.convention,
-            request.p,
-            request.b,
-            request.mt,
-            request.mr,
-        )
-        cached = self._ebar_cache.get(cache_key)
-        if cached is not None:
-            self.metrics.cache_hit()
-            # _table inside _ebar_payload is a process-memoized memmap open
-            # (O(1) np.load after the first build); accepted on the loop.
-            return self._ebar_payload(request, cached)  # lint: ignore[RP201]
-        self.metrics.cache_miss()
         if request.solver == "table":
+            # _table is a per-convention memo: preload() solves the default
+            # grid at boot, so this is a dict read; another convention's
+            # grid is solved here once (~50 ms), accepted on the loop.
             table = self._table(request.convention)  # lint: ignore[RP201]
             for value, grid, label in (
                 (request.b, table.b_values, "b"),
@@ -675,10 +673,7 @@ class PlanningService:
             )
         else:
             e_bar = await self.pool.submit(work.ebar_exact, request)
-        self._ebar_cache[cache_key] = e_bar
-        while len(self._ebar_cache) > EBAR_CACHE_SIZE:
-            self._ebar_cache.popitem(last=False)
-        # Same memoized-table access as the cache-hit path above.
+        # Same memoized _table read as above (only for the table solver).
         return self._ebar_payload(request, e_bar)  # lint: ignore[RP201]
 
     def _ebar_payload(self, request: EbarRequest, e_bar: float) -> Payload:

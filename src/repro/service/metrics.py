@@ -162,10 +162,6 @@ class Metrics:
         self._batches = 0
         self._batched_requests = 0
         self._max_batch = 0
-        self._batch_sizes: List[int] = []
-        # ebar result cache
-        self._cache_hits = 0
-        self._cache_misses = 0
         # persistent request-hash result cache
         self._result_cache_hits = 0
         self._result_cache_misses = 0
@@ -208,17 +204,8 @@ class Metrics:
             raise ValueError(f"batch size must be >= 1, got {size}")
         self._batches += 1
         self._batched_requests += size
-        self._batch_sizes.append(size)
         if size > self._max_batch:
             self._max_batch = size
-
-    def cache_hit(self) -> None:
-        """Count one ē_b result-cache hit."""
-        self._cache_hits += 1
-
-    def cache_miss(self) -> None:
-        """Count one ē_b result-cache miss."""
-        self._cache_misses += 1
 
     def result_cache_hit(self) -> None:
         """Count one persistent result-cache hit (response served from disk)."""
@@ -298,10 +285,6 @@ class Metrics:
                 "requests": self._batched_requests,
                 "mean_batch_size": self.mean_batch_size(),
                 "max_batch_size": self._max_batch,
-            },
-            "ebar_cache": {
-                "hits": self._cache_hits,
-                "misses": self._cache_misses,
             },
             "result_cache": {
                 "hits": self._result_cache_hits,

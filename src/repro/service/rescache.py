@@ -10,20 +10,21 @@ matter, float literals round-trip exactly, so two byte-different requests
 describing the same plan share one entry and the cached payload is
 bit-identical to a fresh computation.
 
-Entries are JSON files published with the same atomic tmp-then-rename
-machinery as the ē_b table cache (:func:`repro.utils.fsio.atomic_write_bytes`),
-fanned out over 256 two-hex-digit subdirectories so a long-lived cache
-never piles every entry into one directory.  A corrupt or unreadable entry
-is a silent miss.  The cache directory is versioned
-(``results-v{VERSION}``), so a change to the payload contract simply
-abandons old entries instead of serving them.
+Entries are JSON files published atomically (tmp file, then rename; see
+:func:`repro.utils.fsio.atomic_write_bytes`), fanned out over 256
+two-hex-digit subdirectories so a long-lived cache never piles every entry
+into one directory.  A corrupt or unreadable entry is a silent miss.  The
+cache directory is versioned (``results-v{VERSION}``), so a change to the
+payload contract simply abandons old entries instead of serving them.  This
+is the repository's only on-disk cache; its root is
+:func:`default_cache_dir`.
 
 Caching is opt-in per server (``ServiceConfig.result_cache``; the CLI
 daemon enables it) and ``REPRO_NO_CACHE=1`` force-disables it everywhere —
-the same escape hatch the table cache honours.  Requests whose responses
-are *not* pure functions of the body (an interweave request asking the
-service to draw a fresh environment seed) are never cached; see
-:meth:`cache_key`.
+the same switch that turns off the ē_b table's process memo.  Requests
+whose responses are *not* pure functions of the body (an interweave
+request asking the service to draw a fresh environment seed) are never
+cached; see ``_response_is_pure`` in :mod:`repro.service.app`.
 """
 
 from __future__ import annotations
@@ -34,10 +35,14 @@ import os
 import pathlib
 from typing import Dict, Optional, Union
 
-from repro.energy.table import default_cache_dir
 from repro.utils.fsio import atomic_write_bytes
 
-__all__ = ["ResultCache", "RESULT_CACHE_VERSION", "canonical_digest"]
+__all__ = [
+    "ResultCache",
+    "RESULT_CACHE_VERSION",
+    "canonical_digest",
+    "default_cache_dir",
+]
 
 #: Bump when the response payload contract changes; old entries are ignored.
 #: 2: the long-haul gain squares with one multiply, which moved some
@@ -45,6 +50,20 @@ __all__ = ["ResultCache", "RESULT_CACHE_VERSION", "canonical_digest"]
 RESULT_CACHE_VERSION = 2
 
 Payload = Dict[str, object]
+
+
+def default_cache_dir() -> pathlib.Path:
+    """Resolve the cache root that ``results-v{VERSION}`` lives under.
+
+    Precedence: ``REPRO_CACHE_DIR`` env var, then
+    ``$XDG_CACHE_HOME/repro-comimo``, then ``~/.cache/repro-comimo``.
+    """
+    explicit = os.environ.get("REPRO_CACHE_DIR")
+    if explicit:
+        return pathlib.Path(explicit)
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    base = pathlib.Path(xdg) if xdg else pathlib.Path.home() / ".cache"
+    return base / "repro-comimo"
 
 
 def canonical_digest(endpoint: str, body: object) -> str:

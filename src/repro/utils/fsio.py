@@ -1,11 +1,10 @@
-"""Atomic filesystem writes shared by the on-disk caches.
+"""Atomic filesystem writes for the service's persistent result cache.
 
-One pattern, used by :class:`repro.energy.table.EbarTable` and the
-service's persistent result cache: serialize to a temporary file in the
-destination directory, then ``os.replace`` it over the final name.  Readers
-therefore only ever observe complete files — a concurrent load sees either
-the old content or the new content, never a torn write — and an unwritable
-cache directory degrades to "no cache" instead of an error.
+Serialize to a temporary file in the destination directory, then
+``os.replace`` it over the final name.  Readers therefore only ever observe
+complete files — a concurrent load sees either the old content or the new
+content, never a torn write — and an unwritable cache directory degrades to
+"no cache" instead of an error.
 """
 
 from __future__ import annotations

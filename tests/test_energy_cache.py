@@ -1,17 +1,16 @@
-"""EbarTable caching: process memo, on-disk cache, env controls.
+"""EbarTable caching: the process memo and its env controls.
 
-The "Preprocessing" table is solved once and reused everywhere, so these
-tests guard the warm-start contract: a second construction — in the same
-process or from the disk cache — performs **zero** root-finding work, the
-cache location respects ``REPRO_CACHE_DIR``/``XDG_CACHE_HOME``, and
-``REPRO_NO_CACHE=1`` (or ``use_cache=False``) opts out entirely.
+The "Preprocessing" table is solved once per process and reused
+everywhere, so these tests guard the warm-start contract: a second
+construction in the same process performs **zero** root-finding work,
+and ``REPRO_NO_CACHE=1`` (or ``use_cache=False``) opts out.
 """
 
 import numpy as np
 import pytest
 
 import repro.energy.table as table_mod
-from repro.energy.table import EbarTable, default_cache_dir
+from repro.energy.table import EbarTable
 
 GRID = dict(
     p_values=(0.01, 0.001),
@@ -23,7 +22,7 @@ GRID = dict(
 
 @pytest.fixture(autouse=True)
 def isolated_caches(tmp_path, monkeypatch):
-    """Route the disk cache to a tmp dir and start with a cold memo."""
+    """Start with a cold memo; any disk write would land under tmp."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     EbarTable.clear_memory_cache()
@@ -64,92 +63,22 @@ class TestProcessMemo:
             first.to_arrays()["ebar"], second.to_arrays()["ebar"]
         )
 
-
-class TestDiskCache:
-    def test_warm_disk_load_performs_zero_root_finds(self, count_solves):
-        first = EbarTable(**GRID)
-        assert len(count_solves) == 1
-        # cold memo, warm disk: the solved grid must come back bit-identical
-        # without a single solver call
-        EbarTable.clear_memory_cache()
-        warm = EbarTable(**GRID)
-        assert len(count_solves) == 1
-        assert np.array_equal(
-            first.to_arrays()["ebar"], warm.to_arrays()["ebar"], equal_nan=True
-        )
-
-    def test_warm_construction_runs_zero_brentq(self, monkeypatch):
+    def test_memo_writes_nothing_to_disk(self, tmp_path):
         EbarTable(**GRID)
-        EbarTable.clear_memory_cache()
-
-        from scipy import optimize as scipy_optimize
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - should not run
-            raise AssertionError("brentq called despite a warm cache")
-
-        monkeypatch.setattr(scipy_optimize, "brentq", forbidden)
-        EbarTable(**GRID)
-
-    def test_cache_file_lands_in_cache_dir(self, tmp_path):
-        EbarTable(**GRID)
-        files = list((tmp_path / "cache").glob("ebar-v*.npy"))
-        assert len(files) == 1
-
-    def test_corrupt_cache_file_triggers_resolve(self, tmp_path, count_solves):
-        EbarTable(**GRID)
-        (path,) = (tmp_path / "cache").glob("ebar-v*.npy")
-        path.write_bytes(b"not a npy array file")
-        EbarTable.clear_memory_cache()
-        EbarTable(**GRID)
-        assert len(count_solves) == 2
-
-    def test_explicit_cache_dir_overrides_env(self, tmp_path, count_solves):
-        explicit = tmp_path / "elsewhere"
-        EbarTable(**GRID, cache_dir=explicit)
-        assert list(explicit.glob("ebar-v*.npy"))
-        assert not list((tmp_path / "cache").glob("ebar-v*.npy"))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEnvironmentControls:
-    def test_repro_cache_dir_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "explicit"))
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        assert default_cache_dir() == tmp_path / "explicit"
-
-    def test_xdg_cache_home_respected(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        assert default_cache_dir() == tmp_path / "xdg" / "repro-comimo"
-        EbarTable(**GRID)
-        assert list((tmp_path / "xdg" / "repro-comimo").glob("ebar-v*.npy"))
-
-    def test_home_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
-        monkeypatch.setenv("HOME", str(tmp_path))
-        assert default_cache_dir() == tmp_path / ".cache" / "repro-comimo"
-
-    def test_no_cache_env_disables_both_levels(
-        self, tmp_path, monkeypatch, count_solves
-    ):
+    def test_no_cache_env_disables_the_memo(self, monkeypatch, count_solves):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         EbarTable(**GRID)
         EbarTable(**GRID)
         assert len(count_solves) == 2
-        assert not list((tmp_path / "cache").glob("ebar-v*.npy"))
 
-    def test_use_cache_false_disables_both_levels(self, tmp_path, count_solves):
+    def test_use_cache_false_disables_the_memo(self, count_solves):
         EbarTable(**GRID, use_cache=False)
         EbarTable(**GRID, use_cache=False)
         assert len(count_solves) == 2
-        assert not list((tmp_path / "cache").glob("ebar-v*.npy"))
-
-    def test_unwritable_cache_dir_is_tolerated(self, tmp_path, monkeypatch):
-        blocked = tmp_path / "blocked"
-        blocked.write_text("a file, not a directory")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocked))
-        table = EbarTable(**GRID)  # must not raise
-        assert np.isfinite(table.lookup(0.001, 2, 1, 1))
 
 
 class TestEnergyModelConstruction:
@@ -181,34 +110,3 @@ class TestEnergyModelConstruction:
         monkeypatch.setattr(scipy_optimize, "brentq", forbidden)
         model = EnergyModel(ebar_provider=EbarTable(**GRID))
         assert model.ebar(0.001, 2, 2, 2) > 0.0
-
-
-class TestMemmapCache:
-    def test_warm_load_is_memory_mapped_readonly(self, count_solves):
-        EbarTable(**GRID)
-        EbarTable.clear_memory_cache()
-        warm = EbarTable(**GRID)
-        assert len(count_solves) == 1
-        # Zero-copy contract: the warm grid is a read-only memmap over the
-        # cache file, not a deserialized private copy.
-        assert isinstance(warm._grid, np.memmap)
-        assert warm._grid.flags.writeable is False
-
-    def test_memmapped_instances_share_one_file_mapping(self):
-        built = EbarTable(**GRID)
-        EbarTable.clear_memory_cache()
-        first = EbarTable(**GRID)
-        second = EbarTable(**GRID)  # memo hit: the exact same mapping
-        assert second._grid is first._grid
-        assert np.array_equal(
-            built.to_arrays()["ebar"], first.to_arrays()["ebar"], equal_nan=True
-        )
-
-    def test_stale_cache_version_is_ignored(self, tmp_path, count_solves):
-        EbarTable(**GRID)
-        (path,) = (tmp_path / "cache").glob("ebar-v*.npy")
-        stale = path.with_name(path.name.replace("ebar-v", "ebar-v0", 1))
-        path.rename(stale)
-        EbarTable.clear_memory_cache()
-        EbarTable(**GRID)  # the v-prefixed name misses; re-solve
-        assert len(count_solves) == 2

@@ -45,7 +45,6 @@ def test_full_run_matches_cli_contract():
         [str(REPO_ROOT / tree) for tree in ALL_TREES],
         stats=stats,
         jobs=1,
-        incremental=False,
     )
     assert findings == [], "\n" + "\n".join(f.format() for f in findings)
     # Sanity: the walk really visited the tree (not an empty-glob pass),

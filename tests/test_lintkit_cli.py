@@ -100,57 +100,9 @@ class TestOutput:
         assert json.loads(capsys.readouterr().out) == payload
 
 
-class TestBaseline:
-    def test_write_then_apply_suppresses_known_findings(self, tree, capsys):
-        baseline = tree / "baseline.json"
-        assert main([str(tree / "src"), "--write-baseline", str(baseline)]) == 0
-        # Baselined findings are reported but no longer fail the run.
-        assert main(
-            [str(tree / "src"), "--baseline", str(baseline), "--statistics"]
-        ) == 0
-        assert "1 baselined" in capsys.readouterr().err
-        # A new finding still fails even with the baseline applied.
-        (tree / "src" / "pkg" / "fresh.py").write_text("z = 10.0 ** (w / 10.0)\n")
-        assert main([str(tree / "src"), "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "fresh.py" in out
-
-    def test_corrupt_baseline_exits_two(self, tree, capsys):
-        baseline = tree / "baseline.json"
-        baseline.write_text("{not json")
-        assert main([str(tree / "src"), "--baseline", str(baseline)]) == 2
-        assert "baseline" in capsys.readouterr().err
-
-
-class TestIncrementalFlags:
-    def test_statistics_report_cache_hits(self, tree, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        argv = [
-            str(tree / "src"),
-            "--cache-dir",
-            str(tree / "cache"),
-            "--statistics",
-        ]
-        main(argv)
-        assert "(2 parsed, 0 from cache)" in capsys.readouterr().err
-        main(argv)
-        assert "(0 parsed, 2 from cache)" in capsys.readouterr().err
-
-    def test_no_incremental_bypasses_cache(self, tree, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        argv = [
-            str(tree / "src"),
-            "--cache-dir",
-            str(tree / "cache"),
-            "--statistics",
-        ]
-        main(argv)
-        capsys.readouterr()
-        main(argv + ["--no-incremental"])
-        assert "(2 parsed, 0 from cache)" in capsys.readouterr().err
-
+class TestRunFlags:
     def test_jobs_flag_parallel_parse(self, tree, capsys):
-        assert main([str(tree / "src"), "--jobs", "2", "--no-incremental"]) == 1
+        assert main([str(tree / "src"), "--jobs", "2"]) == 1
         assert "RP101" in capsys.readouterr().out
 
     def test_no_project_skips_graph_tier(self, tmp_path, capsys):
@@ -159,7 +111,7 @@ class TestIncrementalFlags:
         (service / "app.py").write_text(
             "async def _handle_x(self):\n    time.sleep(0.01)\n"
         )
-        argv = [str(tmp_path / "src"), "--select", "RP201", "--no-incremental"]
+        argv = [str(tmp_path / "src"), "--select", "RP201"]
         assert main(argv) == 1
         assert "RP201" in capsys.readouterr().out
         assert main(argv + ["--no-project"]) == 0

@@ -12,7 +12,6 @@ import pytest
 
 from repro.lintkit.graph import (
     CallSite,
-    ModuleSummary,
     ProjectGraph,
     module_name_for_path,
     summarize_module,
@@ -116,20 +115,6 @@ class TestSummaries:
         )
         sites = [s for s in summary.functions[0].calls if s.callee == "as_rng"]
         assert [s.first_arg_none for s in sites] == [True, False]
-
-    def test_round_trips_through_dicts(self):
-        summary = summarize(
-            "import os\n"
-            "from pkg.b import helper\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self.x = Widget()\n"
-            "    async def m(self):\n"
-            "        await helper()\n",
-            "src/pkg/a.py",
-        )
-        restored = ModuleSummary.from_dict(summary.to_dict())
-        assert restored == summary
 
 
 # --------------------------------------------------------------------- #

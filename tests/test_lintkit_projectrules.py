@@ -42,7 +42,6 @@ def project_lint(tmp_path, files, select, stats=None):
         select=select,
         stats=stats,
         jobs=1,
-        incremental=False,
     )
 
 
@@ -59,6 +58,7 @@ class TestRP201:
             "    open('/tmp/x').read()\n",
             "    subprocess.run(['ls'])\n",
             "    np.load(path)\n",
+            "    np.load(path, mmap_mode='r')\n",
             "    sock = socket.socket()\n",
         ],
     )
@@ -117,9 +117,6 @@ class TestRP201:
             "    await pool.submit(blocking, 1)\n"
             "def blocking(x):\n"
             "    time.sleep(x)\n",
-            # Memmapped load is O(1) on the loop.
-            "async def _handle_x(self, path):\n"
-            "    return np.load(path, mmap_mode='r')\n",
             # Blocking in a sync helper nobody calls from async code.
             "def offline_tool():\n"
             "    time.sleep(1)\n"

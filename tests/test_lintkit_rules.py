@@ -3,7 +3,7 @@ stay silent on the corresponding good example and on a suppressed line."""
 
 import pytest
 
-from repro.lintkit import Finding, LintStats, all_rules, lint_source
+from repro.lintkit import Finding, LintStats, all_rules, analyze_paths, lint_source
 from repro.lintkit.engine import PARSE_ERROR_RULE_ID
 
 #: A path that counts as library code (library_only rules apply).
@@ -416,6 +416,39 @@ class TestEngine:
         stats = LintStats()
         lint_source("def f(x=[]):\n    pass\n", path=LIB, stats=stats)
         assert stats.per_rule.get("RP106") == 1
+
+    def test_pooled_analysis_equals_serial(self, tmp_path):
+        """Worker processes hand back pickled findings and summaries; the
+        result must equal the in-process run, all three tiers included."""
+        files = {
+            "src/repro/dirty.py": (
+                "y = 10.0 ** (x / 10.0)\n"
+                "z = 10.0 ** (w / 10.0)  # lint: ignore[RP101]\n"
+            ),
+            "src/repro/service/app.py": (
+                "async def _handle_x(self):\n    time.sleep(0.01)\n"
+            ),
+            "src/repro/power.py": (
+                "def f(noise_w, snr_db):\n    return noise_w * snr_db\n"
+            ),
+        }
+        for rel, source in files.items():
+            target = tmp_path / rel
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(source)
+
+        runs = []
+        for jobs in (1, 2):
+            stats = LintStats()
+            findings = analyze_paths([str(tmp_path / "src")], stats=stats, jobs=jobs)
+            runs.append((findings, stats))
+        (serial, serial_stats), (pooled, pooled_stats) = runs
+
+        assert pooled == serial
+        assert {"RP101", "RP201", "RP301"} <= set(rule_ids(serial))
+        assert serial_stats.suppressed >= 1
+        for attr in ("files", "suppressed", "per_rule"):
+            assert getattr(pooled_stats, attr) == getattr(serial_stats, attr)
 
 
 # --------------------------------------------------------------------- #

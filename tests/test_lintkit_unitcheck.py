@@ -11,13 +11,7 @@ import json
 
 import pytest
 
-from repro.lintkit import (
-    AnalysisCache,
-    LintStats,
-    all_rules,
-    analyze_paths,
-    lint_source,
-)
+from repro.lintkit import all_rules, analyze_paths, lint_source
 from repro.lintkit.cli import main
 
 LIB = "src/repro/somemodule.py"
@@ -220,7 +214,6 @@ def project_lint(tmp_path, files, select, stats=None):
         select=select,
         stats=stats,
         jobs=1,
-        incremental=False,
     )
 
 
@@ -354,7 +347,7 @@ class TestMutationDetection:
 
 
 # --------------------------------------------------------------------- #
-# Engine integration: select expansion, cache warmth, SARIF             #
+# Engine integration: select expansion, CLI, SARIF                      #
 # --------------------------------------------------------------------- #
 
 
@@ -369,35 +362,9 @@ class TestEngineIntegration:
         (pkg / "bad.py").write_text(
             "def f(noise_w, snr_db):\n    return noise_w * snr_db\n"
         )
-        assert main([str(tmp_path / "src"), "--select", "RP3", "--no-incremental"]) == 1
+        assert main([str(tmp_path / "src"), "--select", "RP3"]) == 1
         out = capsys.readouterr().out
         assert "RP301" in out
-
-    def test_warm_run_reparses_nothing_with_rp3_enabled(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        cache = AnalysisCache(tmp_path / "cache")
-        pkg = tmp_path / "src" / "repro"
-        pkg.mkdir(parents=True)
-        (pkg / "bad.py").write_text(
-            "def f(noise_w, snr_db):\n    return noise_w * snr_db\n"
-        )
-        (pkg / "caller.py").write_text(CONSUMER)
-
-        def run():
-            stats = LintStats()
-            findings = analyze_paths(
-                [str(tmp_path / "src")], stats=stats, jobs=1, cache=cache
-            )
-            return findings, stats
-
-        cold_findings, cold = run()
-        warm_findings, warm = run()
-        assert cold.parsed == cold.files and cold.cached == 0
-        assert warm.parsed == 0 and warm.cached == warm.files
-        assert warm_findings == cold_findings
-        assert "RP301" in rule_ids(warm_findings)
 
     def test_sarif_includes_rp3_findings_with_location(self, tmp_path, capsys):
         pkg = tmp_path / "src" / "repro"
@@ -405,17 +372,7 @@ class TestEngineIntegration:
         (pkg / "bad.py").write_text(
             "def f(noise_w, snr_db):\n    return noise_w * snr_db\n"
         )
-        assert (
-            main(
-                [
-                    str(tmp_path / "src"),
-                    "--format",
-                    "sarif",
-                    "--no-incremental",
-                ]
-            )
-            == 1
-        )
+        assert main([str(tmp_path / "src"), "--format", "sarif"]) == 1
         doc = json.loads(capsys.readouterr().out)
         run = doc["runs"][0]
         rule_index = {rule["id"] for rule in run["tool"]["driver"]["rules"]}

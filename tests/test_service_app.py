@@ -113,14 +113,6 @@ class TestEbarEndpoint:
         assert payload["e_bar"] == solve_ebar(0.005, 3, 1, 2)
         assert "p_grid" not in payload
 
-    def test_cache_hit_on_repeat(self, service):
-        body = {"p": 0.01, "b": 4, "mt": 2, "mr": 1}
-        call(service, "POST", "/v1/ebar", body)
-        hits_before = service.metrics.snapshot()["ebar_cache"]["hits"]
-        status, _ = call(service, "POST", "/v1/ebar", body)
-        assert status == 200
-        assert service.metrics.snapshot()["ebar_cache"]["hits"] == hits_before + 1
-
 
 class TestParadigmEndpoints:
     def test_overlay_scalar_matches_direct_analysis(self, service):
@@ -327,6 +319,34 @@ class TestDeadline:
         finally:
             svc.close()
         assert status == 200
+
+    def test_streamed_sweep_gets_the_buffered_504(self, monkeypatch):
+        """A one-segment streamed sweep runs under the same deadline as its
+        buffered twin and is refused with the same 504 before commit."""
+        svc = self._service(100.0)
+
+        async def slow_submit(fn, *args):
+            await asyncio.sleep(0.5)
+            return fn(*args)
+
+        monkeypatch.setattr(svc.pool, "submit", slow_submit)
+        body = json.dumps(
+            {"p": 1e-3, "mt": 2, "mr": 2, "d": 5.0, "bandwidth": 10e3,
+             "distances": [2.0, 4.0, 8.0]}
+        ).encode()
+        try:
+            buffered = asyncio.run(
+                svc.handle("POST", "/v1/underlay/energy", body)
+            )
+            streamed = asyncio.run(
+                svc.handle_stream("POST", "/v1/underlay/energy", body)
+            )
+        finally:
+            svc.close()
+        assert buffered[0] == 504
+        assert streamed == buffered
+        assert "100 ms" in str(streamed[1]["detail"])
+        assert svc.metrics.snapshot()["deadline_timeouts"] == 2
 
     def test_fast_request_beats_the_deadline(self):
         svc = self._service(30000.0)

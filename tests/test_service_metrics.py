@@ -86,14 +86,14 @@ class TestMetrics:
 
     def test_cache_and_pool_counters(self):
         metrics = Metrics()
-        metrics.cache_hit()
-        metrics.cache_miss()
+        metrics.result_cache_hit()
+        metrics.result_cache_miss()
         metrics.pool_enter()
         metrics.pool_enter()
         metrics.pool_exit()
         metrics.pool_reject()
         snap = metrics.snapshot()
-        assert snap["ebar_cache"] == {"hits": 1, "misses": 1}
+        assert snap["result_cache"] == {"hits": 1, "misses": 1}
         assert snap["pool"]["depth"] == 1
         assert snap["pool"]["peak_depth"] == 2
         assert snap["pool"]["completed"] == 1

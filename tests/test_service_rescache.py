@@ -12,7 +12,7 @@ from repro.service import (
     canonical_digest,
     work,
 )
-from repro.service.rescache import RESULT_CACHE_VERSION
+from repro.service.rescache import RESULT_CACHE_VERSION, default_cache_dir
 from repro.service.schemas import UnderlayRequest
 
 DISTANCES = [2.0, 4.0, 8.0]
@@ -26,7 +26,7 @@ INTERWEAVE_ARGS = dict(
 def isolated_cache(tmp_path, monkeypatch):
     """Force caching on (CI exports REPRO_NO_CACHE=1) and into tmp dirs."""
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "table-cache"))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-root"))
     yield
 
 
@@ -66,6 +66,25 @@ class TestCanonicalDigest:
         assert canonical_digest("/v1/ebar", body) != canonical_digest(
             "/v1/overlay/feasible", body
         )
+
+
+class TestDefaultCacheDir:
+    def test_repro_cache_dir_wins(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "explicit"))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert default_cache_dir() == tmp_path / "explicit"
+
+    def test_xdg_cache_home_respected(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert default_cache_dir() == tmp_path / "xdg" / "repro-comimo"
+        assert ResultCache().directory.parent == default_cache_dir()
+
+    def test_home_fallback(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert default_cache_dir() == tmp_path / ".cache" / "repro-comimo"
 
 
 class TestResultCacheUnit:
