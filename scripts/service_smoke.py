@@ -2,83 +2,182 @@
 """CI smoke test for repro-service: boot, query every endpoint, drain.
 
 Starts ``python -m repro.service`` as a real subprocess on an ephemeral
-port, parses the ``{"event": "listening"}`` announcement, issues one query
-per endpoint plus /healthz and /metrics, then sends SIGTERM and asserts a
-clean (exit 0) graceful shutdown.
+port, with the persistent result cache on (``REPRO_NO_CACHE`` is removed
+from its environment) in a fresh temporary ``REPRO_CACHE_DIR``.  It parses
+the ``{"event": "listening"}`` announcement and issues one query per
+endpoint plus /healthz and /metrics.  Then it sends every cacheable route
+twice over one keep-alive ``http.client`` connection — ``/v1/ebar``,
+overlay and underlay sweeps both buffered and streamed, and a seeded
+interweave pattern — and requires the repeat to be byte-identical to the
+first answer (status line, headers and body) and ``/metrics`` to count
+exactly one ``result_cache`` hit per repeat.  Finally it sends SIGTERM
+while that connection is still open and idle, and asserts a clean (exit 0)
+graceful shutdown with no ``Traceback`` in the server's stderr.
 
 Usage:  PYTHONPATH=src python scripts/service_smoke.py
 """
 
+import http.client
 import json
 import os
 import pathlib
 import signal
 import subprocess
 import sys
+import tempfile
+from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.service.client import ServiceClient, ServiceClientError  # noqa: E402
 
+NDJSON = {"Accept": "application/x-ndjson"}
+
+#: Each cacheable route once, with bodies no earlier query sent, so every
+#: first answer is computed and every repeat must be a cache hit.
+CACHEABLE: List[Tuple[str, str, Dict[str, object], Dict[str, str]]] = [
+    ("ebar", "/v1/ebar", {"p": 1e-4, "b": 4, "mt": 3, "mr": 2}, {}),
+    (
+        "overlay buffered",
+        "/v1/overlay/feasible",
+        {"d1": [20.0, 40.0, 60.0, 80.0], "m": 2, "bandwidth": 40e3},
+        {},
+    ),
+    (
+        "overlay streamed",
+        "/v1/overlay/feasible",
+        {"d1": [25.0, 45.0, 65.0], "m": 3, "bandwidth": 40e3},
+        NDJSON,
+    ),
+    (
+        "underlay buffered",
+        "/v1/underlay/energy",
+        {"p": 1e-3, "mt": 2, "mr": 3, "d": 5.0, "distance": [10.0, 100.0, 1000.0],
+         "bandwidth": 10e3},
+        {},
+    ),
+    (
+        "underlay streamed",
+        "/v1/underlay/energy",
+        {"p": 1e-3, "mt": 3, "mr": 2, "d": 5.0, "distance": [20.0, 200.0],
+         "bandwidth": 10e3},
+        NDJSON,
+    ),
+    (
+        "interweave seeded",
+        "/v1/interweave/pattern",
+        {"st1": [0.0, 0.0], "st2": [15.0, 0.0], "wavelength": 30.0,
+         "pr": [100.0, 0.0], "points": [[40.0, 40.0], [10.0, 70.0]],
+         "environment": {"n_scatterers": 4, "seed": 9}},
+        {},
+    ),
+]
+
+
+def raw_exchange(
+    conn: http.client.HTTPConnection,
+    path: str,
+    body: Dict[str, object],
+    headers: Dict[str, str],
+) -> bytes:
+    """POST ``body``; the status line, headers and body as one byte string.
+
+    A streamed (chunked) body is read to its end; ``http.client`` reopens
+    the connection for the next request when the server closed it.
+    """
+    conn.request("POST", path, body=json.dumps(body), headers=headers)
+    response = conn.getresponse()
+    head = [f"HTTP/1.1 {response.status} {response.reason}"]
+    head.extend(f"{name}: {value}" for name, value in response.getheaders())
+    return "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + response.read()
+
+
+def check_endpoints(client: ServiceClient) -> None:
+    assert client.healthz() == {"status": "ok"}
+    ebar = client.ebar(0.001, 2, 2, 2)
+    assert ebar["e_bar"] > 0.0, ebar
+    overlay = client.overlay_feasible(40.0, 2, 10e3)
+    assert overlay["count"] == 1 and "feasible" in overlay["rows"][0], overlay
+    underlay = client.underlay_energy(1e-3, 2, 2, 5.0, [50.0, 100.0], 10e3)
+    assert underlay["count"] == 2, underlay
+    pattern = client.interweave_pattern(
+        (0.0, 0.0), (15.0, 0.0), 30.0, (40.0, 40.0), pr=(100.0, 0.0)
+    )
+    assert len(pattern["amplitudes"]) == 1, pattern
+    try:
+        client.ebar(0.001, 99, 2, 2)
+    except ServiceClientError as exc:
+        assert exc.status == 404, exc
+    else:
+        raise AssertionError("off-grid b should be 404")
+    metrics = client.metrics_snapshot()
+    assert metrics["requests_total"] >= 6, metrics
+
+
+def check_cached_bodies(conn: http.client.HTTPConnection, client: ServiceClient) -> None:
+    hits_before = client.metrics_snapshot()["result_cache"]["hits"]
+    for name, path, body, headers in CACHEABLE:
+        first = raw_exchange(conn, path, body, headers)
+        assert first.startswith(b"HTTP/1.1 200 OK\r\n"), (name, first[:300])
+        repeat = raw_exchange(conn, path, body, headers)
+        assert repeat == first, f"{name}: the cached answer differs from the fresh one"
+    hits = client.metrics_snapshot()["result_cache"]["hits"] - hits_before
+    assert hits == len(CACHEABLE), f"{hits} result_cache hits for {len(CACHEABLE)} repeats"
+
 
 def main() -> int:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.service",
-            "--port",
-            "0",
-            "--workers",
-            "1",
-            "--coalesce-ms",
-            "1",
-            "--seed",
-            "7",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-        cwd=REPO_ROOT,
-        env=env,
-    )
-    try:
-        assert proc.stdout is not None
-        line = proc.stdout.readline()
-        announced = json.loads(line)
-        assert announced["event"] == "listening", announced
-        client = ServiceClient(announced["host"], announced["port"], timeout_s=60.0)
-
-        assert client.healthz() == {"status": "ok"}
-        ebar = client.ebar(0.001, 2, 2, 2)
-        assert ebar["e_bar"] > 0.0, ebar
-        overlay = client.overlay_feasible(40.0, 2, 10e3)
-        assert overlay["count"] == 1 and "feasible" in overlay["rows"][0], overlay
-        underlay = client.underlay_energy(1e-3, 2, 2, 5.0, [50.0, 100.0], 10e3)
-        assert underlay["count"] == 2, underlay
-        pattern = client.interweave_pattern(
-            (0.0, 0.0), (15.0, 0.0), 30.0, (40.0, 40.0), pr=(100.0, 0.0)
-        )
-        assert len(pattern["amplitudes"]) == 1, pattern
+    with tempfile.TemporaryDirectory(prefix="service-smoke-") as scratch:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        env["REPRO_CACHE_DIR"] = str(pathlib.Path(scratch) / "cache")
+        env.pop("REPRO_NO_CACHE", None)
+        log_path = pathlib.Path(scratch) / "server.log"
+        with open(log_path, "w") as log:
+            proc = subprocess.Popen(
+                [
+                    sys.executable,
+                    "-m",
+                    "repro.service",
+                    "--port",
+                    "0",
+                    "--workers",
+                    "1",
+                    "--coalesce-ms",
+                    "1",
+                    "--seed",
+                    "7",
+                ],
+                stdout=subprocess.PIPE,
+                stderr=log,
+                text=True,
+                cwd=REPO_ROOT,
+                env=env,
+            )
+        conn: Optional[http.client.HTTPConnection] = None
         try:
-            client.ebar(0.001, 99, 2, 2)
-        except ServiceClientError as exc:
-            assert exc.status == 404, exc
-        else:
-            raise AssertionError("off-grid b should be 404")
-        metrics = client.metrics_snapshot()
-        assert metrics["requests_total"] >= 6, metrics
+            assert proc.stdout is not None
+            announced = json.loads(proc.stdout.readline())
+            assert announced["event"] == "listening", announced
+            host, port = announced["host"], announced["port"]
+            client = ServiceClient(host, port, timeout_s=60.0)
+            check_endpoints(client)
+            conn = http.client.HTTPConnection(host, port, timeout=60.0)
+            check_cached_bodies(conn, client)
+            # Leave the keep-alive connection open and idle across SIGTERM.
+            raw_exchange(conn, "/v1/ebar", {"p": 1e-3, "b": 2, "mt": 2, "mr": 2}, {})
 
-        proc.send_signal(signal.SIGTERM)
-        code = proc.wait(timeout=30)
-        assert code == 0, f"expected clean exit, got {code}"
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10)
+            proc.send_signal(signal.SIGTERM)
+            code = proc.wait(timeout=30)
+            assert code == 0, f"expected clean exit, got {code}"
+        finally:
+            if conn is not None:
+                conn.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        stderr = log_path.read_text()
+        assert "Traceback" not in stderr, stderr
     print("service smoke: OK")
     return 0
 

@@ -161,7 +161,6 @@ class CallSite:
     stmt_expr: bool = False
     offloaded: bool = False
     deferred: bool = False
-    keywords: Tuple[str, ...] = ()
     first_arg_none: bool = False
     arg_units: Tuple[str, ...] = ()
     kwarg_units: Tuple[Tuple[str, str], ...] = ()
@@ -314,9 +313,6 @@ class _CallCollector(ast.NodeVisitor):
                 col=int(node.col_offset) + 1,
                 awaited=id(node) in self._await_values,
                 stmt_expr=id(node) in self._stmt_values,
-                keywords=tuple(
-                    kw.arg for kw in node.keywords if kw.arg is not None
-                ),
                 first_arg_none=first_arg_none,
             )
         )

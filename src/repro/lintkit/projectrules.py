@@ -398,7 +398,9 @@ class ErrorPayloadRule(Rule):
     ``schemas.error_payload`` contract the moment either side changes.
     Flags ``(status >= 400, payload)`` pairs and ``render_response(status,
     {...})`` calls whose payload is not an ``error_payload(...)`` call.
-    ``schemas.py`` itself (the one sanctioned constructor) is exempt.
+    An encoded body, ``encode_payload(payload)``, is judged by the payload
+    it encodes.  ``schemas.py`` itself (the one sanctioned constructor) is
+    exempt.
     """
 
     rule_id = "RP204"
@@ -414,6 +416,12 @@ class ErrorPayloadRule(Rule):
 
     def _payload_violation(self, payload: ast.AST) -> bool:
         """Payload expressions that build a body inline, bypassing schemas."""
+        if (
+            isinstance(payload, ast.Call)
+            and dotted_name(payload.func).split(".")[-1] == "encode_payload"
+            and payload.args
+        ):
+            payload = payload.args[0]
         return isinstance(payload, (ast.Dict, ast.DictComp)) or (
             isinstance(payload, ast.Call) and not _is_error_payload_call(payload)
         )

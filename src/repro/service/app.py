@@ -1,9 +1,11 @@
 """The planning service: routing, coalescing, caching and error mapping.
 
 :class:`PlanningService` is transport-free — it maps ``(method, path,
-body)`` to ``(status, payload)`` — so the same object sits behind the
+body)`` to ``(status, body bytes)`` — so the same object sits behind the
 asyncio TCP server, the test harness and (hypothetically) any other
-transport.
+transport.  A response body is encoded once, where it is computed (a
+pooled sweep encodes in its worker), and from then on is only framed,
+cached and replayed as those exact bytes.
 
 Execution strategy per request:
 
@@ -27,11 +29,13 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+from collections import deque
 from dataclasses import asdict, replace
 from typing import (
     AsyncIterator,
     Awaitable,
     Callable,
+    Deque,
     Dict,
     List,
     Optional,
@@ -55,7 +59,7 @@ from repro.service.errors import (
     ServiceError,
 )
 from repro.service.faults import FaultInjector, parse_fault_request
-from repro.service.httpio import NDJSON_CONTENT_TYPE
+from repro.service.httpio import NDJSON_CONTENT_TYPE, encode_payload, sweep_body
 from repro.service.metrics import Metrics
 from repro.service.pool import WorkerPool
 from repro.service.rescache import ResultCache, canonical_digest
@@ -101,6 +105,10 @@ STREAMABLE_ENDPOINTS = frozenset(
 
 Payload = Dict[str, object]
 Row = Dict[str, object]
+#: A sweep segment's NDJSON lines (no newlines), encoded where computed.
+Lines = List[bytes]
+#: One item of a :class:`RowStream`: a row the transport encodes, or Lines.
+StreamItem = Union[Row, Lines]
 Point = Tuple[float, float]
 ResultT = TypeVar("ResultT")
 
@@ -144,21 +152,20 @@ class RowStream:
 
     Returned by :meth:`PlanningService.handle_stream` once a streaming
     request has fully validated — from here on the transport writes the
-    chunked head and relays rows.  :meth:`close` is idempotent and must
-    run exactly once when the transport is done with the stream (clean
-    end, client disconnect, or write failure): it closes the underlying
-    async generator (killing a simulation child mid-flight if needed) and
-    releases any concurrency slot via ``on_close``.
+    chunked head and relays rows (see :data:`StreamItem`).  :meth:`close`
+    is idempotent and must run exactly once when the transport is done
+    with the stream (clean end, client disconnect, or write failure): it
+    closes the underlying async generator (killing a simulation child
+    mid-flight if needed) and releases any concurrency slot via
+    ``on_close``.
     """
 
     def __init__(
         self,
-        rows: AsyncIterator[Row],
+        rows: AsyncIterator[StreamItem],
         on_close: Optional[Callable[[], None]] = None,
-        content_type: str = NDJSON_CONTENT_TYPE,
     ) -> None:
         self.rows = rows
-        self.content_type = content_type
         self._on_close = on_close
         self._closed = False
 
@@ -192,6 +199,8 @@ class PlanningService:
         self.sims = SimulationRunner(config.max_sims, self.metrics, self.faults)
         self._draining = False
         self._result_cache: Optional[ResultCache] = None
+        #: Entries of computed responses not yet sent (flush_cache_writes).
+        self._cache_writes: Deque[Tuple[str, bytes]] = deque()
         if config.result_cache:
             cache = ResultCache(config.result_cache_dir)
             if cache.enabled:  # REPRO_NO_CACHE wins over the config flag
@@ -252,8 +261,9 @@ class PlanningService:
         self._interweave_coalescer.flush_all()
 
     def close(self) -> None:
-        """Flush pending batches and release the worker pool."""
+        """Flush pending batches and cache writes; release the worker pool."""
         self.flush()
+        self.flush_cache_writes()
         self.pool.shutdown()
 
     def _table(self, convention: str) -> EbarTable:
@@ -269,32 +279,16 @@ class PlanningService:
 
     async def handle(
         self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Payload]:
-        """One request in, ``(status, JSON-payload)`` out.  Never raises."""
+    ) -> Tuple[int, bytes]:
+        """One request in, ``(status, JSON body bytes)`` out.  Never raises."""
         loop = asyncio.get_running_loop()
         started = loop.time()
         self.metrics.record_request(path)
         try:
-            status, payload = await self._dispatch_with_deadline(method, path, body)
-        except DeadlineExceededError as exc:
-            self.metrics.deadline_timeout()
-            status, payload = exc.status, self._error_body(
-                exc.status, exc.reason, str(exc)
-            )
-        except ServiceError as exc:
-            status, payload = exc.status, self._error_body(
-                exc.status, exc.reason, str(exc)
-            )
-        except (ValueError, TypeError) as exc:
-            status, payload = 400, error_payload(400, "bad request", str(exc))
-        except KeyError as exc:
-            detail = exc.args[0] if exc.args else str(exc)
-            status, payload = 404, error_payload(404, "not found", str(detail))
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # pragma: no cover - defensive 500 path
-            logger.exception("internal error serving %s %s", method, path)
-            status, payload = 500, error_payload(500, "internal error", str(exc))
+            status, blob = await self._dispatch_with_deadline(method, path, body)
+        except Exception as exc:  # CancelledError is not an Exception
+            status, payload = self._failure(exc, f"serving {method} {path}")
+            blob = encode_payload(payload)
         latency_ms = (loop.time() - started) * 1000.0
         self.metrics.record_response(status, latency_ms)
         if self.config.request_log:
@@ -311,7 +305,21 @@ class PlanningService:
                     sort_keys=True,
                 ),
             )
-        return status, payload
+        return status, blob
+
+    def _failure(self, exc: Exception, context: str) -> Tuple[int, Payload]:
+        """The error response an exception maps to (see the module doc)."""
+        if isinstance(exc, DeadlineExceededError):
+            self.metrics.deadline_timeout()
+        if isinstance(exc, ServiceError):
+            return exc.status, self._error_body(exc.status, exc.reason, str(exc))
+        if isinstance(exc, (ValueError, TypeError)):
+            return 400, error_payload(400, "bad request", str(exc))
+        if isinstance(exc, KeyError):
+            detail = exc.args[0] if exc.args else str(exc)
+            return 404, error_payload(404, "not found", str(detail))
+        logger.exception("internal error %s", context)  # pragma: no cover
+        return 500, error_payload(500, "internal error", str(exc))  # pragma: no cover
 
     def handle_chaos(
         self, method: str, path: str, body: bytes
@@ -335,7 +343,7 @@ class PlanningService:
 
     async def _dispatch_with_deadline(
         self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Payload]:
+    ) -> Tuple[int, bytes]:
         """Run one request under the configured per-request deadline.
 
         Chaos latency (if armed) is injected *inside* the deadline scope,
@@ -369,25 +377,25 @@ class PlanningService:
 
     async def _run_request(
         self, method: str, path: str, body: bytes, delay_s: float
-    ) -> Tuple[int, Payload]:
+    ) -> Tuple[int, bytes]:
         if delay_s > 0.0:
             await asyncio.sleep(delay_s)
         return await self._dispatch(method, path, body)
 
     async def _dispatch(
         self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Payload]:
+    ) -> Tuple[int, bytes]:
         allowed = ENDPOINTS.get(path)
         if allowed is None:
             raise NotFoundError(f"no such endpoint: {path}")
         if method != allowed:
             raise MethodNotAllowedError(f"{path} only accepts {allowed}")
         if path == "/healthz":
-            return 200, {"status": self.health_status()}
+            return 200, encode_payload({"status": self.health_status()})
         if path == "/metrics":
             snapshot = self.metrics.snapshot()
             snapshot["health"] = self.health_status()
-            return 200, snapshot
+            return 200, encode_payload(snapshot)
         data = self._parse_json(body)
         cache = self._result_cache
         digest: Optional[str] = None
@@ -398,12 +406,24 @@ class PlanningService:
                 self.metrics.result_cache_hit()
                 return 200, cached
             self.metrics.result_cache_miss()
-        payload = await self._dispatch_post(path, data)
-        if cache is not None and digest is not None:
-            cache.put(digest, payload)
-        return 200, payload
+        blob = await self._dispatch_post(path, data)
+        if digest is not None:
+            self._cache_writes.append((digest, blob))
+        return 200, blob
 
-    async def _dispatch_post(self, path: str, data: object) -> Payload:
+    def flush_cache_writes(self) -> None:
+        """Publish every queued result-cache entry.
+
+        A computed response queues its entry instead of writing it; the
+        transport calls this once it has written that response, or a
+        stream's last chunk, so the entry write never delays the reply it
+        caches.  An identical request that arrives afterwards is a hit.
+        """
+        cache = self._result_cache
+        while cache is not None and self._cache_writes:
+            cache.put(*self._cache_writes.popleft())
+
+    async def _dispatch_post(self, path: str, data: object) -> bytes:
         """Route one parsed POST body to its endpoint handler."""
         if path == "/v1/ebar":
             return await self._handle_ebar(parse_ebar_request(data))
@@ -433,51 +453,33 @@ class PlanningService:
 
     async def handle_stream(
         self, method: str, path: str, body: bytes
-    ) -> Union[Tuple[int, Payload], RowStream]:
+    ) -> Union[Tuple[int, bytes], RowStream]:
         """Open one streaming request.  Never raises.
 
         Returns a :class:`RowStream` once the request has validated and
         its first unit of work is done — everything that can fail with a
         clean HTTP status (parse errors, 429 backpressure, 404, a first
         sweep segment past the per-request deadline's 504) fails *here*
-        and comes back as an ordinary ``(status, payload)`` for a
-        buffered error response.  After a RowStream is returned the
-        transport is committed to a 200; mid-stream failures surface as a
-        terminal ``{"row": "error"}`` line followed by connection close
-        without the final chunk.
+        and comes back as an ordinary ``(status, body)`` for a buffered
+        error response.  After a RowStream is returned the transport is
+        committed to a 200; mid-stream failures surface as a terminal
+        ``{"row": "error"}`` line followed by connection close without the
+        final chunk.
         """
         loop = asyncio.get_running_loop()
         started = loop.time()
         self.metrics.record_request(path)
         try:
             stream = await self._within_deadline(self._open_stream(path, body))
-        except DeadlineExceededError as exc:
-            self.metrics.deadline_timeout()
-            status, payload = exc.status, self._error_body(
-                exc.status, exc.reason, str(exc)
-            )
-        except ServiceError as exc:
-            status, payload = exc.status, self._error_body(
-                exc.status, exc.reason, str(exc)
-            )
-        except (ValueError, TypeError) as exc:
-            status, payload = 400, error_payload(400, "bad request", str(exc))
-        except KeyError as exc:
-            detail = exc.args[0] if exc.args else str(exc)
-            status, payload = 404, error_payload(404, "not found", str(detail))
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # pragma: no cover - defensive 500 path
-            logger.exception("internal error opening stream %s", path)
-            status, payload = 500, error_payload(500, "internal error", str(exc))
-        else:
-            self.metrics.stream_opened()
-            # Latency of a streamed response = time to commit (headers
-            # ready), not time to drain the whole stream.
-            self.metrics.record_response(200, (loop.time() - started) * 1000.0)
-            return stream
-        self.metrics.record_response(status, (loop.time() - started) * 1000.0)
-        return status, payload
+        except Exception as exc:  # CancelledError is not an Exception
+            status, payload = self._failure(exc, f"opening stream {path}")
+            self.metrics.record_response(status, (loop.time() - started) * 1000.0)
+            return status, encode_payload(payload)
+        self.metrics.stream_opened()
+        # Latency of a streamed response = time to commit (headers ready),
+        # not time to drain the whole stream.
+        self.metrics.record_response(200, (loop.time() - started) * 1000.0)
+        return stream
 
     async def _open_stream(self, path: str, body: bytes) -> RowStream:
         data = self._parse_json(body)
@@ -523,58 +525,56 @@ class PlanningService:
 
     def _overlay_segment_runner(
         self, request: OverlayRequest
-    ) -> Callable[[Tuple[float, ...]], Awaitable[List[Row]]]:
-        def run(axis: Tuple[float, ...]) -> Awaitable[List[Row]]:
+    ) -> Callable[[Tuple[float, ...]], Awaitable[Lines]]:
+        def run(axis: Tuple[float, ...]) -> Awaitable[Lines]:
             return self.pool.submit(
-                work.overlay_rows, replace(request, d1=axis, scalar=False)
+                work.overlay_lines, replace(request, d1=axis, scalar=False)
             )
 
         return run
 
     def _underlay_segment_runner(
         self, request: UnderlayRequest
-    ) -> Callable[[Tuple[float, ...]], Awaitable[List[Row]]]:
-        def run(axis: Tuple[float, ...]) -> Awaitable[List[Row]]:
+    ) -> Callable[[Tuple[float, ...]], Awaitable[Lines]]:
+        def run(axis: Tuple[float, ...]) -> Awaitable[Lines]:
             return self.pool.submit(
-                work.underlay_rows, replace(request, distances=axis, scalar=False)
+                work.underlay_lines, replace(request, distances=axis, scalar=False)
             )
 
         return run
 
-    async def _stream_cached(self, cached: Payload) -> AsyncIterator[Row]:
-        """Replay a cached sweep payload as the identical NDJSON stream."""
-        rows = cached.get("rows")
-        assert isinstance(rows, list)
+    async def _stream_cached(self, cached: bytes) -> AsyncIterator[StreamItem]:
+        """Replay a cached sweep body as the identical NDJSON stream."""
+        rows = json.loads(cached)["rows"]
         for row in rows:
             yield row
         yield {"done": True, "count": len(rows)}
 
     async def _stream_sweep(
         self,
-        first: List[Row],
+        first: Lines,
         remaining: List[Tuple[float, ...]],
-        run: Callable[[Tuple[float, ...]], Awaitable[List[Row]]],
+        run: Callable[[Tuple[float, ...]], Awaitable[Lines]],
         digest: Optional[str],
-    ) -> AsyncIterator[Row]:
-        """Relay sweep segments; cache the assembled payload on success.
+    ) -> AsyncIterator[StreamItem]:
+        """Relay sweep segments; cache the assembled body on success.
 
         Each segment runs under the per-request deadline (the streaming
         analogue of the buffered path's whole-request deadline); a
         deadline hit or mid-stream backpressure becomes a terminal error
         row.  The full-response cache entry is written only after every
-        segment succeeded, and matches the buffered endpoint's payload
-        byte for byte — so streamed and buffered requests share hits.
+        segment succeeded, and is the buffered endpoint's body byte for
+        byte — so streamed and buffered requests share hits.
         """
-        all_rows: List[Row] = list(first)
-        for row in first:
-            yield row
+        all_lines: Lines = list(first)
+        yield first
         timeout_s = self.config.request_timeout_s
         for segment in remaining:
             try:
                 if timeout_s is None:
-                    rows = await run(segment)
+                    lines = await run(segment)
                 else:
-                    rows = await asyncio.wait_for(run(segment), timeout_s)
+                    lines = await asyncio.wait_for(run(segment), timeout_s)
             except asyncio.TimeoutError:
                 self.metrics.deadline_timeout()
                 yield self._error_row(
@@ -589,21 +589,21 @@ class PlanningService:
             except (ValueError, KeyError) as exc:
                 yield self._error_row(400, "bad request", str(exc))
                 return
-            all_rows.extend(rows)
-            for row in rows:
-                yield row
-        cache = self._result_cache
-        if cache is not None and digest is not None:
-            cache.put(digest, {"rows": all_rows, "count": len(all_rows)})
-        yield {"done": True, "count": len(all_rows)}
+            all_lines.extend(lines)
+            yield lines
+        if digest is not None:
+            self._cache_writes.append((digest, sweep_body(all_lines)))
+        yield {"done": True, "count": len(all_lines)}
 
-    async def _count_rows(self, rows: AsyncIterator[Row]) -> AsyncIterator[Row]:
+    async def _count_rows(
+        self, rows: AsyncIterator[StreamItem]
+    ) -> AsyncIterator[StreamItem]:
         """Metrics wrapper: count every streamed row as it passes through."""
-        async for row in rows:
-            self.metrics.stream_row()
-            yield row
+        async for item in rows:
+            self.metrics.stream_rows(1 if isinstance(item, dict) else len(item))
+            yield item
 
-    async def _handle_simulate_buffered(self, data: object) -> Payload:
+    async def _handle_simulate_buffered(self, data: object) -> bytes:
         """`/v1/simulate` without streaming: the whole run, pool-backed.
 
         The rows are produced by the same pure function of the spec the
@@ -612,7 +612,9 @@ class PlanningService:
         """
         spec = parse_simulate_request(data, self.config.max_sim_nodes)
         rows = await self.pool.submit(simulate_rows, spec)
-        return {"rows": rows[:-1], "summary": rows[-1], "count": len(rows) - 1}
+        return encode_payload(
+            {"rows": rows[:-1], "summary": rows[-1], "count": len(rows) - 1}
+        )
 
     def _error_body(self, status: int, reason: str, detail: str) -> Payload:
         """A structured error payload, with the retry hint mirrored in-body.
@@ -654,7 +656,7 @@ class PlanningService:
     # /v1/ebar                                                           #
     # ------------------------------------------------------------------ #
 
-    async def _handle_ebar(self, request: EbarRequest) -> Payload:
+    async def _handle_ebar(self, request: EbarRequest) -> bytes:
         if request.solver == "table":
             # _table is a per-convention memo: preload() solves the default
             # grid at boot, so this is a dict read; another convention's
@@ -674,7 +676,7 @@ class PlanningService:
         else:
             e_bar = await self.pool.submit(work.ebar_exact, request)
         # Same memoized _table read as above (only for the table solver).
-        return self._ebar_payload(request, e_bar)  # lint: ignore[RP201]
+        return encode_payload(self._ebar_payload(request, e_bar))  # lint: ignore[RP201]
 
     def _ebar_payload(self, request: EbarRequest, e_bar: float) -> Payload:
         payload: Payload = {
@@ -715,19 +717,18 @@ class PlanningService:
     # /v1/overlay/feasible                                               #
     # ------------------------------------------------------------------ #
 
-    async def _handle_overlay(self, request: OverlayRequest) -> Payload:
-        if request.scalar:
-            key: _OverlayKey = (
-                request.m,
-                request.bandwidth,
-                request.p_direct,
-                request.p_relay,
-                request.convention,
-            )
-            rows = [await self._overlay_coalescer.submit(key, request.d1[0])]
-        else:
-            rows = await self.pool.submit(work.overlay_rows, request)
-        return {"rows": rows, "count": len(rows)}
+    async def _handle_overlay(self, request: OverlayRequest) -> bytes:
+        if not request.scalar:
+            return await self.pool.submit(work.overlay_body, request)
+        key: _OverlayKey = (
+            request.m,
+            request.bandwidth,
+            request.p_direct,
+            request.p_relay,
+            request.convention,
+        )
+        row = await self._overlay_coalescer.submit(key, request.d1[0])
+        return encode_payload({"rows": [row], "count": 1})
 
     def _overlay_batch(
         self, key: _OverlayKey, items: Sequence[float]
@@ -752,20 +753,19 @@ class PlanningService:
     # /v1/underlay/energy                                                #
     # ------------------------------------------------------------------ #
 
-    async def _handle_underlay(self, request: UnderlayRequest) -> Payload:
-        if request.scalar:
-            key: _UnderlayKey = (
-                request.p,
-                request.mt,
-                request.mr,
-                request.d,
-                request.bandwidth,
-                request.convention,
-            )
-            rows = [await self._underlay_coalescer.submit(key, request.distances[0])]
-        else:
-            rows = await self.pool.submit(work.underlay_rows, request)
-        return {"rows": rows, "count": len(rows)}
+    async def _handle_underlay(self, request: UnderlayRequest) -> bytes:
+        if not request.scalar:
+            return await self.pool.submit(work.underlay_body, request)
+        key: _UnderlayKey = (
+            request.p,
+            request.mt,
+            request.mr,
+            request.d,
+            request.bandwidth,
+            request.convention,
+        )
+        row = await self._underlay_coalescer.submit(key, request.distances[0])
+        return encode_payload({"rows": [row], "count": 1})
 
     def _underlay_batch(
         self, key: _UnderlayKey, items: Sequence[float]
@@ -813,7 +813,7 @@ class PlanningService:
     # /v1/interweave/pattern                                             #
     # ------------------------------------------------------------------ #
 
-    async def _handle_interweave(self, request: InterweaveRequest) -> Payload:
+    async def _handle_interweave(self, request: InterweaveRequest) -> bytes:
         request = self._resolve_environment(request)
         delta = work.interweave_delta(request)
         if request.scalar:
@@ -839,7 +839,7 @@ class PlanningService:
         }
         if request.environment is not None:
             payload["seed_used"] = request.environment.seed
-        return payload
+        return encode_payload(payload)
 
     def _resolve_environment(self, request: InterweaveRequest) -> InterweaveRequest:
         """Pin the environment seed *before* dispatch.

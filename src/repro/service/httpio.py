@@ -7,13 +7,18 @@ headers + ``Content-Length`` body in; out, either a buffered JSON body
 the streaming endpoints.  ``keep-alive`` connection reuse on buffered
 responses; streamed responses always close.  No TLS — this is an
 in-cluster planning service, not a general web server.
+
+This module is the one owner of the wire formats: :func:`encode_payload`
+(a buffered body), :func:`encode_ndjson_line` (one streamed row) and
+:func:`sweep_body` (a sweep body assembled from already-encoded rows).
+A body is encoded once, where it is computed; framing never re-encodes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.service.errors import BadRequestError, PayloadTooLargeError
 
@@ -24,6 +29,8 @@ __all__ = [
     "render_stream_head",
     "encode_chunk",
     "encode_ndjson_line",
+    "encode_payload",
+    "sweep_body",
     "LAST_CHUNK",
     "NDJSON_CONTENT_TYPE",
     "REASONS",
@@ -151,16 +158,15 @@ async def read_request(
 
 def render_response(
     status: int,
-    payload: Dict[str, object],
+    body: bytes,
     keep_alive: bool = True,
     extra_headers: Optional[Dict[str, str]] = None,
 ) -> bytes:
-    """Serialize one JSON response with correct framing headers.
+    """Frame one already-encoded JSON body with its response head.
 
     ``extra_headers`` (e.g. ``{"Retry-After": "1"}`` on 429) are emitted
     verbatim after the framing headers.
     """
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
     reason = REASONS.get(status, "Unknown")
     lines = [
         f"HTTP/1.1 {status} {reason}",
@@ -174,27 +180,20 @@ def render_response(
     return head.encode("latin-1") + body
 
 
-def render_stream_head(
-    status: int = 200,
-    content_type: str = NDJSON_CONTENT_TYPE,
-    extra_headers: Optional[Dict[str, str]] = None,
-) -> bytes:
-    """Response head for a chunked stream (no body yet).
+def render_stream_head() -> bytes:
+    """Response head for a chunked 200 NDJSON stream (no body yet).
 
     Streamed responses carry no ``Content-Length`` — the body is framed
     with ``Transfer-Encoding: chunked`` and the connection closes after
     :data:`LAST_CHUNK`, so a truncated stream is always detectable (the
     peer sees EOF without the terminal chunk).
     """
-    reason = REASONS.get(status, "Unknown")
     lines = [
-        f"HTTP/1.1 {status} {reason}",
-        f"Content-Type: {content_type}",
+        "HTTP/1.1 200 OK",
+        f"Content-Type: {NDJSON_CONTENT_TYPE}",
         "Transfer-Encoding: chunked",
         "Connection: close",
     ]
-    if extra_headers:
-        lines.extend(f"{name}: {value}" for name, value in extra_headers.items())
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
@@ -205,11 +204,27 @@ def encode_chunk(data: bytes) -> bytes:
     return f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n"
 
 
+def encode_payload(payload: Dict[str, object]) -> bytes:
+    """One buffered JSON body — canonical (sorted-key) UTF-8 JSON."""
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
 def encode_ndjson_line(payload: Dict[str, object]) -> bytes:
-    """One NDJSON line — canonical (sorted-key) JSON plus the newline.
+    """One NDJSON line — the row's :func:`encode_payload` plus the newline.
 
     Sorted keys make streamed bytes a pure function of the row dicts, so
     same-seed replays of a streaming endpoint are byte-identical on the
     wire, not just value-equal after parsing.
     """
-    return json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+    return encode_payload(payload) + b"\n"
+
+
+def sweep_body(lines: Sequence[bytes]) -> bytes:
+    """The buffered sweep body ``{"count": n, "rows": [...]}`` of NDJSON lines.
+
+    ``lines`` are :func:`encode_ndjson_line` rows without their newline.
+    The result is byte-equal to ``encode_payload({"rows": rows, "count":
+    n})`` of the same rows: sorted keys put ``count`` first, and a nested
+    row encodes exactly as it does alone.
+    """
+    return b'{"count": %d, "rows": [%s]}' % (len(lines), b", ".join(lines))

@@ -251,9 +251,9 @@ class Metrics:
         """An NDJSON streaming response committed (headers sent)."""
         self._streams_opened += 1
 
-    def stream_row(self) -> None:
-        """One NDJSON row was handed to the transport layer."""
-        self._stream_rows += 1
+    def stream_rows(self, count: int) -> None:
+        """``count`` NDJSON rows were handed to the transport layer."""
+        self._stream_rows += count
 
     @property
     def pool_depth(self) -> int:

@@ -7,14 +7,17 @@ shard — can be answered straight from disk.  :class:`ResultCache` keys
 successful POST responses by the SHA-256 digest of the *canonical JSON*
 encoding of ``(endpoint, parsed body)``: key order and whitespace never
 matter, float literals round-trip exactly, so two byte-different requests
-describing the same plan share one entry and the cached payload is
-bit-identical to a fresh computation.
+describing the same plan share one entry.
 
-Entries are JSON files published atomically (tmp file, then rename; see
+An entry is the served response body itself — the exact bytes, never
+decoded and re-encoded — behind one checked header line holding the
+format version, the body length and the body's SHA-256.  Entries are
+published atomically (tmp file, then rename; see
 :func:`repro.utils.fsio.atomic_write_bytes`), fanned out over 256
 two-hex-digit subdirectories so a long-lived cache never piles every entry
-into one directory.  A corrupt or unreadable entry is a silent miss.  The
-cache directory is versioned (``results-v{VERSION}``), so a change to the
+into one directory.  A corrupt, truncated or unreadable entry, or one whose
+header does not match its body, is a silent miss.  The cache directory is
+versioned (``results-v{VERSION}``), so a change to the entry format or the
 payload contract simply abandons old entries instead of serving them.  This
 is the repository's only on-disk cache; its root is
 :func:`default_cache_dir`.
@@ -33,7 +36,7 @@ import hashlib
 import json
 import os
 import pathlib
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.utils.fsio import atomic_write_bytes
 
@@ -47,9 +50,8 @@ __all__ = [
 #: Bump when the response payload contract changes; old entries are ignored.
 #: 2: the long-haul gain squares with one multiply, which moved some
 #: served overlay floats by 1 ULP.
-RESULT_CACHE_VERSION = 2
-
-Payload = Dict[str, object]
+#: 3: an entry is the served body bytes behind a checked header line.
+RESULT_CACHE_VERSION = 3
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -111,36 +113,43 @@ class ResultCache:
     def _path(self, digest: str) -> pathlib.Path:
         return self._dir / digest[:2] / f"{digest}.json"
 
-    def get(self, digest: str) -> Optional[Payload]:
-        """The cached payload for ``digest``, or None on any kind of miss."""
+    def get(self, digest: str) -> Optional[bytes]:
+        """The cached body for ``digest``, or None on any kind of miss."""
         if not self._enabled:
             return None
         try:
             blob = self._path(digest).read_bytes()
         except OSError:
             return None
+        header, newline, body = blob.partition(b"\n")
         try:
-            entry = json.loads(blob)
+            meta = json.loads(header)
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None  # torn/corrupt entry: recompute and overwrite
-        if not isinstance(entry, dict):
+        if (
+            not newline
+            or not isinstance(meta, dict)
+            or meta.get("v") != RESULT_CACHE_VERSION
+            or meta.get("bytes") != len(body)
+            or meta.get("sha256") != hashlib.sha256(body).hexdigest()
+        ):
             return None
-        payload = entry.get("payload")
-        if not isinstance(payload, dict):
-            return None
-        return payload
+        return body
 
-    def put(self, digest: str, payload: Payload) -> bool:
-        """Atomically publish ``payload`` under ``digest``.
+    def put(self, digest: str, body: bytes) -> bool:
+        """Atomically publish the response ``body`` under ``digest``.
 
         Returns False (and caches nothing) when disabled or the directory
         is unwritable — the in-memory response is still served normally.
         """
         if not self._enabled:
             return False
-        blob = json.dumps(
-            {"v": RESULT_CACHE_VERSION, "payload": payload},
-            sort_keys=True,
+        header = json.dumps(
+            {
+                "bytes": len(body),
+                "sha256": hashlib.sha256(body).hexdigest(),
+                "v": RESULT_CACHE_VERSION,
+            },
             separators=(",", ":"),
-        ).encode("utf-8")
-        return atomic_write_bytes(self._path(digest), blob)
+        ).encode("ascii")
+        return atomic_write_bytes(self._path(digest), header + b"\n" + body)

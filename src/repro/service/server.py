@@ -18,7 +18,7 @@ import math
 import signal
 import socket
 import sys
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, Optional
 
 from repro.service.app import PlanningService, RowStream
 from repro.service.config import ServiceConfig
@@ -28,6 +28,7 @@ from repro.service.httpio import (
     LAST_CHUNK,
     encode_chunk,
     encode_ndjson_line,
+    encode_payload,
     read_request,
     render_response,
     render_stream_head,
@@ -46,7 +47,8 @@ class ServiceServer:
         self.service = service
         self._server: Optional[asyncio.AbstractServer] = None
         self._admin_server: Optional[asyncio.AbstractServer] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
+        #: Open connections: each one's writer and the task serving it.
+        self._connections: Dict[asyncio.StreamWriter, "asyncio.Task[None]"] = {}
         self._active = 0
         self._idle = asyncio.Event()
         self._idle.set()
@@ -130,8 +132,14 @@ class ServiceServer:
                 "drain timeout: force-closing with %d request(s) in flight",
                 self._active,
             )
-        for writer in list(self._writers):
+        tasks = list(self._connections.values())
+        for writer in list(self._connections):
             writer.close()
+        if tasks:
+            # Let each connection task see its closed socket and finish;
+            # a task still parked in read_request when the loop stops
+            # would be cancelled there instead.
+            await asyncio.wait(tasks, timeout=self.service.config.drain_timeout_s)
         self.service.close()
 
     # ------------------------------------------------------------------ #
@@ -139,13 +147,15 @@ class ServiceServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._writers.add(writer)
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[writer] = task
         try:
             await self._serve_connection(reader, writer)
         except (ConnectionError, TimeoutError):
             pass  # peer went away mid-exchange
         finally:
-            self._writers.discard(writer)
+            self._connections.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -162,7 +172,7 @@ class ServiceServer:
                 writer.write(
                     render_response(
                         exc.status,
-                        error_payload(exc.status, exc.reason, str(exc)),
+                        encode_payload(error_payload(exc.status, exc.reason, str(exc))),
                         keep_alive=False,
                     )
                 )
@@ -177,7 +187,9 @@ class ServiceServer:
                 status, payload = self.service.handle_chaos(
                     head.method, head.path, body
                 )
-                writer.write(render_response(status, payload, keep_alive=False))
+                writer.write(
+                    render_response(status, encode_payload(payload), keep_alive=False)
+                )
                 await writer.drain()
                 return
             if self.service.faults.take_drop_client(head.path):
@@ -193,11 +205,11 @@ class ServiceServer:
                     if isinstance(result, RowStream):
                         await self._relay_stream(result, writer, head.path)
                         return
-                    status, payload = result
+                    status, reply = result
                     writer.write(
                         render_response(
                             status,
-                            payload,
+                            reply,
                             keep_alive=False,
                             extra_headers=self._extra_headers(status),
                         )
@@ -208,7 +220,7 @@ class ServiceServer:
                     self._exit()
             self._enter()
             try:
-                status, payload = await self.service.handle(
+                status, reply = await self.service.handle(
                     head.method, head.path, body
                 )
             finally:
@@ -216,19 +228,18 @@ class ServiceServer:
             keep_alive = head.keep_alive and not self._draining
             blob = render_response(
                 status,
-                payload,
+                reply,
                 keep_alive=keep_alive,
                 extra_headers=self._extra_headers(status),
             )
-            if self.service.faults.take_abort(head.path):
-                # Chaos hook: ship half the response, then drop the
-                # connection — the client sees a truncated body.
-                writer.write(blob[: max(1, len(blob) // 2)])
-                await writer.drain()
-                return
-            writer.write(blob)
+            # Chaos hook: an aborted response ships only its first half,
+            # then the connection drops — the client sees a truncated body.
+            abort = self.service.faults.take_abort(head.path)
+            writer.write(blob[: max(1, len(blob) // 2)] if abort else blob)
+            # The response is out: now publish its result-cache entry.
+            self.service.flush_cache_writes()
             await writer.drain()
-            if not keep_alive:
+            if abort or not keep_alive:
                 return
 
     async def _relay_stream(
@@ -236,37 +247,43 @@ class ServiceServer:
     ) -> None:
         """Ship one committed NDJSON stream as a chunked 200 response.
 
-        Every row is flushed as its own chunk the moment it arrives.  A
-        terminal ``{"row": "error"}`` line ends the stream *without* the
-        final zero-length chunk, so clients can always distinguish a
-        truncated stream from a complete one; streams that finish cleanly
-        get :data:`LAST_CHUNK`.  The connection closes either way.
+        Every row goes out as its own chunk the moment it arrives; a sweep
+        segment's already-encoded lines go out in one write.  A terminal
+        ``{"row": "error"}`` line ends the stream *without* the final
+        zero-length chunk, so clients can always distinguish a truncated
+        stream from a complete one; streams that finish cleanly get
+        :data:`LAST_CHUNK`.  The connection closes either way.
 
         Chaos hook: an armed ``truncate_stream`` fault relays that many
         complete rows, then writes *half* of the next encoded chunk and
         closes — a byte-level mid-row truncation no error row announces.
         """
         truncate_after = self.service.faults.take_truncate_stream(path)
-        writer.write(render_stream_head(200, stream.content_type))
+        writer.write(render_stream_head())
         try:
             failed = False
             sent = 0
-            async for row in stream.rows:
-                blob = encode_chunk(encode_ndjson_line(row))
-                if truncate_after is not None and sent >= truncate_after:
-                    writer.write(blob[: max(1, len(blob) // 2)])
+            async for item in stream.rows:
+                if isinstance(item, dict):
+                    chunks = [encode_chunk(encode_ndjson_line(item))]
+                    failed = item.get("row") == "error"
+                else:
+                    chunks = [encode_chunk(line + b"\n") for line in item]
+                if truncate_after is not None and sent + len(chunks) > truncate_after:
+                    whole = truncate_after - sent
+                    cut = chunks[whole]
+                    writer.write(b"".join(chunks[:whole]) + cut[: max(1, len(cut) // 2)])
                     await writer.drain()
                     return
-                writer.write(blob)
+                writer.write(b"".join(chunks))
                 await writer.drain()
-                sent += 1
-                if row.get("row") == "error":
-                    failed = True
+                sent += len(chunks)
             if not failed:
                 writer.write(LAST_CHUNK)
                 await writer.drain()
         finally:
             await stream.close()
+            self.service.flush_cache_writes()
 
     def _extra_headers(self, status: int) -> Optional[Dict[str, str]]:
         """Backpressure responses carry an explicit retry hint."""

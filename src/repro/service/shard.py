@@ -71,7 +71,7 @@ from repro.service.faults import (
     FaultRequest,
     parse_fault_request,
 )
-from repro.service.httpio import read_request, render_response
+from repro.service.httpio import encode_payload, read_request, render_response
 from repro.service.metrics import LatencyHistogram
 from repro.service.pool import RestartBudget
 from repro.service.schemas import error_payload
@@ -646,7 +646,9 @@ class ShardSupervisor:
                     writer.write(
                         render_response(
                             exc.status,
-                            error_payload(exc.status, exc.reason, str(exc)),
+                            encode_payload(
+                                error_payload(exc.status, exc.reason, str(exc))
+                            ),
                             keep_alive=False,
                         )
                     )
@@ -670,7 +672,9 @@ class ShardSupervisor:
                     status, payload = await self._admin_response(head.path)
                 keep_alive = head.keep_alive and not self._draining
                 writer.write(
-                    render_response(status, payload, keep_alive=keep_alive)
+                    render_response(
+                        status, encode_payload(payload), keep_alive=keep_alive
+                    )
                 )
                 await writer.drain()
                 if not keep_alive:

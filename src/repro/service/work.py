@@ -2,10 +2,12 @@
 
 Every function here is a deterministic, module-level (hence picklable)
 function of its request dataclass, returning plain JSON-serializable
-primitives.  The same functions run inline (``workers=0``), inside a
-coalesced batch on the event loop, or in a ``ProcessPoolExecutor`` worker —
-which is what makes pooled and inline responses bit-identical by
-construction.
+primitives or their encoded bytes.  The same functions run inline
+(``workers=0``), inside a coalesced batch on the event loop, or in a
+``ProcessPoolExecutor`` worker — which is what makes pooled and inline
+responses bit-identical by construction.  The sweep endpoints' pooled
+functions (``*_body`` for a buffered response, ``*_lines`` for one streamed
+segment) encode in the worker, so the event loop only frames bytes.
 
 Worker processes memoize one :class:`EnergyModel` / system object per
 ``e_bar_b`` convention (module-level dict, rebuilt per process after fork),
@@ -25,6 +27,7 @@ from repro.core.underlay import UnderlayEnergyResult, UnderlaySystem
 from repro.channel.multipath import MultipathEnvironment
 from repro.energy.ebar import solve_ebar
 from repro.energy.model import EnergyModel
+from repro.service.httpio import encode_payload
 from repro.service.schemas import (
     EbarRequest,
     EnvironmentSpec,
@@ -37,6 +40,10 @@ __all__ = [
     "ebar_exact",
     "overlay_rows",
     "underlay_rows",
+    "overlay_body",
+    "underlay_body",
+    "overlay_lines",
+    "underlay_lines",
     "interweave_delta",
     "interweave_amplitudes",
     "overlay_row_dict",
@@ -184,6 +191,28 @@ def underlay_rows(request: UnderlayRequest) -> List[Row]:
         _underlay_row(a.mt, a.mr, b, a.d, distance, total_pa, peak_pa)
         for b, distance, total_pa, peak_pa in zip(*(column.tolist() for column in columns))
     ]
+
+
+def overlay_body(request: OverlayRequest) -> bytes:
+    """The buffered ``/v1/overlay/feasible`` body, encoded in one call."""
+    rows = overlay_rows(request)
+    return encode_payload({"rows": rows, "count": len(rows)})
+
+
+def underlay_body(request: UnderlayRequest) -> bytes:
+    """The buffered ``/v1/underlay/energy`` body, encoded in one call."""
+    rows = underlay_rows(request)
+    return encode_payload({"rows": rows, "count": len(rows)})
+
+
+def overlay_lines(request: OverlayRequest) -> List[bytes]:
+    """One streamed overlay segment: each row's NDJSON line, no newline."""
+    return [encode_payload(row) for row in overlay_rows(request)]
+
+
+def underlay_lines(request: UnderlayRequest) -> List[bytes]:
+    """One streamed underlay segment: each row's NDJSON line, no newline."""
+    return [encode_payload(row) for row in underlay_rows(request)]
 
 
 # --------------------------------------------------------------------- #

@@ -98,14 +98,6 @@ class TestSummaries:
         assert call(fn, "flush").deferred
         assert call(fn, "solve").deferred
 
-    def test_np_load_keywords_captured(self):
-        summary = summarize(
-            "def f(path):\n"
-            "    return np.load(path, mmap_mode='r')\n",
-            "src/pkg/a.py",
-        )
-        assert "mmap_mode" in call(summary.functions[0], "np.load").keywords
-
     def test_first_arg_none_flag(self):
         summary = summarize(
             "def f():\n"

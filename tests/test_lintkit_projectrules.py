@@ -347,6 +347,8 @@ class TestRP204:
             "def f(w, s):\n    w.write(render_response(500, {'error': 'boom'}))\n",
             "def f(w, exc):\n"
             "    w.write(render_response(exc.status, {'error': exc.reason}))\n",
+            # Encoding a hand-rolled body does not make it audited.
+            "def f():\n    return 404, encode_payload({'error': 'not found'})\n",
         ],
     )
     def test_fires(self, snippet):
@@ -359,6 +361,8 @@ class TestRP204:
             "def f():\n    return 404, error_payload(404, 'not found', 'x')\n",
             "def f(w, s):\n"
             "    w.write(render_response(500, error_payload(500, 'boom', 'y')))\n",
+            "def f():\n"
+            "    return 404, encode_payload(error_payload(404, 'not found', 'x'))\n",
             # 2xx payloads are not error bodies.
             "def f():\n    return 200, {'ok': True}\n",
             # A tuple of status codes, not (status, payload).

@@ -200,7 +200,7 @@ class TestMixedCoalescedBatch:
         before = service.metrics.snapshot()["coalesce"]["batches"]
         answers = asyncio.run(main())
         assert service.metrics.snapshot()["coalesce"]["batches"] - before == 1
-        return answers
+        return [(status, json.loads(blob)) for status, blob in answers]
 
     def test_overlay(self, service):
         bodies = [

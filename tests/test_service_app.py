@@ -21,7 +21,8 @@ def service():
 
 def call(service, method, path, body=None):
     blob = b"" if body is None else json.dumps(body).encode()
-    return asyncio.run(service.handle(method, path, blob))
+    status, answer = asyncio.run(service.handle(method, path, blob))
+    return status, json.loads(answer)
 
 
 class TestRouting:
@@ -45,11 +46,11 @@ class TestRouting:
         assert status == 405
 
     def test_malformed_json_is_400(self, service):
-        status, payload = asyncio.run(
+        status, answer = asyncio.run(
             service.handle("POST", "/v1/ebar", b"{not json")
         )
         assert status == 400
-        assert "JSON" in str(payload["detail"])
+        assert "JSON" in str(json.loads(answer)["detail"])
 
     def test_empty_body_is_400(self, service):
         status, _ = call(service, "POST", "/v1/ebar")
@@ -345,7 +346,7 @@ class TestDeadline:
             svc.close()
         assert buffered[0] == 504
         assert streamed == buffered
-        assert "100 ms" in str(streamed[1]["detail"])
+        assert "100 ms" in str(json.loads(streamed[1])["detail"])
         assert svc.metrics.snapshot()["deadline_timeouts"] == 2
 
     def test_fast_request_beats_the_deadline(self):

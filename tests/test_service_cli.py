@@ -55,9 +55,10 @@ class TestArgumentMapping:
 
 
 class TestSubprocess:
-    def test_boot_announce_query_and_graceful_sigterm(self):
+    def test_boot_announce_query_and_graceful_sigterm(self, tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        env["REPRO_CACHE_DIR"] = str(tmp_path)  # the daemon caches by default
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.service",
@@ -86,6 +87,54 @@ class TestSubprocess:
 
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+
+    def test_sigterm_with_an_idle_keep_alive_connection_is_quiet(self, tmp_path):
+        """A client holding its connection open across SIGTERM must not make
+        the drain print an asyncio traceback: a connection task still parked
+        in read_request when the loop stops is cancelled there, and asyncio
+        logs that cancellation from the stream protocol's callback."""
+        import http.client
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        env["REPRO_CACHE_DIR"] = str(tmp_path)
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.service",
+                "--port", "0", "--workers", "0", "--seed", "1",
+                "--no-request-log",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=REPO_ROOT,
+            env=env,
+        )
+        try:
+            announced = json.loads(proc.stdout.readline())
+            conn = http.client.HTTPConnection(
+                announced["host"], announced["port"], timeout=60.0
+            )
+            conn.request(
+                "POST",
+                "/v1/ebar",
+                body=json.dumps({"p": 1e-3, "b": 2, "mt": 2, "mr": 2}),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()  # the connection stays open and idle
+
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=30)
+            conn.close()
+            assert proc.returncode == 0
+            assert "Traceback" not in stderr
+            assert "CancelledError" not in stderr
         finally:
             if proc.poll() is None:
                 proc.kill()

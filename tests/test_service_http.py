@@ -9,6 +9,7 @@ from repro.service.errors import BadRequestError, PayloadTooLargeError
 from repro.service.httpio import (
     MAX_BODY_BYTES,
     RequestHead,
+    encode_payload,
     read_request,
     render_response,
 )
@@ -80,7 +81,7 @@ class TestReadRequest:
 
 class TestRenderResponse:
     def test_renders_parsable_json_with_framing(self):
-        raw = render_response(200, {"a": 1}, keep_alive=True)
+        raw = render_response(200, encode_payload({"a": 1}), keep_alive=True)
         head, _, body = raw.partition(b"\r\n\r\n")
         lines = head.decode().split("\r\n")
         assert lines[0] == "HTTP/1.1 200 OK"
@@ -90,18 +91,18 @@ class TestRenderResponse:
         assert json.loads(body) == {"a": 1}
 
     def test_close_and_reason_phrases(self):
-        raw = render_response(429, {"error": "too many"}, keep_alive=False)
+        raw = render_response(429, encode_payload({"error": "too many"}), keep_alive=False)
         assert raw.startswith(b"HTTP/1.1 429 Too Many Requests\r\n")
         assert b"Connection: close\r\n" in raw
 
     def test_gateway_timeout_reason_phrase(self):
-        raw = render_response(504, {"error": "Gateway Timeout"})
+        raw = render_response(504, encode_payload({"error": "Gateway Timeout"}))
         assert raw.startswith(b"HTTP/1.1 504 Gateway Timeout\r\n")
 
     def test_extra_headers_are_emitted(self):
         raw = render_response(
             429,
-            {"error": "too many"},
+            encode_payload({"error": "too many"}),
             keep_alive=False,
             extra_headers={"Retry-After": "2"},
         )
@@ -110,5 +111,5 @@ class TestRenderResponse:
         assert json.loads(body) == {"error": "too many"}
 
     def test_no_extra_headers_by_default(self):
-        raw = render_response(429, {"error": "too many"})
+        raw = render_response(429, encode_payload({"error": "too many"}))
         assert b"Retry-After" not in raw

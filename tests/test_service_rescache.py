@@ -92,8 +92,8 @@ class TestResultCacheUnit:
         cache = ResultCache(tmp_path)
         digest = canonical_digest("/v1/ebar", {"p": 0.001})
         assert cache.get(digest) is None
-        assert cache.put(digest, {"e_bar": 1.5, "b": 2}) is True
-        assert cache.get(digest) == {"e_bar": 1.5, "b": 2}
+        assert cache.put(digest, b'{"b": 2, "e_bar": 1.5}') is True
+        assert cache.get(digest) == b'{"b": 2, "e_bar": 1.5}'
         (entry,) = tmp_path.rglob("*.json")
         assert entry.parent.parent.name == f"results-v{RESULT_CACHE_VERSION}"
         assert entry.parent.name == digest[:2]
@@ -102,9 +102,45 @@ class TestResultCacheUnit:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         digest = canonical_digest("/v1/ebar", {"p": 0.001})
-        cache.put(digest, {"e_bar": 1.5})
+        cache.put(digest, b'{"e_bar": 1.5}')
         (entry,) = tmp_path.rglob("*.json")
         entry.write_text("not json {")
+        assert cache.get(digest) is None
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda blob: blob[:-3], id="truncated-body"),
+            pytest.param(
+                lambda blob: blob[:-2] + bytes([blob[-2] ^ 0x01]) + blob[-1:],
+                id="flipped-body-byte",
+            ),
+            pytest.param(
+                lambda blob: blob.replace(
+                    b'"v":%d' % RESULT_CACHE_VERSION,
+                    b'"v":%d' % (RESULT_CACHE_VERSION - 1),
+                ),
+                id="wrong-version",
+            ),
+            pytest.param(lambda blob: blob.partition(b"\n")[0], id="header-no-body"),
+            pytest.param(
+                lambda blob: blob.partition(b"\n")[0] + b"\n", id="header-empty-body"
+            ),
+            pytest.param(lambda blob: b"", id="empty-file"),
+            pytest.param(lambda blob: b"not json {", id="not-json"),
+        ],
+    )
+    def test_damaged_entry_is_a_miss(self, tmp_path, damage):
+        cache = ResultCache(tmp_path)
+        digest = canonical_digest("/v1/ebar", {"p": 0.001})
+        body = b'{"b": 2, "e_bar": 1.5, "p": 0.001}'
+        cache.put(digest, body)
+        (entry,) = tmp_path.rglob("*.json")
+        blob = entry.read_bytes()
+        assert blob.endswith(b"\n" + body)
+        assert cache.get(digest) == body
+        entry.write_bytes(damage(blob))
+        assert entry.read_bytes() != blob
         assert cache.get(digest) is None
 
     def test_repro_no_cache_disables_everything(self, tmp_path, monkeypatch):
@@ -112,7 +148,7 @@ class TestResultCacheUnit:
         cache = ResultCache(tmp_path)
         digest = canonical_digest("/v1/ebar", {"p": 0.001})
         assert cache.enabled is False
-        assert cache.put(digest, {"e_bar": 1.5}) is False
+        assert cache.put(digest, b'{"e_bar": 1.5}') is False
         assert cache.get(digest) is None
         assert not list(tmp_path.rglob("*.json"))
 

@@ -104,14 +104,14 @@ class TestMidStreamBackpressureRow:
 
             async def consume():
                 gen = service._stream_sweep(
-                    [{"distance": 1.0}], [(2.0,)], run, None
+                    [b'{"distance": 1.0}'], [(2.0,)], run, None
                 )
                 return [row async for row in gen]
 
             rows = asyncio.run(consume())
         finally:
             service.close()
-        assert rows[0] == {"distance": 1.0}
+        assert rows[0] == [b'{"distance": 1.0}']
         tail = rows[-1]
         assert tail["row"] == "error"
         assert tail["status"] == 429
@@ -170,6 +170,40 @@ class TestTransportFaults:
             list(stream)
         assert excinfo.value.status == 599
         assert "truncat" in str(excinfo.value)
+
+    def test_truncation_cuts_mid_chunk_after_exactly_n_rows_across_segments(self):
+        """A cut that lands inside a later sweep segment keeps exactly the
+        first N complete row chunks, then half of the next one."""
+        import socket
+
+        body = json.dumps(dict(UNDERLAY_BODY, distance=[30.0 + i for i in range(7)]))
+        raw_request = (
+            "POST /v1/underlay/energy HTTP/1.1\r\nAccept: application/x-ndjson\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n{body}"
+        ).encode("latin-1")
+
+        def exchange(port):
+            with socket.create_connection(("127.0.0.1", port), timeout=30.0) as sock:
+                sock.sendall(raw_request)
+                parts = []
+                while True:
+                    data = sock.recv(65536)
+                    if not data:
+                        return b"".join(parts)
+                    parts.append(data)
+
+        config = ServiceConfig(
+            port=0, workers=0, request_log=False, stream_segment_points=3
+        )
+        with ThreadedServer(config) as srv:
+            whole = exchange(srv.port)
+            srv.service.faults.arm_truncate_stream(1, after_rows=4)
+            cut = exchange(srv.port)
+        head, _, chunks = whole.partition(b"\r\n\r\n")
+        frames = chunks.split(b"\r\n")  # size, line, size, line, ..., "0", "", ""
+        rows = [frames[i] + b"\r\n" + frames[i + 1] + b"\r\n" for i in range(0, 14, 2)]
+        fifth = rows[4]
+        assert cut == head + b"\r\n\r\n" + b"".join(rows[:4]) + fifth[: len(fifth) // 2]
 
     def test_dropped_connection_raises_599(self, server):
         server.service.faults.arm_drop_client(
