@@ -221,7 +221,7 @@ def server_metrics_summary(metrics):
         shards = metrics["shards"]
         summary["shards"] = {
             k: shards[k]
-            for k in ("count", "alive", "restarts", "degraded", "mode")
+            for k in ("count", "alive", "restarts", "degraded")
         }
     return summary
 

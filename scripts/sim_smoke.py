@@ -6,7 +6,8 @@ port, streams a ~200-node scenario (mobility, battery drain, churn) over
 NDJSON twice with the same seed, and asserts the two streams are
 bit-identical — including the summary row's digest, which itself commits
 to every snapshot.  Also cross-checks the buffered ``/v1/simulate`` path
-returns the same rows, then SIGTERMs the server and expects exit 0.
+returns the same rows, then SIGTERMs the server and expects exit 0 with
+no ``Traceback`` in the server's stderr.
 
 Usage:  PYTHONPATH=src python scripts/sim_smoke.py [--nodes N]
 """
@@ -18,6 +19,8 @@ import pathlib
 import signal
 import subprocess
 import sys
+import tempfile
+from typing import Dict
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -48,68 +51,79 @@ def main() -> int:
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.service",
-            "--port",
-            "0",
-            "--workers",
-            "1",
-            "--no-result-cache",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-        cwd=REPO_ROOT,
-        env=env,
-    )
-    try:
-        assert proc.stdout is not None
-        announced = json.loads(proc.stdout.readline())
-        assert announced["event"] == "listening", announced
-        client = ServiceClient(announced["host"], announced["port"], timeout_s=600.0)
-
-        first = list(client.simulate_stream(scenario))
-        second = list(client.simulate_stream(scenario))
-        assert first == second, "same-seed streams differ"
-        summary = first[-1]
-        assert summary["row"] == "summary", summary
-        assert summary["digest"] == second[-1]["digest"]
-        if args.nodes == 200:
-            assert summary["digest"] == GOLDEN_DIGEST, summary["digest"]
-        snapshots = [r for r in first if r.get("row") == "snapshot"]
-        assert len(snapshots) == 8, len(snapshots)
-        assert summary["delivered"] > 0, summary
-        assert summary["joins"] > 0 and summary["leaves"] > 0, summary
-
-        buffered = client.simulate(scenario)
-        assert buffered["rows"] == first[:-1], "buffered rows diverge"
-        assert buffered["summary"] == summary, "buffered summary diverges"
-
-        print(
-            json.dumps(
-                {
-                    "event": "sim_smoke_ok",
-                    "nodes": args.nodes,
-                    "snapshots": len(snapshots),
-                    "events_processed": summary["events_processed"],
-                    "delivery_ratio": summary["delivery_ratio"],
-                    "digest": summary["digest"],
-                },
-                sort_keys=True,
+    with tempfile.TemporaryDirectory(prefix="sim-smoke-") as scratch:
+        log_path = pathlib.Path(scratch) / "server.log"
+        with open(log_path, "w") as log:
+            proc = subprocess.Popen(
+                [
+                    sys.executable,
+                    "-m",
+                    "repro.service",
+                    "--port",
+                    "0",
+                    "--workers",
+                    "1",
+                    "--no-result-cache",
+                ],
+                stdout=subprocess.PIPE,
+                stderr=log,
+                text=True,
+                cwd=REPO_ROOT,
+                env=env,
             )
-        )
+        try:
+            ok = check_server(proc, scenario, args.nodes)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10.0)
+        stderr = log_path.read_text()
+        assert "Traceback" not in stderr, stderr
+    print(json.dumps(ok, sort_keys=True))
+    return 0
 
-        proc.send_signal(signal.SIGTERM)
-        code = proc.wait(timeout=30.0)
-        assert code == 0, f"server exited {code}"
-        return 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10.0)
+
+def check_server(
+    proc: "subprocess.Popen[str]", scenario: Dict[str, object], nodes: int
+) -> Dict[str, object]:
+    """Stream twice, cross-check the buffered run, then SIGTERM for exit 0.
+
+    Returns the ``sim_smoke_ok`` event, printed once the server's stderr
+    has been checked too.
+    """
+    assert proc.stdout is not None
+    announced = json.loads(proc.stdout.readline())
+    assert announced["event"] == "listening", announced
+    client = ServiceClient(announced["host"], announced["port"], timeout_s=600.0)
+
+    first = list(client.simulate_stream(scenario))
+    second = list(client.simulate_stream(scenario))
+    assert first == second, "same-seed streams differ"
+    summary = first[-1]
+    assert summary["row"] == "summary", summary
+    assert summary["digest"] == second[-1]["digest"]
+    if nodes == 200:
+        assert summary["digest"] == GOLDEN_DIGEST, summary["digest"]
+    snapshots = [r for r in first if r.get("row") == "snapshot"]
+    assert len(snapshots) == 8, len(snapshots)
+    assert summary["delivered"] > 0, summary
+    assert summary["joins"] > 0 and summary["leaves"] > 0, summary
+
+    buffered = client.simulate(scenario)
+    assert buffered["rows"] == first[:-1], "buffered rows diverge"
+    assert buffered["summary"] == summary, "buffered summary diverges"
+
+    proc.send_signal(signal.SIGTERM)
+    code = proc.wait(timeout=30.0)
+    assert code == 0, f"server exited {code}"
+    return {
+        "event": "sim_smoke_ok",
+        "nodes": nodes,
+        "snapshots": len(snapshots),
+        "events_processed": summary["events_processed"],
+        "delivery_ratio": summary["delivery_ratio"],
+        "digest": summary["digest"],
+    }
 
 
 if __name__ == "__main__":

@@ -121,7 +121,9 @@ def solve_ebar(
     ------
     ValueError
         If ``p`` is not attainable below the modulation's zero-SNR BER
-        ceiling ``a/2`` (e.g. asking 16-QAM for BER 0.45).
+        ceiling ``a/2`` (e.g. asking 16-QAM for BER 0.45), or if no
+        ``e_bar_b`` in the widened search bracket reaches ``p`` (e.g. a
+        ``b=1000`` constellation at BER 1e-3).
     """
     p = check_probability(p, "p")
     a, _ = mqam_ber_coefficients(b)
@@ -142,7 +144,7 @@ def solve_ebar(
     while objective(hi) > 0.0 and hi < 10.0:
         hi += 5.0
     if objective(lo) < 0.0 or objective(hi) > 0.0:
-        raise RuntimeError("failed to bracket the e_bar_b root")
+        raise ValueError("failed to bracket the e_bar_b root")
     root = optimize.brentq(objective, lo, hi, xtol=xtol)
     return float(10.0**root)
 

@@ -32,6 +32,8 @@ from repro.utils.validation import (
     check_non_negative_int,
     check_positive,
     check_positive_int,
+    coerce_field,
+    parse_fields,
 )
 
 __all__ = [
@@ -280,43 +282,18 @@ _SPEC_SCALAR_FIELDS: Dict[str, type] = {
 }
 
 
-def _coerce(value: Any, kind: type, name: str) -> Any:
-    if kind is str:
-        if not isinstance(value, str):
-            raise ValueError(f"{name} must be a string")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number")
-    if kind is int:
-        if float(value) != int(value):
-            raise ValueError(f"{name} must be an integer")
-        return int(value)
-    return float(value)
-
-
-def _parse_fields(
-    data: Mapping[str, Any], fields: Mapping[str, type], what: str
-) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    for key, value in data.items():
-        if key not in fields:
-            raise ValueError(f"unknown {what} field: {key!r}")
-        out[key] = _coerce(value, fields[key], key)
-    return out
-
-
 def _parse_mix(value: Any, index: int) -> EndpointMix:
     if not isinstance(value, Mapping):
         raise ValueError(f"mix[{index}] must be an object")
     kwargs: Dict[str, Any] = {}
     for key, item in value.items():
         if key in _MIX_SCALAR_FIELDS:
-            kwargs[key] = _coerce(item, _MIX_SCALAR_FIELDS[key], key)
+            kwargs[key] = coerce_field(item, _MIX_SCALAR_FIELDS[key], key)
         elif key == "arrival":
             if not isinstance(item, Mapping):
                 raise ValueError(f"mix[{index}].arrival must be an object")
             kwargs[key] = ArrivalSpec(
-                **_parse_fields(item, _ARRIVAL_FIELDS, f"mix[{index}].arrival")
+                **parse_fields(item, _ARRIVAL_FIELDS, f"mix[{index}].arrival")
             )
         else:
             raise ValueError(f"unknown mix[{index}] field: {key!r}")
@@ -329,7 +306,7 @@ def _parse_client(value: Any) -> ClientPolicy:
     kwargs: Dict[str, Any] = {}
     for key, item in value.items():
         if key in _CLIENT_FIELDS:
-            kwargs[key] = _coerce(item, _CLIENT_FIELDS[key], key)
+            kwargs[key] = coerce_field(item, _CLIENT_FIELDS[key], key)
         elif key == "retry_on":
             if not isinstance(item, (list, tuple)) or not all(
                 isinstance(s, int) and not isinstance(s, bool) for s in item
@@ -347,7 +324,7 @@ def _parse_fault(value: Any, index: int) -> FaultEvent:
     kwargs: Dict[str, Any] = {}
     for key, item in value.items():
         if key in _FAULT_FIELDS:
-            kwargs[key] = _coerce(item, _FAULT_FIELDS[key], key)
+            kwargs[key] = coerce_field(item, _FAULT_FIELDS[key], key)
         elif key == "path":
             if item is not None and not isinstance(item, str):
                 raise ValueError(f"faults[{index}].path must be a string")
@@ -368,7 +345,7 @@ def traffic_from_mapping(data: Mapping[str, Any]) -> TrafficSpec:
     kwargs: Dict[str, Any] = {}
     for key, value in data.items():
         if key in _SPEC_SCALAR_FIELDS:
-            kwargs[key] = _coerce(value, _SPEC_SCALAR_FIELDS[key], key)
+            kwargs[key] = coerce_field(value, _SPEC_SCALAR_FIELDS[key], key)
         elif key == "mix":
             if not isinstance(value, (list, tuple)):
                 raise ValueError("mix must be a list of endpoint objects")

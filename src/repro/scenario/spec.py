@@ -26,6 +26,8 @@ from repro.utils.validation import (
     check_positive,
     check_positive_int,
     check_probability,
+    coerce_field,
+    parse_fields,
 )
 
 __all__ = [
@@ -201,31 +203,6 @@ _CHURN_FIELDS: Dict[str, type] = {
 }
 
 
-def _coerce(value: Any, kind: type, name: str) -> Any:
-    if kind is str:
-        if not isinstance(value, str):
-            raise ValueError(f"{name} must be a string")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number")
-    if kind is int:
-        if float(value) != int(value):
-            raise ValueError(f"{name} must be an integer")
-        return int(value)
-    return float(value)
-
-
-def _parse_fields(
-    data: Mapping[str, Any], fields: Mapping[str, type], what: str
-) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    for key, value in data.items():
-        if key not in fields:
-            raise ValueError(f"unknown {what} field: {key!r}")
-        out[key] = _coerce(value, fields[key], key)
-    return out
-
-
 def scenario_from_mapping(data: Mapping[str, Any]) -> ScenarioSpec:
     """Build a :class:`ScenarioSpec` from a plain JSON-style mapping.
 
@@ -238,7 +215,7 @@ def scenario_from_mapping(data: Mapping[str, Any]) -> ScenarioSpec:
     kwargs: Dict[str, Any] = {}
     for key, value in data.items():
         if key in _SCALAR_FIELDS:
-            kwargs[key] = _coerce(value, _SCALAR_FIELDS[key], key)
+            kwargs[key] = coerce_field(value, _SCALAR_FIELDS[key], key)
         elif key == "arena_m":
             kwargs[key] = _require_pair(value, "arena_m")
         elif key == "speed_range_mps":
@@ -251,13 +228,13 @@ def scenario_from_mapping(data: Mapping[str, Any]) -> ScenarioSpec:
                 if not isinstance(item, Mapping):
                     raise ValueError(f"traffic[{i}] must be an object")
                 classes.append(
-                    TrafficClass(**_parse_fields(item, _TRAFFIC_FIELDS, f"traffic[{i}]"))
+                    TrafficClass(**parse_fields(item, _TRAFFIC_FIELDS, f"traffic[{i}]"))
                 )
             kwargs[key] = tuple(classes)
         elif key == "churn":
             if not isinstance(value, Mapping):
                 raise ValueError("churn must be an object")
-            kwargs[key] = ChurnSpec(**_parse_fields(value, _CHURN_FIELDS, "churn"))
+            kwargs[key] = ChurnSpec(**parse_fields(value, _CHURN_FIELDS, "churn"))
         else:
             raise ValueError(f"unknown scenario field: {key!r}")
     return ScenarioSpec(**kwargs)

@@ -16,7 +16,12 @@ Execution strategy per request:
   bit-identical to the scalar paths, so coalescing never changes a response.
 * **sweep** requests (vector axes) and exact ``e_bar_b`` solves go to the
   bounded :class:`WorkerPool` — heavy work off the event loop, 429 when the
-  queue is full.
+  queue is full.  A sweep is one pool task whether it is streamed or not.
+* **simulations** run in a :class:`SimulationRunner` child process, one
+  per run, streamed or not — 429 beyond ``max_sims``.
+
+Streaming (``Accept: application/x-ndjson``) decides only the framing:
+a streamed response relays the same rows the buffered body carries.
 
 Error mapping: :class:`ServiceError` subclasses carry their own status;
 ``ValueError``/``TypeError`` from the library become 400 (the request named
@@ -75,11 +80,7 @@ from repro.service.schemas import (
     parse_overlay_request,
     parse_underlay_request,
 )
-from repro.service.simulate import (
-    SimulationRunner,
-    parse_simulate_request,
-    simulate_rows,
-)
+from repro.service.simulate import SimulationRunner, parse_simulate_request
 from repro.utils.rng import as_rng, spawn_seed_sequences
 
 __all__ = ["PlanningService", "RowStream", "ENDPOINTS", "STREAMABLE_ENDPOINTS"]
@@ -105,7 +106,7 @@ STREAMABLE_ENDPOINTS = frozenset(
 
 Payload = Dict[str, object]
 Row = Dict[str, object]
-#: A sweep segment's NDJSON lines (no newlines), encoded where computed.
+#: A sweep's NDJSON lines (no newlines), encoded where computed.
 Lines = List[bytes]
 #: One item of a :class:`RowStream`: a row the transport encodes, or Lines.
 StreamItem = Union[Row, Lines]
@@ -456,15 +457,16 @@ class PlanningService:
     ) -> Union[Tuple[int, bytes], RowStream]:
         """Open one streaming request.  Never raises.
 
-        Returns a :class:`RowStream` once the request has validated and
-        its first unit of work is done — everything that can fail with a
-        clean HTTP status (parse errors, 429 backpressure, 404, a first
-        sweep segment past the per-request deadline's 504) fails *here*
-        and comes back as an ordinary ``(status, body)`` for a buffered
-        error response.  After a RowStream is returned the transport is
-        committed to a 200; mid-stream failures surface as a terminal
-        ``{"row": "error"}`` line followed by connection close without the
-        final chunk.
+        Returns a :class:`RowStream` once the request has validated and,
+        for a sweep, its one pool task is done — everything that can fail
+        with a clean HTTP status (parse errors, 429 backpressure, 404, a
+        sweep past the per-request deadline's 504) fails *here* and comes
+        back as an ordinary ``(status, body)`` for a buffered error
+        response, exactly as the buffered twin would answer.  After a
+        RowStream is returned the transport is committed to a 200; a
+        simulation that fails mid-run surfaces as a terminal ``{"row":
+        "error"}`` line followed by connection close without the final
+        chunk.
         """
         loop = asyncio.get_running_loop()
         started = loop.time()
@@ -490,8 +492,8 @@ class PlanningService:
             return RowStream(self._count_rows(rows), on_close=self.sims.release)
 
         # Sweep endpoints: serve straight from the persistent result cache
-        # when the identical body was answered before, else compute in
-        # pool-sized segments and flush each one as it lands.
+        # when the identical body was answered before, else run the same
+        # single pool task as the buffered twin and relay its lines.
         cache = self._result_cache
         digest: Optional[str] = None
         if cache is not None:
@@ -502,46 +504,18 @@ class PlanningService:
                 return RowStream(self._count_rows(self._stream_cached(cached)))
             self.metrics.result_cache_miss()
         if path == "/v1/overlay/feasible":
-            overlay = parse_overlay_request(data, self.config.max_sweep_points)
-            segments = self._segment_axis(overlay.d1)
-            run = self._overlay_segment_runner(overlay)
+            lines = await self.pool.submit(
+                work.overlay_lines,
+                parse_overlay_request(data, self.config.max_sweep_points),
+            )
         else:
-            underlay = parse_underlay_request(data, self.config.max_sweep_points)
-            segments = self._segment_axis(underlay.distances)
-            run = self._underlay_segment_runner(underlay)
-
-        # The first segment runs *before* committing to a 200, so
-        # backpressure (429), axis errors and the deadline (504) still get
-        # clean JSON replies.
-        first = await run(segments[0])
-        rows = self._stream_sweep(first, segments[1:], run, digest)
-        return RowStream(self._count_rows(rows))
-
-    def _segment_axis(
-        self, axis: Tuple[float, ...]
-    ) -> List[Tuple[float, ...]]:
-        size = self.config.stream_segment_points
-        return [axis[i : i + size] for i in range(0, len(axis), size)]
-
-    def _overlay_segment_runner(
-        self, request: OverlayRequest
-    ) -> Callable[[Tuple[float, ...]], Awaitable[Lines]]:
-        def run(axis: Tuple[float, ...]) -> Awaitable[Lines]:
-            return self.pool.submit(
-                work.overlay_lines, replace(request, d1=axis, scalar=False)
+            lines = await self.pool.submit(
+                work.underlay_lines,
+                parse_underlay_request(data, self.config.max_sweep_points),
             )
-
-        return run
-
-    def _underlay_segment_runner(
-        self, request: UnderlayRequest
-    ) -> Callable[[Tuple[float, ...]], Awaitable[Lines]]:
-        def run(axis: Tuple[float, ...]) -> Awaitable[Lines]:
-            return self.pool.submit(
-                work.underlay_lines, replace(request, distances=axis, scalar=False)
-            )
-
-        return run
+        if digest is not None:
+            self._cache_writes.append((digest, sweep_body(lines)))
+        return RowStream(self._count_rows(self._stream_lines(lines)))
 
     async def _stream_cached(self, cached: bytes) -> AsyncIterator[StreamItem]:
         """Replay a cached sweep body as the identical NDJSON stream."""
@@ -550,50 +524,10 @@ class PlanningService:
             yield row
         yield {"done": True, "count": len(rows)}
 
-    async def _stream_sweep(
-        self,
-        first: Lines,
-        remaining: List[Tuple[float, ...]],
-        run: Callable[[Tuple[float, ...]], Awaitable[Lines]],
-        digest: Optional[str],
-    ) -> AsyncIterator[StreamItem]:
-        """Relay sweep segments; cache the assembled body on success.
-
-        Each segment runs under the per-request deadline (the streaming
-        analogue of the buffered path's whole-request deadline); a
-        deadline hit or mid-stream backpressure becomes a terminal error
-        row.  The full-response cache entry is written only after every
-        segment succeeded, and is the buffered endpoint's body byte for
-        byte — so streamed and buffered requests share hits.
-        """
-        all_lines: Lines = list(first)
-        yield first
-        timeout_s = self.config.request_timeout_s
-        for segment in remaining:
-            try:
-                if timeout_s is None:
-                    lines = await run(segment)
-                else:
-                    lines = await asyncio.wait_for(run(segment), timeout_s)
-            except asyncio.TimeoutError:
-                self.metrics.deadline_timeout()
-                yield self._error_row(
-                    504,
-                    "stream failed",
-                    f"sweep segment exceeded the {timeout_s:g} s deadline",
-                )
-                return
-            except ServiceError as exc:
-                yield self._error_row(exc.status, exc.reason, str(exc))
-                return
-            except (ValueError, KeyError) as exc:
-                yield self._error_row(400, "bad request", str(exc))
-                return
-            all_lines.extend(lines)
-            yield lines
-        if digest is not None:
-            self._cache_writes.append((digest, sweep_body(all_lines)))
-        yield {"done": True, "count": len(all_lines)}
+    async def _stream_lines(self, lines: Lines) -> AsyncIterator[StreamItem]:
+        """A computed sweep's lines, then its ``done`` row."""
+        yield lines
+        yield {"done": True, "count": len(lines)}
 
     async def _count_rows(
         self, rows: AsyncIterator[StreamItem]
@@ -604,14 +538,15 @@ class PlanningService:
             yield item
 
     async def _handle_simulate_buffered(self, data: object) -> bytes:
-        """`/v1/simulate` without streaming: the whole run, pool-backed.
+        """`/v1/simulate` without streaming: the streamed run, collected.
 
-        The rows are produced by the same pure function of the spec the
-        child process runs, so buffered and streamed responses carry
-        identical snapshots, summary and digest for the same body.
+        The rows come from the same gated child process a stream relays
+        (see :meth:`SimulationRunner.collect`), so buffered and streamed
+        responses carry identical snapshots, summary and digest for the
+        same body, and a cancelled run frees its child at once.
         """
         spec = parse_simulate_request(data, self.config.max_sim_nodes)
-        rows = await self.pool.submit(simulate_rows, spec)
+        rows = await self.sims.collect(spec, self.config.sim_stall_timeout_s)
         return encode_payload(
             {"rows": rows[:-1], "summary": rows[-1], "count": len(rows) - 1}
         )
@@ -628,20 +563,6 @@ class PlanningService:
             self.config.retry_after_s if status in (429, 503) else None
         )
         return error_payload(status, reason, detail, retry_after_s=retry_after_s)
-
-    def _error_row(self, status: int, error: str, detail: str) -> Row:
-        """A terminal mid-stream error line carrying its own status code.
-
-        Streamed requests are committed to HTTP 200 before the failure
-        happens, so the status that *would* have been sent rides inside
-        the row — with the same in-body ``retry_after_s`` hint as a
-        buffered 429/503 — and clients can map stream failures exactly
-        like buffered ones.
-        """
-        row: Row = {"row": "error", "error": error, "detail": detail, "status": status}
-        if status in (429, 503):
-            row["retry_after_s"] = self.config.retry_after_s
-        return row
 
     @staticmethod
     def _parse_json(body: bytes) -> object:

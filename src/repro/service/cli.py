@@ -9,8 +9,7 @@ Usage::
                   [--max-shard-restarts N] [--retry-after-s S]
                   [--drain-timeout-s S] [--admin-port P]
                   [--max-sims N] [--max-sim-nodes N]
-                  [--stream-segment-points N] [--sim-stall-timeout-ms MS]
-                  [--chaos-admin]
+                  [--sim-stall-timeout-ms MS] [--chaos-admin]
                   [--no-result-cache] [--result-cache-dir DIR]
                   [--no-request-log] [--quiet]
 
@@ -21,12 +20,12 @@ JSON line per request to stderr, and drains gracefully on SIGTERM/SIGINT
 
 ``--shards 2`` (or more, or ``auto`` = one per available CPU) runs the
 :class:`repro.service.shard.ShardSupervisor` instead of a single server:
-N server processes share the port via ``SO_REUSEPORT`` (or an inherited
-listener where unsupported), crashed shards are replaced from a restart
-budget, and the supervisor's announced ``admin_port`` serves aggregated
-``/healthz`` and ``/metrics``.  ``auto`` counts *available* CPUs (cgroup /
-affinity aware) through :func:`repro.utils.sysinfo.available_cpu_count` —
-never raw ``os.cpu_count()``.
+N server processes share the port via ``SO_REUSEPORT``, crashed shards
+are replaced from a restart budget, and the supervisor's announced
+``admin_port`` serves aggregated ``/healthz`` and ``/metrics``.  ``auto``
+counts *available* CPUs (cgroup / affinity aware) through
+:func:`repro.utils.sysinfo.available_cpu_count` — never raw
+``os.cpu_count()``.
 """
 
 from __future__ import annotations
@@ -166,13 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bind with SO_REUSEPORT so sibling processes can share the port",
     )
     parser.add_argument(
-        "--listen-fd",
-        type=int,
-        default=None,
-        help="adopt an inherited listening socket on this file descriptor "
-        "(shard-supervisor fallback; overrides --host/--port binding)",
-    )
-    parser.add_argument(
         "--shard-index",
         type=int,
         default=None,
@@ -182,7 +174,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-sims",
         type=int,
         default=2,
-        help="concurrently streaming /v1/simulate runs before requests get 429",
+        help="concurrently running /v1/simulate requests, streamed or "
+        "buffered, before requests get 429",
     )
     parser.add_argument(
         "--max-sim-nodes",
@@ -191,18 +184,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-request cap on a scenario's starting node count",
     )
     parser.add_argument(
-        "--stream-segment-points",
-        type=int,
-        default=512,
-        help="axis points per pool task when streaming sweep rows as NDJSON",
-    )
-    parser.add_argument(
         "--sim-stall-timeout-ms",
         type=float,
         default=10000.0,
-        help="per-row stall deadline for streamed /v1/simulate; a child "
-        "producing no row for this long is killed and the stream ends "
-        "with a terminal error row (0 disables)",
+        help="per-row stall deadline for /v1/simulate; a child producing "
+        "no row for this long is killed and the run ends 504 (a terminal "
+        "error row when streamed; 0 disables)",
     )
     parser.add_argument(
         "--chaos-admin",
@@ -254,14 +241,12 @@ def build_config(args: argparse.Namespace) -> ServiceConfig:
         max_pool_restarts=args.max_pool_restarts,
         retry_after_s=args.retry_after_s,
         reuse_port=args.reuse_port,
-        listen_fd=args.listen_fd,
         admin_port=args.admin_port,
         shard_index=args.shard_index,
         result_cache=args.result_cache,
         result_cache_dir=args.result_cache_dir,
         max_sims=args.max_sims,
         max_sim_nodes=args.max_sim_nodes,
-        stream_segment_points=args.stream_segment_points,
         sim_stall_timeout_ms=(
             None if args.sim_stall_timeout_ms == 0 else args.sim_stall_timeout_ms
         ),

@@ -485,9 +485,10 @@ class ServiceClient:
     ) -> Iterator[Payload]:
         """Streaming ``POST /v1/overlay/feasible``: one row dict per point.
 
-        Rows arrive as each server-side segment completes; the stream
-        ends with a ``{"done": true, "count": N}`` line.  Row values are
-        identical to the buffered :meth:`overlay_feasible` response.
+        The server computes the whole sweep, then sends one line per row;
+        the stream ends with a ``{"done": true, "count": N}`` line.  Row
+        values are identical to the buffered :meth:`overlay_feasible`
+        response.
         """
         body = _overlay_body(d1, m, bandwidth, p_direct, p_relay, convention)
         return self.request_stream("POST", "/v1/overlay/feasible", body)
@@ -522,9 +523,10 @@ class ServiceClient:
     ) -> Iterator[Payload]:
         """Streaming ``POST /v1/underlay/energy``: one row dict per point.
 
-        Rows arrive as each server-side segment completes; the stream
-        ends with a ``{"done": true, "count": N}`` line.  Row values are
-        identical to the buffered :meth:`underlay_energy` response.
+        The server computes the whole sweep, then sends one line per row;
+        the stream ends with a ``{"done": true, "count": N}`` line.  Row
+        values are identical to the buffered :meth:`underlay_energy`
+        response.
         """
         body = _underlay_body(p, mt, mr, d, distance, bandwidth, convention)
         return self.request_stream("POST", "/v1/underlay/energy", body)

@@ -75,13 +75,8 @@ class ServiceConfig:
     reuse_port:
         Bind the listening socket with ``SO_REUSEPORT`` so several server
         processes (shards) can share one port, with the kernel balancing
-        accepted connections across them.  Requires OS support.
-    listen_fd:
-        Adopt an already-listening socket inherited on this file
-        descriptor instead of binding one — the shard supervisor's
-        fallback on platforms without ``SO_REUSEPORT`` (children then
-        share the supervisor's accept queue).  Overrides host/port/
-        ``reuse_port`` for the main listener.
+        accepted connections across them.  The shard supervisor sets it
+        on every shard.
     admin_port:
         When not ``None``, additionally serve ``/healthz`` and
         ``/metrics`` (and everything else) on a private loopback listener
@@ -101,24 +96,19 @@ class ServiceConfig:
         Override the result-cache directory (default: the shared
         ``repro-comimo`` cache root).
     max_sims:
-        Concurrently *streaming* ``/v1/simulate`` runs (each is its own
-        child process); excess requests are rejected with HTTP 429.
-        Buffered simulate requests ride the worker pool instead and are
-        bounded by ``queue_limit``.
+        Concurrently running ``/v1/simulate`` requests, streamed or
+        buffered (each runs in its own child process); excess requests
+        are rejected with HTTP 429.
     max_sim_nodes:
         Per-request cap on a scenario's admission-time ``n_nodes``.
-    stream_segment_points:
-        Axis-segment size for NDJSON sweep streaming: a streamed
-        overlay/underlay sweep is computed in pool tasks of at most this
-        many points, with each segment's rows flushed to the client as
-        soon as it lands.
     sim_stall_timeout_ms:
-        Per-row stall deadline for streamed ``/v1/simulate``: when the
-        child process produces no row for this long, it is killed and the
-        stream ends with a terminal ``{"row": "error"}`` line — a stalled
-        simulation never turns into an indefinite client hang.
-        Independent of ``request_timeout_ms`` (which bounds buffered
-        requests); ``None`` disables the deadline.
+        Per-row stall deadline for ``/v1/simulate``: when the child
+        process produces no row for this long, it is killed and the run
+        ends 504 — as a terminal ``{"row": "error"}`` line when streamed,
+        as a buffered 504 otherwise — so a stalled simulation never turns
+        into an indefinite client hang.  Independent of
+        ``request_timeout_ms`` (which also bounds a buffered run, and a
+        stream until it commits); ``None`` disables the deadline.
     chaos_admin:
         Serve ``POST /chaos/faults``, which arms one fault event at
         runtime (see :mod:`repro.service.faults`), so a load generator can
@@ -145,14 +135,12 @@ class ServiceConfig:
     max_pool_restarts: int = 3
     retry_after_s: float = 1.0
     reuse_port: bool = False
-    listen_fd: Optional[int] = None
     admin_port: Optional[int] = None
     shard_index: Optional[int] = None
     result_cache: bool = False
     result_cache_dir: Optional[str] = None
     max_sims: int = 2
     max_sim_nodes: int = 5000
-    stream_segment_points: int = 512
     sim_stall_timeout_ms: Optional[float] = 10000.0
     chaos_admin: bool = False
 
@@ -175,15 +163,12 @@ class ServiceConfig:
             check_positive(self.request_timeout_ms, "request_timeout_ms")
         check_non_negative_int(self.max_pool_restarts, "max_pool_restarts")
         check_positive(self.retry_after_s, "retry_after_s")
-        if self.listen_fd is not None:
-            check_non_negative_int(self.listen_fd, "listen_fd")
         if self.admin_port is not None:
             check_in_range(self.admin_port, "admin_port", 0, 65535)
         if self.shard_index is not None:
             check_non_negative_int(self.shard_index, "shard_index")
         check_positive_int(self.max_sims, "max_sims")
         check_positive_int(self.max_sim_nodes, "max_sim_nodes")
-        check_positive_int(self.stream_segment_points, "stream_segment_points")
         if self.sim_stall_timeout_ms is not None:
             check_positive(self.sim_stall_timeout_ms, "sim_stall_timeout_ms")
 

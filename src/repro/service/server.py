@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import signal
-import socket
 import sys
 from typing import Callable, Dict, Optional
 
@@ -77,31 +76,19 @@ class ServiceServer:
     async def start(self) -> None:
         """Bind the listening socket(s) (``config.port`` 0 → ephemeral).
 
-        Three binding modes, in precedence order: adopt an inherited,
-        already-listening socket (``listen_fd`` — the shard supervisor's
-        fallback when ``SO_REUSEPORT`` is unavailable); bind with
-        ``SO_REUSEPORT`` so sibling shards share the port (``reuse_port``);
-        or a plain exclusive bind.  When ``admin_port`` is configured a
-        second, loopback-only listener serves the same request handler so
-        a supervisor can reach *this* process behind the kernel's
-        connection balancing.
+        With ``reuse_port`` the main listener binds with ``SO_REUSEPORT``
+        so sibling shards share the port; otherwise the bind is exclusive.
+        When ``admin_port`` is configured a second, loopback-only listener
+        serves the same request handler so a supervisor can reach *this*
+        process behind the kernel's connection balancing.
         """
         config = self.service.config
-        if config.listen_fd is not None:
-            # Adopts an already-bound inherited fd: wraps an existing kernel
-            # object without any network I/O, and runs once at startup
-            # before the server accepts traffic.
-            sock = socket.socket(fileno=config.listen_fd)  # lint: ignore[RP201]
-            self._server = await asyncio.start_server(
-                self._handle_connection, sock=sock
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection,
-                host=config.host,
-                port=config.port,
-                reuse_port=config.reuse_port,
-            )
+        self._server = await asyncio.start_server(
+            self._handle_connection,
+            host=config.host,
+            port=config.port,
+            reuse_port=config.reuse_port,
+        )
         if config.admin_port is not None:
             self._admin_server = await asyncio.start_server(
                 self._handle_connection, host="127.0.0.1", port=config.admin_port
@@ -247,8 +234,8 @@ class ServiceServer:
     ) -> None:
         """Ship one committed NDJSON stream as a chunked 200 response.
 
-        Every row goes out as its own chunk the moment it arrives; a sweep
-        segment's already-encoded lines go out in one write.  A terminal
+        Every row goes out as its own chunk the moment it arrives; a
+        sweep's already-encoded lines go out in one write.  A terminal
         ``{"row": "error"}`` line ends the stream *without* the final
         zero-length chunk, so clients can always distinguish a truncated
         stream from a complete one; streams that finish cleanly get

@@ -5,16 +5,11 @@ planning service up a multi-core host means scaling *out*: the supervisor
 spawns ``N`` independent server processes (shards) that all accept on the
 same port and lets the kernel balance connections across them.
 
-Two binding modes, picked automatically:
-
-* **SO_REUSEPORT** (Linux, modern BSDs): every shard binds the shared
-  ``(host, port)`` itself with ``SO_REUSEPORT``; the kernel hashes incoming
-  connections over the listening sockets.  The supervisor holds a bound
-  (never listening) placeholder socket so the port stays reserved across
-  shard restarts.
-* **Inherited listener** (fallback): the supervisor binds one listening
-  socket and passes its file descriptor to every shard
-  (``--listen-fd``); the shards share the single accept queue.
+Every shard binds the shared ``(host, port)`` itself with
+``SO_REUSEPORT`` (Linux, modern BSDs); the kernel hashes incoming
+connections over the listening sockets.  The supervisor holds a bound
+(never listening) placeholder socket so the port stays reserved across
+shard restarts.
 
 Supervision mirrors the worker-pool contract from
 :class:`repro.service.pool.WorkerPool`: a crashed shard is replaced from a
@@ -168,19 +163,14 @@ class ShardSupervisor:
         config: ServiceConfig,
         shards: int,
         max_shard_restarts: int = 3,
-        reuse_port: Optional[bool] = None,
     ) -> None:
         self.config = config
         self.shards = check_positive_int(shards, "shards")
         self._budget = RestartBudget(
             check_non_negative_int(max_shard_restarts, "max_shard_restarts")
         )
-        if reuse_port is None:
-            reuse_port = hasattr(socket, "SO_REUSEPORT")
-        self._reuse_port = reuse_port
         self._port = 0
         self._placeholder: Optional[socket.socket] = None
-        self._listen_sock: Optional[socket.socket] = None
         self._shards: Dict[int, _Shard] = {}
         self._degraded = False
         self._draining = False
@@ -227,31 +217,25 @@ class ShardSupervisor:
     # ------------------------------------------------------------------ #
 
     def _bind(self) -> None:
-        """Reserve the shared port (and, in fallback mode, the listener)."""
+        """Reserve the shared port with a bound, never listening socket.
+
+        It receives none of the kernel's balanced connections, but holds
+        the port for the shards to bind beside it, across restarts.
+        """
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
-            if self._reuse_port:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-                sock.bind((self.config.host, self.config.port))
-                # Bound but never listening: reserves the port without
-                # receiving any of the kernel's balanced connections.
-                self._placeholder = sock
-            else:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                sock.bind((self.config.host, self.config.port))
-                sock.listen(128)
-                self._listen_sock = sock
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            sock.bind((self.config.host, self.config.port))
         except OSError:
             sock.close()
             raise
+        self._placeholder = sock
         self._port = int(sock.getsockname()[1])
 
     def _close_sockets(self) -> None:
-        for sock in (self._placeholder, self._listen_sock):
-            if sock is not None:
-                sock.close()
+        if self._placeholder is not None:
+            self._placeholder.close()
         self._placeholder = None
-        self._listen_sock = None
 
     # ------------------------------------------------------------------ #
     # Child processes                                                    #
@@ -289,8 +273,6 @@ class ShardSupervisor:
             str(config.max_sims),
             "--max-sim-nodes",
             str(config.max_sim_nodes),
-            "--stream-segment-points",
-            str(config.stream_segment_points),
             "--sim-stall-timeout-ms",
             str(
                 0.0
@@ -301,11 +283,8 @@ class ShardSupervisor:
             "0",
             "--shard-index",
             str(index),
+            "--reuse-port",
         ]
-        if self._listen_sock is not None:
-            argv += ["--listen-fd", str(self._listen_sock.fileno())]
-        else:
-            argv += ["--reuse-port"]
         if config.seed is not None:
             # Offset per shard: sibling seed streams must never collide.
             argv += ["--seed", str(config.seed + index)]
@@ -333,9 +312,6 @@ class ShardSupervisor:
         return env
 
     def _spawn(self, index: int) -> None:
-        pass_fds: Tuple[int, ...] = ()
-        if self._listen_sock is not None:
-            pass_fds = (self._listen_sock.fileno(),)
         # Each shard leads its own session (and therefore process group):
         # its forked descendants — pool workers, simulation children —
         # inherit the group, so when the shard dies the supervisor can
@@ -351,7 +327,6 @@ class ShardSupervisor:
             stdout=subprocess.PIPE,
             text=True,
             env=self._child_env(),
-            pass_fds=pass_fds,
             start_new_session=True,
         )
         shard = _Shard(index, proc)
@@ -546,7 +521,6 @@ class ShardSupervisor:
             "restarts": self._budget.used,
             "restarts_left": self._budget.left,
             "degraded": self._degraded,
-            "mode": "reuseport" if self._reuse_port else "listen-fd",
             "per_shard": per_shard,
         }
 
@@ -809,7 +783,6 @@ class ShardSupervisor:
                     "event": "supervising",
                     "shards": self.shards,
                     "port": self._port,
-                    "mode": "reuseport" if self._reuse_port else "listen-fd",
                 },
                 sort_keys=True,
             ),

@@ -1,18 +1,16 @@
-"""`/v1/simulate` execution: scenario runs in a dedicated child process.
+"""`/v1/simulate` execution: each scenario run in a dedicated child process.
 
 A city-scale scenario is minutes of CPU-bound Python — far too long for
-the event loop and the wrong shape for the request/response worker pool
-when the client wants *streaming* snapshots.  So each streamed simulation
-gets its own ``multiprocessing`` child: the child runs
+the event loop, and a pool worker cannot be preempted when its request
+is cancelled.  So every simulation, streamed or buffered, gets its own
+``multiprocessing`` child: the child runs
 :class:`~repro.scenario.runtime.ScenarioRuntime` and ships every row over
-a pipe; the parent relays rows to the HTTP layer as they arrive, with a
-per-row stall deadline (the streaming analogue of the buffered path's
-request deadline) and a concurrency gate that answers 429 once
-``max_sims`` simulations are already live — the same backpressure
-contract as the sweep pool.
-
-The buffered (non-streaming) ``/v1/simulate`` path does not live here: it
-runs :func:`simulate_rows` on the ordinary worker pool like any sweep.
+a pipe; the parent relays rows as they arrive (:meth:`SimulationRunner.stream`)
+or collects them for a buffered body (:meth:`SimulationRunner.collect`),
+with a per-row stall deadline and a concurrency gate that answers 429
+once ``max_sims`` simulations are already live — the same backpressure
+contract as the sweep pool.  Ending the relay, however it ends, SIGKILLs
+a child that is still running.
 """
 
 from __future__ import annotations
@@ -23,21 +21,32 @@ import os
 import signal
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
-from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
+from typing import Any, AsyncGenerator, Dict, List, Optional, Tuple, Type, cast
 
 from repro.scenario.runtime import ScenarioRuntime
 from repro.scenario.spec import ScenarioSpec, scenario_from_mapping
 from repro.service.childproc import harden_child
-from repro.service.errors import BadRequestError, OverloadedError
+from repro.service.errors import (
+    BadRequestError,
+    DeadlineExceededError,
+    OverloadedError,
+    ServiceError,
+)
 from repro.service.faults import FaultInjector
 from repro.service.metrics import Metrics
 
-__all__ = ["SimulationRunner", "parse_simulate_request", "simulate_rows"]
+__all__ = ["SimulationRunner", "parse_simulate_request"]
 
 Row = Dict[str, object]
 
 #: Pipe poll granularity — how quickly a cancelled stream reaps its child.
 _POLL_S = 0.1
+
+#: The error a buffered run raises for an error row, by the row's status.
+_ROW_ERRORS: Dict[int, Type[ServiceError]] = {
+    400: BadRequestError,
+    504: DeadlineExceededError,
+}
 
 
 def parse_simulate_request(data: object, max_nodes: int) -> ScenarioSpec:
@@ -58,15 +67,6 @@ def parse_simulate_request(data: object, max_nodes: int) -> ScenarioSpec:
             f"n_nodes={spec.n_nodes} exceeds the server limit of {max_nodes}"
         )
     return spec
-
-
-def simulate_rows(spec: ScenarioSpec) -> List[Row]:
-    """Run a whole scenario to completion (the pool-backed buffered path).
-
-    A module-level pure function of the spec, so pooled and inline
-    execution are bit-identical — and identical to the streamed rows.
-    """
-    return list(ScenarioRuntime(spec).run())
 
 
 def _child_main(spec: ScenarioSpec, conn: Connection) -> None:
@@ -91,8 +91,11 @@ def _child_main(spec: ScenarioSpec, conn: Connection) -> None:
             conn.send(("row", row))
         conn.send(("done", None))
     except Exception as exc:  # noqa: BLE001 - relayed as a terminal error row
+        # The status the service maps this exception to (see
+        # PlanningService._failure): the request's fault, or the server's.
+        status = 400 if isinstance(exc, (ValueError, TypeError)) else 500
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            conn.send(("error", (f"{type(exc).__name__}: {exc}", status)))
         except (BrokenPipeError, OSError):  # parent already gone
             pass
     finally:
@@ -100,10 +103,10 @@ def _child_main(spec: ScenarioSpec, conn: Connection) -> None:
 
 
 class SimulationRunner:
-    """Gate and relay for streamed simulations.
+    """Gate and relay for simulations, streamed or buffered.
 
     ``max_sims`` bounds concurrently live simulation processes;
-    :meth:`stream` raises :class:`OverloadedError` (HTTP 429) beyond it.
+    :meth:`acquire` raises :class:`OverloadedError` (HTTP 429) beyond it.
     The slot is taken synchronously *before* any response bytes leave the
     server, so an overloaded request still gets a clean JSON 429.
     """
@@ -123,7 +126,7 @@ class SimulationRunner:
 
     @property
     def active(self) -> int:
-        """Simulations currently streaming."""
+        """Simulations currently running."""
         return self._active
 
     def acquire(self) -> None:
@@ -133,7 +136,7 @@ class SimulationRunner:
                 self._metrics.pool_reject()
             raise OverloadedError(
                 f"{self._active}/{self._max_sims} simulation(s) already "
-                "streaming; retry later"
+                "running; retry later"
             )
         self._active += 1
 
@@ -141,9 +144,33 @@ class SimulationRunner:
         """Free the slot :meth:`acquire` reserved."""
         self._active = max(0, self._active - 1)
 
+    async def collect(
+        self, spec: ScenarioSpec, stall_timeout_s: Optional[float]
+    ) -> List[Row]:
+        """Every row of one run, for a buffered response.
+
+        Takes and releases its own slot, so a buffered run is gated
+        exactly like a stream.  An error row raises the
+        :class:`ServiceError` of its status; a cancelled await (the
+        request deadline) closes the relay, which SIGKILLs the child.
+        """
+        self.acquire()
+        rows = self.stream(spec, stall_timeout_s)
+        try:
+            collected: List[Row] = []
+            async for row in rows:
+                if row.get("row") == "error":
+                    error = _ROW_ERRORS.get(cast(int, row["status"]), ServiceError)
+                    raise error(str(row["detail"]))
+                collected.append(row)
+            return collected
+        finally:
+            await rows.aclose()
+            self.release()
+
     async def stream(
         self, spec: ScenarioSpec, stall_timeout_s: Optional[float]
-    ) -> AsyncIterator[Row]:
+    ) -> AsyncGenerator[Row, None]:
         """Yield scenario rows from a child process as they are produced.
 
         The caller must have :meth:`acquire`-d a slot and is responsible
@@ -205,7 +232,8 @@ class SimulationRunner:
                 elif kind == "done":
                     return
                 else:
-                    yield self._error_row(str(value), 500)
+                    detail, status = value
+                    yield self._error_row(detail, status)
                     return
         finally:
             parent_conn.close()

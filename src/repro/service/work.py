@@ -6,8 +6,8 @@ primitives or their encoded bytes.  The same functions run inline
 (``workers=0``), inside a coalesced batch on the event loop, or in a
 ``ProcessPoolExecutor`` worker — which is what makes pooled and inline
 responses bit-identical by construction.  The sweep endpoints' pooled
-functions (``*_body`` for a buffered response, ``*_lines`` for one streamed
-segment) encode in the worker, so the event loop only frames bytes.
+functions (``*_body`` for a buffered response, ``*_lines`` for a streamed
+one) encode in the worker, so the event loop only frames bytes.
 
 Worker processes memoize one :class:`EnergyModel` / system object per
 ``e_bar_b`` convention (module-level dict, rebuilt per process after fork),
@@ -206,12 +206,12 @@ def underlay_body(request: UnderlayRequest) -> bytes:
 
 
 def overlay_lines(request: OverlayRequest) -> List[bytes]:
-    """One streamed overlay segment: each row's NDJSON line, no newline."""
+    """A streamed overlay sweep: each row's NDJSON line, no newline."""
     return [encode_payload(row) for row in overlay_rows(request)]
 
 
 def underlay_lines(request: UnderlayRequest) -> List[bytes]:
-    """One streamed underlay segment: each row's NDJSON line, no newline."""
+    """A streamed underlay sweep: each row's NDJSON line, no newline."""
     return [encode_payload(row) for row in underlay_rows(request)]
 
 

@@ -9,7 +9,7 @@ a vectorized kernel with an inscrutable NumPy error.
 from __future__ import annotations
 
 import numbers
-from typing import Optional
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -22,6 +22,8 @@ __all__ = [
     "check_non_negative",
     "check_non_negative_int",
     "check_non_negative_arrays",
+    "coerce_field",
+    "parse_fields",
 ]
 
 
@@ -126,3 +128,40 @@ def check_in_range(
             f"{name} must lie in {bracket[0]}{low}, {high}{bracket[1]}, got {value}"
         )
     return value
+
+
+def coerce_field(value: Any, kind: type, name: str) -> Any:
+    """One JSON scalar read strictly as ``kind`` (``str``, ``int`` or ``float``).
+
+    A number field rejects bools and non-numbers; an ``int`` field also
+    rejects any value a float does not hold as an exact integer, NaN and
+    ±inf included.  An integer literal beyond float range raises too, so
+    every bad value is a ``ValueError`` naming ``name``.
+    """
+    if kind is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a string")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of range") from None
+    if kind is int:
+        if not number.is_integer() or number != value:
+            raise ValueError(f"{name} must be an integer")
+        return int(value)
+    return number
+
+
+def parse_fields(
+    data: Mapping[str, Any], fields: Mapping[str, type], what: str
+) -> Dict[str, Any]:
+    """:func:`coerce_field` over a JSON object; an unknown key raises."""
+    out: Dict[str, Any] = {}
+    for key, value in data.items():
+        if key not in fields:
+            raise ValueError(f"unknown {what} field: {key!r}")
+        out[key] = coerce_field(value, fields[key], key)
+    return out

@@ -68,6 +68,10 @@ class TestInversion:
         # BER 0.45 is above b=4's zero-energy ceiling a/2 = 0.375
         with pytest.raises(ValueError):
             solve_ebar(0.45, 4, 1, 1)
+        # Below the ceiling, but no e_bar_b in the widened bracket reaches
+        # BER 1e-3 for a 2^1000-point constellation.
+        with pytest.raises(ValueError, match="bracket"):
+            solve_ebar(1e-3, 1000, 2, 2)
 
 
 class TestConventions:

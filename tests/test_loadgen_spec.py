@@ -88,6 +88,9 @@ class TestMappingRoundTrip:
     def test_type_mismatches_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             traffic_from_mapping({"seed": 1.5})
+        for beyond_float in (float("inf"), float("nan"), 10**400):
+            with pytest.raises(ValueError, match="seed"):
+                traffic_from_mapping({"seed": beyond_float})
         with pytest.raises(ValueError, match="retry_on"):
             traffic_from_mapping({"client": {"retry_on": ["429"]}})
 

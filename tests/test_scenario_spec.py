@@ -112,6 +112,19 @@ class TestParsing:
             scenario_from_mapping({"backbone": 3})
         with pytest.raises(ValueError):
             scenario_from_mapping({"duration_s": "60"})
+        # Numbers beyond float range: inf/NaN in an integer field, and an
+        # integer literal no float can hold.
+        for body in (
+            {"n_nodes": float("inf")},
+            {"seed": float("-inf")},
+            {"seed": float("nan")},
+            {"churn": {"max_joins": float("inf")}},
+            {"traffic": [{"name": "cbr", "packet_bits": float("inf")}]},
+            {"n_nodes": 10**400},
+            {"duration_s": 10**400},
+        ):
+            with pytest.raises(ValueError):
+                scenario_from_mapping(body)
 
     def test_pair_fields(self):
         spec = scenario_from_mapping({"arena_m": [500, 250]})

@@ -188,13 +188,18 @@ class TestParadigmEndpoints:
         assert replay["seed_used"] == seed
 
     def test_out_of_domain_parameter_is_400(self, service):
-        status, _ = call(
-            service,
-            "POST",
-            "/v1/overlay/feasible",
-            {"d1": 40.0, "m": 2, "bandwidth": -1.0},
-        )
-        assert status == 400
+        for path, body in (
+            ("/v1/overlay/feasible", b'{"d1": 40.0, "m": 2, "bandwidth": -1.0}'),
+            # No e_bar_b in the exact solver's search bracket reaches p.
+            ("/v1/ebar", b'{"p": 1e-3, "b": 1000, "mt": 2, "mr": 2, "solver": "exact"}'),
+            # Integer fields holding a number beyond float range.
+            ("/v1/simulate", b'{"n_nodes": 1e400}'),
+            ("/v1/simulate", b'{"seed": Infinity}'),
+            ("/v1/simulate", b'{"churn": {"max_joins": 1e400}}'),
+            ("/v1/simulate", b'{"traffic": [{"name": "cbr", "packet_bits": -Infinity}]}'),
+        ):
+            status, _ = asyncio.run(service.handle("POST", path, body))
+            assert status == 400, (path, body)
 
 
 class TestBackpressure:
@@ -322,8 +327,8 @@ class TestDeadline:
         assert status == 200
 
     def test_streamed_sweep_gets_the_buffered_504(self, monkeypatch):
-        """A one-segment streamed sweep runs under the same deadline as its
-        buffered twin and is refused with the same 504 before commit."""
+        """A streamed sweep runs under the same deadline as its buffered
+        twin and is refused with the same 504 before commit."""
         svc = self._service(100.0)
 
         async def slow_submit(fn, *args):

@@ -8,9 +8,8 @@ separator, a float repr, a chunk boundary, a header — fails here.
 
 The sequence runs against a fresh result cache, so every cacheable body
 is seen twice: once computed and once replayed from the cache, buffered
-and streamed, including a stream split into several pool segments.  It
-runs inline (``workers=0``) and through one pool worker (``workers=1``)
-against the same constants.  ``/metrics`` carries latencies, so only its
+and streamed.  It runs inline (``workers=0``) and through one pool worker
+(``workers=1``) against the same constants.  ``/metrics`` carries latencies, so only its
 head (``Content-Length`` masked) and its top-level keys are pinned.
 """
 
@@ -24,8 +23,6 @@ import pytest
 from repro.service.config import ServiceConfig
 from repro.service.testing import ThreadedServer
 
-#: Small enough that the 8-point streamed sweeps below span 3 segments.
-SEGMENT_POINTS = 3
 #: The deadline the armed delay below outlasts (the 504 case).
 TIMEOUT_MS = 2500.0
 
@@ -194,7 +191,6 @@ def run_corpus(workers, cache_dir):
         result_cache_dir=str(cache_dir),
         chaos_admin=True,
         request_timeout_ms=TIMEOUT_MS,
-        stream_segment_points=SEGMENT_POINTS,
     )
     raw = {}
     with ThreadedServer(config) as server:

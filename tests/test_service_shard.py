@@ -1,6 +1,6 @@
-"""Shard supervisor: fleet boot, aggregation, replacement, chaos, fallback."""
+"""Shard supervisor: shard argv, fleet boot, aggregation, replacement, chaos."""
 
-import asyncio
+import dataclasses
 import json
 import os
 import signal
@@ -20,6 +20,7 @@ from repro.service import (
     aggregate_snapshots,
     work,
 )
+from repro.service.cli import _build_parser, build_config
 from repro.service.shard import ShardSupervisor
 from repro.service.schemas import UnderlayRequest
 
@@ -130,8 +131,56 @@ class TestAggregateSnapshots:
         assert aggregate_snapshots([]) == {}
 
 
+#: Two configs with every ServiceConfig field off its default.
+OFF_DEFAULT_CONFIGS = [
+    dict(
+        host="localhost", port=9001, workers=3, coalesce_ms=1.5, max_coalesce=7,
+        queue_limit=9, seed=11, table_convention="diversity_only",
+        max_sweep_points=100, drain_timeout_s=2.5, request_log=False,
+        request_timeout_ms=750.0, max_pool_restarts=1, retry_after_s=2.0,
+        reuse_port=True, admin_port=9002, shard_index=4, result_cache=True,
+        result_cache_dir="shared-results", max_sims=4, max_sim_nodes=300,
+        sim_stall_timeout_ms=None, chaos_admin=True,
+    ),
+    dict(
+        host="0.0.0.0", port=9003, workers=0, coalesce_ms=0.25, max_coalesce=1,
+        queue_limit=1, seed=0, table_convention="diversity_only",
+        max_sweep_points=1, drain_timeout_s=0.5, request_log=False,
+        request_timeout_ms=0.125, max_pool_restarts=0, retry_after_s=0.5,
+        reuse_port=True, admin_port=0, shard_index=0, result_cache=True,
+        result_cache_dir="other-results", max_sims=1, max_sim_nodes=1,
+        sim_stall_timeout_ms=2500.0, chaos_admin=True,
+    ),
+]
+
+
+class TestShardArgv:
+    @pytest.mark.parametrize("fields", OFF_DEFAULT_CONFIGS)
+    def test_every_config_field_reaches_the_shard(self, fields):
+        """The hand-written shard argv round-trips every config field, but
+        the ones the supervisor sets per shard."""
+        defaults = ServiceConfig()
+        assert set(fields) == set(dataclasses.asdict(defaults))
+        assert all(value != getattr(defaults, name) for name, value in fields.items())
+        config = ServiceConfig(**fields)
+        supervisor = ShardSupervisor(config, shards=3)
+        supervisor._port = 43210
+        index = 2
+        argv = supervisor._child_argv(index)
+        assert argv[:3] == [sys.executable, "-m", "repro.service"]
+        child = build_config(_build_parser().parse_args(argv[3:]))
+        assert child == dataclasses.replace(
+            config,
+            port=43210,
+            admin_port=0,
+            shard_index=index,
+            seed=config.seed + index,
+            reuse_port=True,
+        )
+
+
 # --------------------------------------------------------------------- #
-# End-to-end fleets (CLI subprocess, SO_REUSEPORT path)                 #
+# End-to-end fleets (CLI subprocess)                                    #
 # --------------------------------------------------------------------- #
 
 
@@ -248,7 +297,6 @@ class TestShardedFleet:
         shards = metrics["shards"]
         assert shards["count"] == 2
         assert shards["alive"] == 2
-        assert shards["mode"] == "reuseport"
         assert len(shards["per_shard"]) == 2
         assert all(entry["alive"] for entry in shards["per_shard"])
         assert metrics["health"] == "ok"
@@ -342,77 +390,3 @@ class TestShardedFleet:
         assert "--chaos-admin" in excinfo.value.message
         assert running.wait_healthy()["shards"]["restarts"] == 0
         running.stop()
-
-
-# --------------------------------------------------------------------- #
-# Fallback mode: inherited listener (no SO_REUSEPORT)                   #
-# --------------------------------------------------------------------- #
-
-
-class SupervisedFleet:
-    """In-process supervisor (subprocess shards) for harness-level tests."""
-
-    def __init__(self, config, shards=2, **kwargs):
-        self.supervisor = ShardSupervisor(config, shards, **kwargs)
-        self._ready = threading.Event()
-        self._loop = None
-        self._stop = None
-        self._error = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        try:
-            asyncio.run(self._main())
-        except BaseException as error:
-            self._error = error
-            self._ready.set()
-
-    async def _main(self):
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        await self.supervisor.run(
-            stop=self._stop,
-            install_signal_handlers=False,
-            announce=False,
-            on_ready=lambda _: self._ready.set(),
-        )
-
-    def __enter__(self):
-        self._thread.start()
-        if not self._ready.wait(BOOT_TIMEOUT_S):
-            raise RuntimeError("supervised fleet did not come up in time")
-        if self._error is not None:
-            raise RuntimeError(f"supervisor failed: {self._error!r}")
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:
-                pass
-        self._thread.join(BOOT_TIMEOUT_S)
-
-
-class TestListenFdFallback:
-    def test_fleet_works_without_reuseport(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "table-cache"))
-        config = ServiceConfig(
-            port=0,
-            workers=0,
-            request_log=False,
-            result_cache_dir=str(tmp_path / "results"),
-        )
-        with SupervisedFleet(config, reuse_port=False) as running:
-            port = running.supervisor.port
-            client = ServiceClient("127.0.0.1", port, timeout_s=30.0)
-            payload = client.underlay_energy(distance=DISTANCES, **UNDERLAY_ARGS)
-            assert payload["rows"] == _underlay_direct()
-            admin = ServiceClient(
-                "127.0.0.1", running.supervisor.admin_port, timeout_s=30.0
-            )
-            metrics = admin.metrics_snapshot()
-            assert metrics["shards"]["mode"] == "listen-fd"
-            assert metrics["shards"]["alive"] == 2
-            assert metrics["health"] == "ok"

@@ -1,9 +1,12 @@
 """`/v1/simulate` tests: buffered + streamed runs, replay, backpressure."""
 
+import time
+
 import pytest
 
 from repro.scenario.runtime import ScenarioRuntime
 from repro.scenario.spec import scenario_from_mapping
+from repro.service import simulate
 from repro.service.client import ServiceClientError
 from repro.service.config import ServiceConfig
 from repro.service.simulate import SimulationRunner, parse_simulate_request
@@ -19,6 +22,16 @@ SCENARIO = {
 }
 
 
+#: Tens of seconds of compute (~28 s on a 2-vCPU host), far past the
+#: 1.5 s deadline below, with a row every ~0.1 s.
+LONG_RUN = {
+    "n_nodes": 4,
+    "duration_s": 4e5,
+    "snapshot_interval_s": 1000.0,
+    "seed": 1,
+}
+
+
 @pytest.fixture(scope="module")
 def server():
     config = ServiceConfig(
@@ -26,6 +39,15 @@ def server():
     )
     with ThreadedServer(config) as srv:
         yield srv
+
+
+def wait_for_free_slot(server, deadline_s=60.0):
+    """Block until no simulation holds a slot (an abandoned stream frees
+    its slot once the server notices the disconnect)."""
+    start = time.monotonic()
+    while server.service.sims.active > 0:
+        assert time.monotonic() - start < deadline_s, "slot never released"
+        time.sleep(0.02)
 
 
 class TestBuffered:
@@ -55,6 +77,50 @@ class TestBuffered:
         with pytest.raises(ServiceClientError) as err:
             client.simulate({"n_nodes": 100000})
         assert err.value.status == 400
+
+    @pytest.mark.parametrize(
+        "error,status", [(ValueError, 400), (TypeError, 400), (RuntimeError, 500)]
+    )
+    def test_failed_run_keeps_its_status(self, server, monkeypatch, error, status):
+        """The forked child reports which kind of exception ended the run:
+        the buffered answer and the streamed error row carry its status."""
+
+        def broken(spec):
+            raise error("the run cannot start")
+
+        monkeypatch.setattr(simulate, "ScenarioRuntime", broken)
+        client = server.client(timeout_s=120.0)
+        with pytest.raises(ServiceClientError) as err:
+            client.simulate(SCENARIO)
+        assert err.value.status == status
+        assert "the run cannot start" in err.value.payload["detail"]
+        rows = list(client.simulate_stream(SCENARIO))
+        assert rows[-1]["row"] == "error"
+        assert rows[-1]["status"] == status
+        wait_for_free_slot(server, deadline_s=5.0)
+
+
+class TestBufferedDeadline:
+    def test_deadline_frees_the_run_and_the_pool(self):
+        """A buffered run past the request deadline answers 504, its child
+        is killed and its slot released, and the pool stays free."""
+        config = ServiceConfig(
+            port=0,
+            workers=1,
+            request_log=False,
+            result_cache=False,
+            request_timeout_ms=1500.0,
+        )
+        with ThreadedServer(config) as srv:
+            client = srv.client(timeout_s=60.0)
+            with pytest.raises(ServiceClientError) as err:
+                client.simulate(LONG_RUN)
+            assert err.value.status == 504
+            wait_for_free_slot(srv, deadline_s=5.0)
+            sweep = client.underlay_energy(
+                p=1e-3, mt=2, mr=2, d=5.0, distance=[30.0, 31.0], bandwidth=10e3
+            )
+            assert sweep["count"] == 2
 
 
 class TestStreamed:
@@ -98,6 +164,20 @@ class TestBackpressure:
                 list(client.simulate_stream(SCENARIO))
             assert err.value.status == 429
             assert err.value.retry_after_s is not None
+        finally:
+            stream.close()
+
+    def test_buffered_run_gets_429_while_a_stream_holds_the_slot(self, server):
+        wait_for_free_slot(server)
+        client = server.client(timeout_s=120.0)
+        slow = dict(SCENARIO, duration_s=60.0, n_nodes=60)
+        stream = client.request_stream("POST", "/v1/simulate", slow)
+        next(stream)  # the stream is committed and its slot is held
+        try:
+            with pytest.raises(ServiceClientError) as err:
+                client.simulate(SCENARIO)
+            assert err.value.status == 429
+            assert err.value.retry_after_s == server.config.retry_after_s
         finally:
             stream.close()
 

@@ -6,7 +6,6 @@ client can classify — never a silent hang, a clean-looking close, or a
 backpressure reply without its retry hint.
 """
 
-import asyncio
 import json
 import os
 import pathlib
@@ -17,10 +16,8 @@ import time
 
 import pytest
 
-from repro.service.app import PlanningService
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.config import ServiceConfig
-from repro.service.errors import OverloadedError
 from repro.service.testing import ThreadedServer
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -89,48 +86,6 @@ class TestSimulateBackpressureHint:
         wait_for_idle(server)
 
 
-class TestMidStreamBackpressureRow:
-    def _service(self):
-        return PlanningService(
-            ServiceConfig(workers=0, coalesce_ms=0.0, request_log=False)
-        )
-
-    def test_sweep_backpressure_row_carries_retry_hint(self):
-        service = self._service()
-        try:
-
-            async def run(axis):
-                raise OverloadedError("queue full; retry later")
-
-            async def consume():
-                gen = service._stream_sweep(
-                    [b'{"distance": 1.0}'], [(2.0,)], run, None
-                )
-                return [row async for row in gen]
-
-            rows = asyncio.run(consume())
-        finally:
-            service.close()
-        assert rows[0] == [b'{"distance": 1.0}']
-        tail = rows[-1]
-        assert tail["row"] == "error"
-        assert tail["status"] == 429
-        assert tail["retry_after_s"] == service.config.retry_after_s
-
-    @pytest.mark.parametrize(
-        "status,hinted",
-        [(429, True), (503, True), (504, False), (500, False)],
-    )
-    def test_error_row_hint_policy(self, status, hinted):
-        service = self._service()
-        try:
-            row = service._error_row(status, "stream failed", "detail")
-        finally:
-            service.close()
-        assert row["status"] == status
-        assert ("retry_after_s" in row) is hinted
-
-
 class TestSimChildFaults:
     def test_stall_surfaces_within_the_deadline(self, server):
         server.service.faults.arm_stall_sim(1, after_rows=0)
@@ -172,8 +127,8 @@ class TestTransportFaults:
         assert "truncat" in str(excinfo.value)
 
     def test_truncation_cuts_mid_chunk_after_exactly_n_rows_across_segments(self):
-        """A cut that lands inside a later sweep segment keeps exactly the
-        first N complete row chunks, then half of the next one."""
+        """A cut that lands inside the sweep's one 7-line item keeps exactly
+        the first N complete row chunks, then half of the next one."""
         import socket
 
         body = json.dumps(dict(UNDERLAY_BODY, distance=[30.0 + i for i in range(7)]))
@@ -192,9 +147,7 @@ class TestTransportFaults:
                         return b"".join(parts)
                     parts.append(data)
 
-        config = ServiceConfig(
-            port=0, workers=0, request_log=False, stream_segment_points=3
-        )
+        config = ServiceConfig(port=0, workers=0, request_log=False)
         with ThreadedServer(config) as srv:
             whole = exchange(srv.port)
             srv.service.faults.arm_truncate_stream(1, after_rows=4)

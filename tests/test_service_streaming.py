@@ -1,4 +1,4 @@
-"""NDJSON sweep streaming: row parity, segmentation, cache interop."""
+"""NDJSON sweep streaming: row parity, opt-in, cache interop, framing."""
 
 import pytest
 
@@ -13,13 +13,11 @@ DIST = [float(x) for x in range(10, 50)]  # 40 points
 
 @pytest.fixture(scope="module")
 def server():
-    # Tiny segments force genuinely multi-segment streams.
     config = ServiceConfig(
         port=0,
         workers=0,
         request_log=False,
         result_cache=False,
-        stream_segment_points=16,
     )
     with ThreadedServer(config) as srv:
         yield srv
@@ -103,7 +101,6 @@ class TestCacheInterop:
             request_log=False,
             result_cache=True,
             result_cache_dir=str(tmp_path),
-            stream_segment_points=16,
         )
         with ThreadedServer(config) as srv:
             client = srv.client(timeout_s=60.0)
@@ -122,7 +119,6 @@ class TestCacheInterop:
             request_log=False,
             result_cache=True,
             result_cache_dir=str(tmp_path),
-            stream_segment_points=16,
         )
         with ThreadedServer(config) as srv:
             client = srv.client(timeout_s=60.0)
