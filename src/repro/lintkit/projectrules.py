@@ -393,7 +393,7 @@ def _is_error_payload_call(node: ast.AST) -> bool:
 class ErrorPayloadRule(Rule):
     """RP204: one audited error-body shape, everywhere.
 
-    Clients (and the retry/circuit-breaker machinery) parse error bodies;
+    Clients (and the load generator's retry loop) parse error bodies;
     a handler that hand-rolls ``{"error": ...}`` drifts from the
     ``schemas.error_payload`` contract the moment either side changes.
     Flags ``(status >= 400, payload)`` pairs and ``render_response(status,

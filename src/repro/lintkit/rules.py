@@ -11,7 +11,7 @@ RP103     no wall-clock / stdlib-``random`` nondeterminism in library code
 RP104     public numeric parameters are validated at the API boundary
 RP105     ``__all__`` entries must exist in the module namespace
 RP106     no mutable default arguments
-RP107     no bare ``time.sleep`` in ``repro.service`` (use ``RetryPolicy``)
+RP107     no bare ``time.sleep`` in ``repro.service`` (inject a sleeper)
 ========  ==============================================================
 """
 
@@ -576,20 +576,20 @@ _MUTABLE_CONSTRUCTORS = frozenset({"list", "dict", "set", "bytearray"})
 
 @register
 class ServiceBareSleepRule(Rule):
-    """Flag ``time.sleep`` usage in ``repro.service`` outside ``retry.py``.
+    """Flag ``time.sleep`` usage anywhere in ``repro.service``.
 
     Hand-rolled ``time.sleep`` retry loops block threads for fixed,
     unjittered intervals, synchronize stampedes against an overloaded
-    server and make tests slow and flaky.  All waiting in the service
-    layer must flow through :class:`repro.service.retry.RetryPolicy` and
-    its injectable sleeper (``retry.default_sleeper`` is the one sanctioned
-    ``time.sleep`` call site).  Both calls *and* bare references are
-    flagged, so aliasing ``time.sleep`` into a default argument cannot
-    dodge the rule.
+    server and make tests slow and flaky.  The service layer does not
+    retry at all: its client makes one attempt per call, and the one
+    retry loop (the load generator's, backing off by
+    :meth:`repro.loadgen.spec.ClientPolicy.backoff_s`) sleeps through an
+    injectable sleeper.  Both calls *and* bare references are flagged, so
+    aliasing ``time.sleep`` into a default argument cannot dodge the rule.
     """
 
     rule_id = "RP107"
-    summary = "bare time.sleep in repro.service (use RetryPolicy / a sleeper)"
+    summary = "bare time.sleep in repro.service (inject a sleeper)"
     library_only = True
 
     def applies_to(self, ctx: ModuleContext) -> bool:
@@ -599,7 +599,7 @@ class ServiceBareSleepRule(Rule):
             and "service" in parts
             and parts.index("service") == parts.index("repro") + 1
         )
-        if not in_service or ctx.path_endswith("service", "retry.py"):
+        if not in_service:
             return False
         return super().applies_to(ctx)
 
@@ -617,8 +617,8 @@ class ServiceBareSleepRule(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         imported = self._sleep_imports(ctx.tree)
         message = (
-            "bare time.sleep in service code; wait through "
-            "repro.service.retry (RetryPolicy backoff + injectable sleeper)"
+            "bare time.sleep in service code; await asyncio.sleep or wait "
+            "through an injected sleeper"
         )
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Attribute) and _dotted_name(node) == "time.sleep":

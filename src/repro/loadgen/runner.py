@@ -3,10 +3,13 @@
 The runner walks a built plan on a (scalable) wall clock: it sleeps to each
 request's send offset, delivers any fault events scheduled at that index,
 then dispatches the request on a bounded thread pool — open-loop, so slow
-responses never throttle the offered load.  Each request runs the client
-policy's retry loop (deterministically seeded jitter per request index)
-and is reduced to one raw-fact :class:`~repro.loadgen.trace.RequestRecord`;
-the collected records plus the serialised spec form the returned
+responses never throttle the offered load.  Each request runs the one
+retry loop of the repository: :class:`~repro.service.client.ServiceClient`
+makes single attempts, and :class:`~repro.loadgen.spec.ClientPolicy`
+decides which statuses to retry and how long to back off (a server hint,
+else jitter from a generator seeded per request index).  Each request is
+reduced to one raw-fact :class:`~repro.loadgen.trace.RequestRecord`; the
+collected records plus the serialised spec form the returned
 :class:`~repro.loadgen.trace.Trace`.
 
 Fault events take one path, the same for an in-process
@@ -19,9 +22,10 @@ the target must run with ``--chaos-admin``.
 from __future__ import annotations
 
 import asyncio
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.loadgen.plan import PlannedRequest, build_plan
 from repro.loadgen.spec import FaultEvent, TrafficSpec, traffic_to_mapping
@@ -32,12 +36,22 @@ from repro.service.client import (
     TRANSPORT_FAILURE_STATUS,
 )
 from repro.service.faults import CHAOS_FAULTS_PATH
-from repro.service.retry import RetryPolicy, default_clock, default_sleeper
-from repro.utils.rng import keyed_seed_sequence
+from repro.utils.rng import as_rng, keyed_seed_sequence
 
 __all__ = ["run_plan"]
 
 Payload = Dict[str, object]
+
+
+def default_sleeper(delay_s: float) -> None:
+    """Really sleep (the production sleeper; tests inject a recorder)."""
+    if delay_s > 0.0:
+        time.sleep(delay_s)
+
+
+def default_clock() -> float:
+    """A monotonic clock in seconds (the production clock)."""
+    return time.monotonic()  # lint: ignore[RP103]
 
 
 def _deliver_fault(client: ServiceClient, event: FaultEvent) -> None:
@@ -199,13 +213,7 @@ class _RequestWorker:
         )
         # Deterministic jitter: the retry schedule of request k depends only
         # on (seed, k), so replayed runs back off identically.
-        retry = RetryPolicy(
-            max_attempts=policy.max_attempts,
-            base_delay_s=policy.base_delay_s,
-            multiplier=policy.multiplier,
-            max_delay_s=policy.max_delay_s,
-            rng=keyed_seed_sequence(self._spec.seed, request.index),
-        )
+        rng = as_rng(keyed_seed_sequence(self._spec.seed, request.index))
         started = self._clock()
         attempt = 0
         while True:
@@ -216,7 +224,7 @@ class _RequestWorker:
             )
             if not can_retry:
                 break
-            self._sleep(retry.backoff_s(attempt, facts.retry_after_s))
+            self._sleep(policy.backoff_s(attempt, facts.retry_after_s, rng))
             attempt += 1
         latency_ms = 1e3 * (self._clock() - started)
         return RequestRecord(

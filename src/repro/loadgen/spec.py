@@ -25,7 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.service.faults import FAULT_ACTIONS, FaultRequest
+from repro.service.schemas import MAX_SWEEP_POINTS
+from repro.service.simulate import MAX_SIM_NODES
+from repro.utils.rng import MAX_SEED
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -39,6 +44,9 @@ from repro.utils.validation import (
 __all__ = [
     "ENDPOINT_KINDS",
     "FAULT_ACTIONS",
+    "MAX_ATTEMPTS",
+    "MAX_CONCURRENCY",
+    "MAX_FAULT_COUNT",
     "ArrivalSpec",
     "ClientPolicy",
     "EndpointMix",
@@ -69,6 +77,23 @@ _ROUTES: Dict[str, Tuple[str, str, bool]] = {
 
 #: The valid ``EndpointMix.kind`` values, in canonical order.
 ENDPOINT_KINDS: Tuple[str, ...] = tuple(_ROUTES)
+
+# Upper bounds of the integer fields.  A JSON integer reaches a spec as it
+# is, never through a float, so each field is bounded: ``seed`` by
+# :data:`repro.utils.rng.MAX_SEED`, ``sweep_points`` and ``sim_nodes`` by
+# the service's own caps (``schemas.MAX_SWEEP_POINTS``,
+# ``simulate.MAX_SIM_NODES``), and the rest by the constants below.
+
+#: ``ClientPolicy.max_attempts``: tries per request, the first included.
+MAX_ATTEMPTS = 100
+
+#: ``TrafficSpec.max_concurrency``: the runner's request threads.
+MAX_CONCURRENCY = 256
+
+#: ``FaultEvent.at_request``, ``count`` and ``after_rows``: a plan index,
+#: a number of firings and a row count, each far past any run's size.
+MAX_FAULT_COUNT = 10**9
+
 
 def endpoint_route(kind: str) -> Tuple[str, str, bool]:
     """``(method, path, streamed)`` for one endpoint kind."""
@@ -131,8 +156,8 @@ class EndpointMix:
 
     def __post_init__(self) -> None:
         endpoint_route(self.kind)  # validates
-        check_positive_int(self.sweep_points, "sweep_points")
-        check_positive_int(self.sim_nodes, "sim_nodes")
+        check_positive_int(self.sweep_points, "sweep_points", MAX_SWEEP_POINTS)
+        check_positive_int(self.sim_nodes, "sim_nodes", MAX_SIM_NODES)
         check_positive(self.sim_duration_s, "sim_duration_s")
         check_positive(self.sim_snapshot_s, "sim_snapshot_s")
 
@@ -141,14 +166,15 @@ class EndpointMix:
 class ClientPolicy:
     """Per-request client behavior: timeout and retry backoff.
 
-    The runner owns the retry loop (not :class:`ServiceClient`'s built-in
-    one) so that *any* status listed in ``retry_on`` — including terminal
-    mid-stream error rows like a 500 from a killed simulate child — can be
-    replayed.  Every endpoint is a deterministic pure function of its body,
-    so replays are always safe; with an active fault plan, retrying is what
-    makes the recorded outcome sequence independent of *which* in-flight
-    request happened to draw a count-armed fault.  ``max_attempts=1``
-    disables retries (used by tests that assert the raw failure shape).
+    The one retry policy of the repository: :class:`ServiceClient` makes a
+    single attempt per call, and the runner retries any status listed in
+    ``retry_on`` — including terminal mid-stream error rows like a 500
+    from a killed simulate child.  Every endpoint is a deterministic pure
+    function of its body, so replays are always safe; with an active
+    fault plan, retrying is what makes the recorded outcome sequence
+    independent of *which* in-flight request happened to draw a
+    count-armed fault.  ``max_attempts=1`` disables retries (used by tests
+    that assert the raw failure shape); at most :data:`MAX_ATTEMPTS`.
     """
 
     timeout_s: float = 30.0
@@ -160,12 +186,33 @@ class ClientPolicy:
 
     def __post_init__(self) -> None:
         check_positive(self.timeout_s, "timeout_s")
-        check_positive_int(self.max_attempts, "max_attempts")
+        check_positive_int(self.max_attempts, "max_attempts", MAX_ATTEMPTS)
         check_positive(self.base_delay_s, "base_delay_s")
         check_positive(self.multiplier, "multiplier")
         check_positive(self.max_delay_s, "max_delay_s")
         for status in self.retry_on:
             check_in_range(status, "retry_on status", 400, 599)
+
+    def backoff_s(
+        self,
+        attempt: int,
+        retry_after_s: Optional[float],
+        rng: np.random.Generator,
+    ) -> float:
+        """Delay before retrying after failed attempt ``attempt`` (0-based).
+
+        A server-provided ``retry_after_s`` (a ``Retry-After`` header, or
+        the hint an error row carries) is the delay: the server knows its
+        own queue better than the client's exponential guess.  Otherwise
+        the delay is exponential backoff with full jitter, one draw from
+        ``rng``: uniform in ``[0, min(max_delay_s, base_delay_s *
+        multiplier**attempt)]``.
+        """
+        check_non_negative(attempt, "attempt")
+        if retry_after_s is not None:
+            return check_non_negative(retry_after_s, "retry_after_s")
+        cap = min(self.max_delay_s, self.base_delay_s * self.multiplier**attempt)
+        return float(rng.uniform(0.0, cap))
 
 
 @dataclass(frozen=True)
@@ -195,9 +242,9 @@ class FaultEvent:
                 f"unknown fault action {self.action!r}; "
                 f"known: {', '.join(FAULT_ACTIONS)}"
             )
-        check_non_negative_int(self.at_request, "at_request")
-        check_positive_int(self.count, "count")
-        check_non_negative_int(self.after_rows, "after_rows")
+        check_non_negative_int(self.at_request, "at_request", MAX_FAULT_COUNT)
+        check_positive_int(self.count, "count", MAX_FAULT_COUNT)
+        check_non_negative_int(self.after_rows, "after_rows", MAX_FAULT_COUNT)
         check_non_negative(self.delay_ms, "delay_ms")
         if self.action == "delay" and self.delay_ms <= 0.0:
             raise ValueError("delay faults need delay_ms > 0")
@@ -226,14 +273,14 @@ class TrafficSpec:
     time_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        check_non_negative_int(self.seed, "seed")
+        check_non_negative_int(self.seed, "seed", MAX_SEED)
         check_positive(self.duration_s, "duration_s")
         if not self.mix:
             raise ValueError("need at least one endpoint mix entry")
         kinds = [m.kind for m in self.mix]
         if len(set(kinds)) != len(kinds):
             raise ValueError(f"duplicate endpoint kinds in mix: {kinds}")
-        check_positive_int(self.max_concurrency, "max_concurrency")
+        check_positive_int(self.max_concurrency, "max_concurrency", MAX_CONCURRENCY)
         check_non_negative(self.time_scale, "time_scale")
 
 

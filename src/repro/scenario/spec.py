@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Tuple
 
+from repro.utils.rng import MAX_SEED
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -31,6 +32,10 @@ from repro.utils.validation import (
 )
 
 __all__ = [
+    "MAX_CLUSTER_SIZE",
+    "MAX_CONSTELLATION_B",
+    "MAX_NODES",
+    "MAX_PACKET_BITS",
     "STREAM_NAMES",
     "ChurnSpec",
     "ScenarioSpec",
@@ -43,6 +48,25 @@ __all__ = [
 #: ``ScenarioSpec.seed``: stream *i* feeds the named subsystem and nothing
 #: else, so e.g. adding churn draws cannot perturb mobility.
 STREAM_NAMES: Tuple[str, ...] = ("placement", "mobility", "traffic", "churn")
+
+# Upper bounds of the integer fields.  A JSON integer reaches a spec as it
+# is, never through a float, so each field is bounded here before the
+# runtime's float arithmetic sees it; ``seed`` is bounded by
+# :data:`repro.utils.rng.MAX_SEED` (any unsigned 64-bit value).
+
+#: ``n_nodes`` and ``churn.max_joins``: far past any population the
+#: runtime can simulate (the service admits at most 5,000 starting nodes).
+MAX_NODES = 1_000_000
+
+#: ``max_cluster_size``: cooperating antennas per virtual array, the
+#: service's ``mt``/``mr`` cap (four times the paper's 1-4 grid).
+MAX_CLUSTER_SIZE = 16
+
+#: ``constellation_b``: the top of the paper's ``b = 1-16`` search.
+MAX_CONSTELLATION_B = 16
+
+#: ``packet_bits``: a gigabit packet (the default is 4,000 bits).
+MAX_PACKET_BITS = 10**9
 
 
 @dataclass(frozen=True)
@@ -64,7 +88,7 @@ class TrafficClass:
         if not self.name or not self.name.isidentifier():
             raise ValueError(f"traffic class name must be an identifier, got {self.name!r}")
         check_positive(self.rate_per_node_s, "rate_per_node_s")
-        check_positive_int(self.packet_bits, "packet_bits")
+        check_positive_int(self.packet_bits, "packet_bits", MAX_PACKET_BITS)
         check_positive(self.fraction, "fraction")
         check_in_range(self.fraction, "fraction", 0.0, 1.0)
 
@@ -86,7 +110,7 @@ class ChurnSpec:
     def __post_init__(self) -> None:
         check_non_negative(self.leave_rate_per_node_s, "leave_rate_per_node_s")
         check_non_negative(self.join_rate_per_s, "join_rate_per_s")
-        check_non_negative_int(self.max_joins, "max_joins")
+        check_non_negative_int(self.max_joins, "max_joins", MAX_NODES)
 
 
 @dataclass(frozen=True)
@@ -124,12 +148,12 @@ class ScenarioSpec:
     snapshot_interval_s: float = 5.0
 
     def __post_init__(self) -> None:
-        check_positive_int(self.n_nodes, "n_nodes")
+        check_positive_int(self.n_nodes, "n_nodes", MAX_NODES)
         if len(self.arena_m) != 2:
             raise ValueError("arena_m must be (width, height)")
         check_positive(self.arena_m[0], "arena_m[0]")
         check_positive(self.arena_m[1], "arena_m[1]")
-        check_non_negative_int(self.seed, "seed")
+        check_non_negative_int(self.seed, "seed", MAX_SEED)
         check_positive(self.duration_s, "duration_s")
         if len(self.speed_range_mps) != 2:
             raise ValueError("speed_range_mps must be (v_min, v_max)")
@@ -142,12 +166,12 @@ class ScenarioSpec:
         check_in_range(self.battery_jitter, "battery_jitter", 0.0, 0.999)
         check_positive(self.cluster_diameter_m, "cluster_diameter_m")
         check_positive(self.longhaul_range_m, "longhaul_range_m")
-        check_positive_int(self.max_cluster_size, "max_cluster_size")
+        check_positive_int(self.max_cluster_size, "max_cluster_size", MAX_CLUSTER_SIZE)
         if self.backbone not in ("mst", "bfs"):
             raise ValueError("backbone must be 'mst' or 'bfs'")
         check_positive(self.recluster_interval_s, "recluster_interval_s")
         check_probability(self.target_ber, "target_ber")
-        check_positive_int(self.constellation_b, "constellation_b")
+        check_positive_int(self.constellation_b, "constellation_b", MAX_CONSTELLATION_B)
         check_positive(self.bandwidth_hz, "bandwidth_hz")
         if not self.traffic:
             raise ValueError("need at least one traffic class")

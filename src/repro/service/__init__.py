@@ -12,14 +12,15 @@ A stdlib-only HTTP/JSON front end for the paper's three paradigms:
 
 Concurrent single-point requests are merged by a request-coalescing
 scheduler into one batch-kernel call (bit-identical to the scalar path);
-heavy sweeps run in a bounded process pool with 429 backpressure.  See
+heavy sweeps run in a bounded process pool with 429 backpressure.
+:class:`ServiceClient` makes one attempt per call; retrying is the load
+generator's job (:class:`repro.loadgen.spec.ClientPolicy`).  See
 ``docs/serving.md``.
 """
 
 from repro.service.app import ENDPOINTS, PlanningService
 from repro.service.client import (
     TRANSPORT_FAILURE_STATUS,
-    CircuitOpenError,
     ServiceClient,
     ServiceClientError,
 )
@@ -38,7 +39,6 @@ from repro.service.faults import FaultInjector
 from repro.service.metrics import LatencyHistogram, Metrics
 from repro.service.pool import RestartBudget, WorkerPool
 from repro.service.rescache import ResultCache, canonical_digest
-from repro.service.retry import CircuitBreaker, RetryPolicy
 from repro.service.server import ServiceServer, serve
 from repro.service.shard import ShardSupervisor, aggregate_snapshots
 from repro.service.testing import ThreadedServer
@@ -48,7 +48,6 @@ __all__ = [
     "PlanningService",
     "ServiceClient",
     "ServiceClientError",
-    "CircuitOpenError",
     "TRANSPORT_FAILURE_STATUS",
     "Coalescer",
     "DEFAULT_PORT",
@@ -67,8 +66,6 @@ __all__ = [
     "RestartBudget",
     "ResultCache",
     "canonical_digest",
-    "RetryPolicy",
-    "CircuitBreaker",
     "ServiceServer",
     "serve",
     "ShardSupervisor",

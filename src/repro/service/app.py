@@ -24,8 +24,9 @@ Streaming (``Accept: application/x-ndjson``) decides only the framing:
 a streamed response relays the same rows the buffered body carries.
 
 Error mapping: :class:`ServiceError` subclasses carry their own status;
-``ValueError``/``TypeError`` from the library become 400 (the request named
-an impossible parameter), ``KeyError`` becomes 404 (off-grid or infeasible
+``ValueError``/``TypeError``/``OverflowError`` from the library become 400
+(the request named an impossible parameter, or one whose arithmetic
+leaves float range), ``KeyError`` becomes 404 (off-grid or infeasible
 table point).
 """
 
@@ -217,16 +218,16 @@ class PlanningService:
         window = config.coalesce_window_s
         batch_hook = self.metrics.observe_batch
         self._ebar_coalescer: Coalescer[_EbarKey, _EbarItem, float] = Coalescer(
-            self._ebar_batch, window, config.max_coalesce, batch_hook
+            self._ebar_batch, window, on_batch=batch_hook
         )
         self._overlay_coalescer: Coalescer[_OverlayKey, float, Row] = Coalescer(
-            self._overlay_batch, window, config.max_coalesce, batch_hook
+            self._overlay_batch, window, on_batch=batch_hook
         )
         self._underlay_coalescer: Coalescer[_UnderlayKey, float, Row] = Coalescer(
-            self._underlay_batch, window, config.max_coalesce, batch_hook
+            self._underlay_batch, window, on_batch=batch_hook
         )
         self._interweave_coalescer: Coalescer[_InterweaveKey, Point, float] = Coalescer(
-            self._interweave_batch, window, config.max_coalesce, batch_hook
+            self._interweave_batch, window, on_batch=batch_hook
         )
 
     # ------------------------------------------------------------------ #
@@ -234,8 +235,8 @@ class PlanningService:
     # ------------------------------------------------------------------ #
 
     def preload(self) -> None:
-        """Solve the default-convention table before serving."""
-        self._table(self.config.table_convention)
+        """Solve the ``paper``-convention table, ``/v1/ebar``'s default."""
+        self._table("paper")
 
     def mark_draining(self) -> None:
         """Flip the readiness view to ``draining`` (graceful-shutdown entry)."""
@@ -314,7 +315,7 @@ class PlanningService:
             self.metrics.deadline_timeout()
         if isinstance(exc, ServiceError):
             return exc.status, self._error_body(exc.status, exc.reason, str(exc))
-        if isinstance(exc, (ValueError, TypeError)):
+        if isinstance(exc, (ValueError, TypeError, OverflowError)):
             return 400, error_payload(400, "bad request", str(exc))
         if isinstance(exc, KeyError):
             detail = exc.args[0] if exc.args else str(exc)
@@ -429,18 +430,12 @@ class PlanningService:
         if path == "/v1/ebar":
             return await self._handle_ebar(parse_ebar_request(data))
         if path == "/v1/overlay/feasible":
-            return await self._handle_overlay(
-                parse_overlay_request(data, self.config.max_sweep_points)
-            )
+            return await self._handle_overlay(parse_overlay_request(data))
         if path == "/v1/underlay/energy":
-            return await self._handle_underlay(
-                parse_underlay_request(data, self.config.max_sweep_points)
-            )
+            return await self._handle_underlay(parse_underlay_request(data))
         if path == "/v1/simulate":
             return await self._handle_simulate_buffered(data)
-        return await self._handle_interweave(
-            parse_interweave_request(data, self.config.max_sweep_points)
-        )
+        return await self._handle_interweave(parse_interweave_request(data))
 
     # ------------------------------------------------------------------ #
     # Streaming (NDJSON) request path                                     #
@@ -486,7 +481,7 @@ class PlanningService:
     async def _open_stream(self, path: str, body: bytes) -> RowStream:
         data = self._parse_json(body)
         if path == "/v1/simulate":
-            spec = parse_simulate_request(data, self.config.max_sim_nodes)
+            spec = parse_simulate_request(data)
             self.sims.acquire()
             rows = self.sims.stream(spec, self.config.sim_stall_timeout_s)
             return RowStream(self._count_rows(rows), on_close=self.sims.release)
@@ -505,13 +500,11 @@ class PlanningService:
             self.metrics.result_cache_miss()
         if path == "/v1/overlay/feasible":
             lines = await self.pool.submit(
-                work.overlay_lines,
-                parse_overlay_request(data, self.config.max_sweep_points),
+                work.overlay_lines, parse_overlay_request(data)
             )
         else:
             lines = await self.pool.submit(
-                work.underlay_lines,
-                parse_underlay_request(data, self.config.max_sweep_points),
+                work.underlay_lines, parse_underlay_request(data)
             )
         if digest is not None:
             self._cache_writes.append((digest, sweep_body(lines)))
@@ -545,7 +538,7 @@ class PlanningService:
         responses carry identical snapshots, summary and digest for the
         same body, and a cancelled run frees its child at once.
         """
-        spec = parse_simulate_request(data, self.config.max_sim_nodes)
+        spec = parse_simulate_request(data)
         rows = await self.sims.collect(spec, self.config.sim_stall_timeout_s)
         return encode_payload(
             {"rows": rows[:-1], "summary": rows[-1], "count": len(rows) - 1}

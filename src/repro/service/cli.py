@@ -3,13 +3,10 @@
 Usage::
 
     repro-service [--host H] [--port P] [--workers N|auto] [--shards N|auto]
-                  [--coalesce-ms MS] [--queue-limit N] [--max-coalesce N]
-                  [--seed N] [--table-convention paper|diversity_only]
+                  [--coalesce-ms MS] [--queue-limit N] [--seed N]
                   [--request-timeout-ms MS] [--max-pool-restarts N]
-                  [--max-shard-restarts N] [--retry-after-s S]
-                  [--drain-timeout-s S] [--admin-port P]
-                  [--max-sims N] [--max-sim-nodes N]
-                  [--sim-stall-timeout-ms MS] [--chaos-admin]
+                  [--retry-after-s S] [--drain-timeout-s S] [--admin-port P]
+                  [--max-sims N] [--sim-stall-timeout-ms MS] [--chaos-admin]
                   [--no-result-cache] [--result-cache-dir DIR]
                   [--no-request-log] [--quiet]
 
@@ -36,7 +33,6 @@ import logging
 import sys
 from typing import Callable, List, Optional
 
-from repro.energy.ebar import CONVENTIONS
 from repro.service.config import DEFAULT_PORT, ServiceConfig
 from repro.service.server import serve
 from repro.service.shard import ShardSupervisor
@@ -86,23 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "supervisor; 'auto' sizes to the available CPUs",
     )
     parser.add_argument(
-        "--max-shard-restarts",
-        type=int,
-        default=3,
-        help="crashed-shard replacements before the fleet degrades",
-    )
-    parser.add_argument(
         "--coalesce-ms",
         type=float,
         default=0.0,
         help="request-coalescing window in milliseconds (0 merges only "
         "requests that arrive in the same event-loop tick)",
-    )
-    parser.add_argument(
-        "--max-coalesce",
-        type=int,
-        default=64,
-        help="maximum merged requests per coalesced batch",
     )
     parser.add_argument(
         "--queue-limit",
@@ -115,18 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="base seed for per-task SeedSequence.spawn streams",
-    )
-    parser.add_argument(
-        "--table-convention",
-        choices=list(CONVENTIONS),
-        default="paper",
-        help="e_bar_b convention of the preloaded lookup table",
-    )
-    parser.add_argument(
-        "--max-sweep-points",
-        type=int,
-        default=4096,
-        help="per-request cap on sweep axis length",
     )
     parser.add_argument(
         "--request-timeout-ms",
@@ -178,12 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "buffered, before requests get 429",
     )
     parser.add_argument(
-        "--max-sim-nodes",
-        type=int,
-        default=5000,
-        help="per-request cap on a scenario's starting node count",
-    )
-    parser.add_argument(
         "--sim-stall-timeout-ms",
         type=float,
         default=10000.0,
@@ -230,11 +196,8 @@ def build_config(args: argparse.Namespace) -> ServiceConfig:
         port=args.port,
         workers=resolve_count(args.workers, "workers", default_worker_count),
         coalesce_ms=args.coalesce_ms,
-        max_coalesce=args.max_coalesce,
         queue_limit=args.queue_limit,
         seed=args.seed,
-        table_convention=args.table_convention,
-        max_sweep_points=args.max_sweep_points,
         drain_timeout_s=args.drain_timeout_s,
         request_log=not args.no_request_log,
         request_timeout_ms=args.request_timeout_ms,
@@ -246,7 +209,6 @@ def build_config(args: argparse.Namespace) -> ServiceConfig:
         result_cache=args.result_cache,
         result_cache_dir=args.result_cache_dir,
         max_sims=args.max_sims,
-        max_sim_nodes=args.max_sim_nodes,
         sim_stall_timeout_ms=(
             None if args.sim_stall_timeout_ms == 0 else args.sim_stall_timeout_ms
         ),
@@ -272,9 +234,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     try:
         if shards > 1:
-            supervisor = ShardSupervisor(
-                config, shards, max_shard_restarts=args.max_shard_restarts
-            )
+            supervisor = ShardSupervisor(config, shards)
             asyncio.run(supervisor.run())
         else:
             asyncio.run(serve(config))

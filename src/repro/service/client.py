@@ -15,13 +15,10 @@ synthetic status :data:`TRANSPORT_FAILURE_STATUS` (599), so callers handle
 exactly one exception type for "the request did not produce a usable
 response".
 
-Resilience is opt-in per client: pass a
-:class:`~repro.service.retry.RetryPolicy` to retry transport failures and
-429/503 responses with jittered exponential backoff (honoring the
-server's ``Retry-After`` hint), and/or a
-:class:`~repro.service.retry.CircuitBreaker` to fail fast after repeated
-transport failures instead of hammering a dead endpoint.  Both sleeps and
-clocks are injectable, so retry behavior is testable without waiting.
+Each call is one attempt.  A 429/503 answer's ``Retry-After`` hint is
+kept on the error (:attr:`ServiceClientError.retry_after_s`); deciding
+whether and when to try again is the caller's job — the load generator's
+:class:`~repro.loadgen.spec.ClientPolicy` is the one retry policy.
 """
 
 from __future__ import annotations
@@ -31,19 +28,9 @@ import json
 import socket
 import urllib.error
 import urllib.request
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.service.httpio import NDJSON_CONTENT_TYPE
-from repro.service.retry import CircuitBreaker, RetryPolicy, default_sleeper
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -53,10 +40,7 @@ from repro.utils.validation import (
 __all__ = [
     "ServiceClient",
     "ServiceClientError",
-    "CircuitOpenError",
     "TRANSPORT_FAILURE_STATUS",
-    "STREAM_FAILURE_STATUS",
-    "RETRYABLE_STATUSES",
 ]
 
 Payload = Dict[str, object]
@@ -66,11 +50,14 @@ Axis = Union[float, Sequence[float]]
 #: Synthetic status for failures below HTTP (refused, reset, timeout, ...).
 TRANSPORT_FAILURE_STATUS = 599
 
-#: Fallback status for a terminal mid-stream error row carrying none.
-STREAM_FAILURE_STATUS = 500
-
-#: Statuses worth retrying: transport failures plus explicit backpressure.
-RETRYABLE_STATUSES = frozenset({429, 503, TRANSPORT_FAILURE_STATUS})
+#: What ``urllib``/``http.client`` raise when no usable response arrives.
+_TRANSPORT_ERRORS = (
+    urllib.error.URLError,
+    socket.timeout,
+    TimeoutError,
+    ConnectionError,
+    http.client.HTTPException,
+)
 
 
 class ServiceClientError(Exception):
@@ -99,13 +86,6 @@ class ServiceClientError(Exception):
         return self.status == TRANSPORT_FAILURE_STATUS
 
 
-class CircuitOpenError(ServiceClientError):
-    """The client's circuit breaker refused the call locally."""
-
-    def __init__(self, message: str) -> None:
-        super().__init__(503, message)
-
-
 class ServiceClient:
     """Synchronous JSON client bound to one service address."""
 
@@ -114,18 +94,12 @@ class ServiceClient:
         host: str = "127.0.0.1",
         port: int = 8123,
         timeout_s: float = 30.0,
-        retry: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        sleep: Optional[Callable[[float], None]] = None,
     ) -> None:
         check_in_range(port, "port", 1, 65535)
         check_positive(timeout_s, "timeout_s")
         self.host = host
         self.port = int(port)
         self.timeout_s = float(timeout_s)
-        self.retry = retry
-        self.breaker = breaker
-        self._sleep = sleep if sleep is not None else default_sleeper
 
     # ------------------------------------------------------------------ #
     # Transport                                                          #
@@ -134,53 +108,17 @@ class ServiceClient:
     def _url(self, path: str) -> str:
         return f"http://{self.host}:{self.port}{path}"
 
-    def request(
-        self, method: str, path: str, body: Optional[Payload] = None
-    ) -> Payload:
-        """One logical request; returns the JSON payload of a 2xx response.
+    def _open(
+        self, method: str, path: str, body: Optional[Payload], accept: str
+    ) -> http.client.HTTPResponse:
+        """Send one request and return the 2xx response, body unread.
 
-        With a :class:`RetryPolicy` configured, transport failures and
-        429/503 responses are retried (every endpoint is a deterministic
-        pure function of its body, so replays are always safe); other
-        failures raise immediately.  A configured breaker refuses calls
-        with :class:`CircuitOpenError` while open.
+        A non-2xx answer raises :class:`ServiceClientError` with its
+        status, detail, payload and ``Retry-After`` hint; a transport
+        failure raises it with status 599.
         """
-        attempt = 0
-        while True:
-            if self.breaker is not None and not self.breaker.allow():
-                raise CircuitOpenError(
-                    f"circuit breaker open after "
-                    f"{self.breaker.consecutive_failures} consecutive "
-                    f"transport failure(s) to {self.host}:{self.port}"
-                )
-            try:
-                result = self._request_once(method, path, body)
-            except ServiceClientError as exc:
-                if self.breaker is not None:
-                    if exc.is_transport_failure:
-                        self.breaker.record_failure()
-                    else:  # an HTTP response proves the transport works
-                        self.breaker.record_success()
-                retries_left = (
-                    self.retry is not None
-                    and attempt + 1 < self.retry.max_attempts
-                    and exc.status in RETRYABLE_STATUSES
-                )
-                if not retries_left:
-                    raise
-                assert self.retry is not None
-                self._sleep(self.retry.backoff_s(attempt, exc.retry_after_s))
-                attempt += 1
-                continue
-            if self.breaker is not None:
-                self.breaker.record_success()
-            return result
-
-    def _request_once(
-        self, method: str, path: str, body: Optional[Payload]
-    ) -> Payload:
         data = None
-        headers = {"Accept": "application/json"}
+        headers = {"Accept": accept}
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
@@ -188,8 +126,9 @@ class ServiceClient:
             self._url(path), data=data, headers=headers, method=method
         )
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as response:
-                return self._decode(response.read(), response.status)
+            response: http.client.HTTPResponse = urllib.request.urlopen(
+                req, timeout=self.timeout_s
+            )
         except urllib.error.HTTPError as exc:
             raw = exc.read()
             payload = self._safe_decode(raw)
@@ -200,18 +139,27 @@ class ServiceClient:
                 payload,
                 retry_after_s=_parse_retry_after(exc.headers.get("Retry-After")),
             ) from None
-        except (
-            urllib.error.URLError,
-            socket.timeout,
-            TimeoutError,
-            ConnectionError,
-            http.client.HTTPException,
-        ) as exc:
-            raise ServiceClientError(
-                TRANSPORT_FAILURE_STATUS,
-                f"transport failure contacting {self.host}:{self.port}: "
-                f"{type(exc).__name__}: {exc}",
-            ) from exc
+        except _TRANSPORT_ERRORS as exc:
+            raise self._transport_failure(exc) from exc
+        return response
+
+    def _transport_failure(self, exc: BaseException) -> ServiceClientError:
+        return ServiceClientError(
+            TRANSPORT_FAILURE_STATUS,
+            f"transport failure contacting {self.host}:{self.port}: "
+            f"{type(exc).__name__}: {exc}",
+        )
+
+    def request(
+        self, method: str, path: str, body: Optional[Payload] = None
+    ) -> Payload:
+        """One request; returns the JSON payload of a 2xx response."""
+        with self._open(method, path, body, "application/json") as response:
+            try:
+                raw = response.read()
+            except _TRANSPORT_ERRORS as exc:  # the body was cut short
+                raise self._transport_failure(exc) from exc
+            return self._decode(raw, response.status)
 
     @staticmethod
     def _decode(raw: bytes, status: int) -> Payload:
@@ -246,60 +194,12 @@ class ServiceClient:
         chunk there, which this client recognises and swallows).  A
         truncation *without* a preceding error row raises
         :class:`ServiceClientError` with status 599.
-
-        Streaming requests bypass the *retry policy* — a generator cannot
-        safely replay a half-consumed stream (use :meth:`stream_rows` for
-        retried, fully-materialized consumption).  The circuit breaker
-        *is* consulted and updated: a truncated or dead stream counts as
-        a transport failure exactly like a refused connection.
         """
-        if self.breaker is not None and not self.breaker.allow():
-            raise CircuitOpenError(
-                f"circuit breaker open after "
-                f"{self.breaker.consecutive_failures} consecutive "
-                f"transport failure(s) to {self.host}:{self.port}"
-            )
-        data = None
-        headers = {"Accept": NDJSON_CONTENT_TYPE}
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        req = urllib.request.Request(
-            self._url(path), data=data, headers=headers, method=method
-        )
-        try:
-            response = urllib.request.urlopen(req, timeout=self.timeout_s)
-        except urllib.error.HTTPError as exc:
-            if self.breaker is not None:  # an HTTP error proves transport works
-                self.breaker.record_success()
-            raw = exc.read()
-            payload = self._safe_decode(raw)
-            detail = str(payload.get("detail", raw.decode("utf-8", "replace")))
-            raise ServiceClientError(
-                exc.code,
-                detail,
-                payload,
-                retry_after_s=_parse_retry_after(exc.headers.get("Retry-After")),
-            ) from None
-        except (
-            urllib.error.URLError,
-            socket.timeout,
-            TimeoutError,
-            ConnectionError,
-            http.client.HTTPException,
-        ) as exc:
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            raise ServiceClientError(
-                TRANSPORT_FAILURE_STATUS,
-                f"transport failure contacting {self.host}:{self.port}: "
-                f"{type(exc).__name__}: {exc}",
-            ) from exc
+        response = self._open(method, path, body, NDJSON_CONTENT_TYPE)
         return self._iter_ndjson(response)
 
-    def _iter_ndjson(
-        self, response: http.client.HTTPResponse
-    ) -> Iterator[Payload]:
+    @staticmethod
+    def _iter_ndjson(response: http.client.HTTPResponse) -> Iterator[Payload]:
         saw_error = False
         rows = 0
         try:
@@ -311,13 +211,11 @@ class ServiceClient:
                     try:
                         row = json.loads(line)
                     except json.JSONDecodeError as exc:
-                        self._record_stream_failure()
                         raise ServiceClientError(
                             TRANSPORT_FAILURE_STATUS,
                             f"undecodable NDJSON line: {line[:200]!r}",
                         ) from exc
                     if not isinstance(row, dict):
-                        self._record_stream_failure()
                         raise ServiceClientError(
                             TRANSPORT_FAILURE_STATUS,
                             f"NDJSON line is not an object: {line[:200]!r}",
@@ -326,21 +224,12 @@ class ServiceClient:
                         saw_error = True
                     rows += 1
                     yield row
-        except (
-            http.client.HTTPException,
-            ConnectionError,
-            socket.timeout,
-            TimeoutError,
-        ) as exc:
+        except _TRANSPORT_ERRORS as exc:
             if saw_error:
                 # The missing terminal chunk after an error row is the
-                # protocol's failure signal, not a transport fault — the
-                # server delivered a structured failure, so the transport
-                # itself proved healthy.
-                if self.breaker is not None:
-                    self.breaker.record_success()
+                # protocol's failure signal, not a transport fault: the
+                # server delivered a structured failure.
                 return
-            self._record_stream_failure()
             raise ServiceClientError(
                 TRANSPORT_FAILURE_STATUS,
                 f"stream truncated: {type(exc).__name__}: {exc}",
@@ -350,81 +239,10 @@ class ServiceClient:
             # empty body, but every stream this service emits carries at
             # least one line (the summary or ``done`` row) — zero rows can
             # only mean the connection died before the first chunk.
-            self._record_stream_failure()
             raise ServiceClientError(
                 TRANSPORT_FAILURE_STATUS,
                 "stream truncated: connection closed before the first row",
             )
-        if self.breaker is not None:
-            self.breaker.record_success()
-
-    def _record_stream_failure(self) -> None:
-        """Breaker accounting: a truncated stream is a transport failure."""
-        if self.breaker is not None:
-            self.breaker.record_failure()
-
-    def stream_rows(
-        self, method: str, path: str, body: Optional[Payload] = None
-    ) -> List[Payload]:
-        """One streaming request, fully consumed, with retry support.
-
-        Materializes the whole NDJSON stream into a list — unlike
-        :meth:`request_stream`, each attempt is consumed to completion,
-        which makes retrying safe.  Three failure shapes are unified into
-        :class:`ServiceClientError` and (with a :class:`RetryPolicy`)
-        retried when their status is retryable:
-
-        * pre-commit HTTP errors (400/404/429/...), exactly as
-          :meth:`request`;
-        * client-detected truncation — status 599, a transport failure;
-        * a terminal ``{"row": "error"}`` line, raised with the status
-          the row carries (e.g. mid-stream 429 backpressure with its
-          in-body ``retry_after_s`` hint; :data:`STREAM_FAILURE_STATUS`
-          when absent).
-
-        Every streamed endpoint is a deterministic pure function of its
-        body, so a retried stream replays byte-identically — from the
-        server's result cache when one is configured.
-        """
-        attempt = 0
-        while True:
-            try:
-                return self._stream_rows_once(method, path, body)
-            except CircuitOpenError:
-                raise
-            except ServiceClientError as exc:
-                retries_left = (
-                    self.retry is not None
-                    and attempt + 1 < self.retry.max_attempts
-                    and exc.status in RETRYABLE_STATUSES
-                )
-                if not retries_left:
-                    raise
-                assert self.retry is not None
-                self._sleep(self.retry.backoff_s(attempt, exc.retry_after_s))
-                attempt += 1
-
-    def _stream_rows_once(
-        self, method: str, path: str, body: Optional[Payload]
-    ) -> List[Payload]:
-        """Consume one stream attempt; a terminal error row raises."""
-        rows = list(self.request_stream(method, path, body))
-        last = rows[-1] if rows else None
-        if isinstance(last, dict) and last.get("row") == "error":
-            status = last.get("status")
-            retry_after = last.get("retry_after_s")
-            raise ServiceClientError(
-                status
-                if isinstance(status, int) and not isinstance(status, bool)
-                else STREAM_FAILURE_STATUS,
-                str(last.get("detail", last.get("error", "stream failed"))),
-                last,
-                retry_after_s=float(retry_after)
-                if isinstance(retry_after, (int, float))
-                and not isinstance(retry_after, bool)
-                else None,
-            )
-        return rows
 
     # ------------------------------------------------------------------ #
     # Endpoints                                                          #

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.energy.ebar import CONVENTIONS
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -42,8 +41,6 @@ class ServiceConfig:
         waits no longer: a one-point overlay or underlay batch costs
         ~0.1-0.4 ms, so a wider window mostly adds its own length to every
         scalar request (``docs/performance.md`` section 3 has the curve).
-    max_coalesce:
-        Hard cap on one coalesced batch; a full batch flushes immediately.
     queue_limit:
         Maximum in-flight sweep tasks (running + queued); excess requests
         are rejected with HTTP 429.
@@ -51,11 +48,6 @@ class ServiceConfig:
         Base seed for the per-task ``SeedSequence.spawn`` stream handed to
         stochastic work (e.g. ``random_indoor`` environments requested
         without an explicit seed).  ``None`` draws fresh OS entropy.
-    table_convention:
-        ``e_bar_b`` normalization of the preloaded :class:`EbarTable`
-        serving ``/v1/ebar`` lookups.
-    max_sweep_points:
-        Per-request cap on sweep axes (d1 / distances / points).
     drain_timeout_s:
         Graceful-shutdown budget: how long to wait for in-flight requests
         after SIGTERM before force-closing connections.
@@ -99,8 +91,6 @@ class ServiceConfig:
         Concurrently running ``/v1/simulate`` requests, streamed or
         buffered (each runs in its own child process); excess requests
         are rejected with HTTP 429.
-    max_sim_nodes:
-        Per-request cap on a scenario's admission-time ``n_nodes``.
     sim_stall_timeout_ms:
         Per-row stall deadline for ``/v1/simulate``: when the child
         process produces no row for this long, it is killed and the run
@@ -124,11 +114,8 @@ class ServiceConfig:
     port: int = DEFAULT_PORT
     workers: int = 2
     coalesce_ms: float = 0.0
-    max_coalesce: int = 64
     queue_limit: int = 32
     seed: Optional[int] = None
-    table_convention: str = "paper"
-    max_sweep_points: int = 4096
     drain_timeout_s: float = 5.0
     request_log: bool = True
     request_timeout_ms: Optional[float] = None
@@ -140,7 +127,6 @@ class ServiceConfig:
     result_cache: bool = False
     result_cache_dir: Optional[str] = None
     max_sims: int = 2
-    max_sim_nodes: int = 5000
     sim_stall_timeout_ms: Optional[float] = 10000.0
     chaos_admin: bool = False
 
@@ -148,16 +134,9 @@ class ServiceConfig:
         check_in_range(self.port, "port", 0, 65535)
         check_non_negative_int(self.workers, "workers")
         check_non_negative(self.coalesce_ms, "coalesce_ms")
-        check_positive_int(self.max_coalesce, "max_coalesce")
         check_positive_int(self.queue_limit, "queue_limit")
         if self.seed is not None:
             check_non_negative_int(self.seed, "seed")
-        if self.table_convention not in CONVENTIONS:
-            raise ValueError(
-                f"table_convention must be one of {CONVENTIONS}, "
-                f"got {self.table_convention!r}"
-            )
-        check_positive_int(self.max_sweep_points, "max_sweep_points")
         check_positive(self.drain_timeout_s, "drain_timeout_s")
         if self.request_timeout_ms is not None:
             check_positive(self.request_timeout_ms, "request_timeout_ms")
@@ -168,7 +147,6 @@ class ServiceConfig:
         if self.shard_index is not None:
             check_non_negative_int(self.shard_index, "shard_index")
         check_positive_int(self.max_sims, "max_sims")
-        check_positive_int(self.max_sim_nodes, "max_sim_nodes")
         if self.sim_stall_timeout_ms is not None:
             check_positive(self.sim_stall_timeout_ms, "sim_stall_timeout_ms")
 

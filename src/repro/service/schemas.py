@@ -30,6 +30,9 @@ from repro.utils.validation import (
 )
 
 __all__ = [
+    "MAX_ANTENNAS",
+    "MAX_SCATTERERS",
+    "MAX_SWEEP_POINTS",
     "EbarRequest",
     "OverlayRequest",
     "UnderlayRequest",
@@ -45,6 +48,18 @@ __all__ = [
 
 #: Accepted values of the ``/v1/ebar`` ``solver`` field.
 EBAR_SOLVERS = ("table", "exact")
+
+#: Per-request cap on a sweep axis (``d1`` / ``distances`` / ``points``).
+MAX_SWEEP_POINTS = 4096
+
+#: Cap on ``m``, ``mt`` and ``mr``: four times the paper's 1-4 grid.  A
+#: cold ``m = 16`` overlay request took ~50 ms on a shared 2-vCPU host;
+#: at 64 x 64 the BER model already returns NaN.
+MAX_ANTENNAS = 16
+
+#: Cap on ``environment.n_scatterers``: ten times the default of 6.  At
+#: the default decay of 0.75 the 64th echo is ~1e-8 of the first.
+MAX_SCATTERERS = 64
 
 Point = Tuple[float, float]
 
@@ -101,10 +116,7 @@ def _as_point(value: object, name: str) -> Point:
 
 
 def _axis(
-    data: Mapping[str, object],
-    scalar_key: str,
-    vector_key: str,
-    max_points: int,
+    data: Mapping[str, object], scalar_key: str, vector_key: str
 ) -> Tuple[Tuple[float, ...], bool]:
     """One swept axis given either as a scalar or as a list.
 
@@ -123,15 +135,15 @@ def _axis(
             )
             if not values:
                 raise BadRequestError(f"{scalar_key} must be non-empty")
-            if len(values) > max_points:
+            if len(values) > MAX_SWEEP_POINTS:
                 raise BadRequestError(
                     f"{scalar_key} has {len(values)} points; "
-                    f"the per-request limit is {max_points}"
+                    f"the per-request limit is {MAX_SWEEP_POINTS}"
                 )
             return values, False
         return (_as_float(value, scalar_key),), True
     if has_vector:
-        return _axis(data, vector_key, vector_key, max_points)
+        return _axis(data, vector_key, vector_key)
     raise BadRequestError(f"missing required field {scalar_key!r}")
 
 
@@ -160,8 +172,8 @@ class EbarRequest:
     def __post_init__(self) -> None:
         check_probability(self.p, "p")
         check_positive_int(self.b, "b")
-        check_positive_int(self.mt, "mt")
-        check_positive_int(self.mr, "mr")
+        check_positive_int(self.mt, "mt", MAX_ANTENNAS)
+        check_positive_int(self.mr, "mr", MAX_ANTENNAS)
         if self.solver not in EBAR_SOLVERS:
             raise ValueError(f"solver must be one of {EBAR_SOLVERS}")
         if self.convention not in CONVENTIONS:
@@ -217,7 +229,7 @@ class OverlayRequest:
             raise ValueError("d1 must be non-empty")
         for value in self.d1:
             check_positive(value, "d1")
-        check_positive_int(self.m, "m")
+        check_positive_int(self.m, "m", MAX_ANTENNAS)
         check_positive(self.bandwidth, "bandwidth")
         check_probability(self.p_direct, "p_direct")
         check_probability(self.p_relay, "p_relay")
@@ -225,10 +237,10 @@ class OverlayRequest:
             raise ValueError(f"convention must be one of {CONVENTIONS}")
 
 
-def parse_overlay_request(data: object, max_points: int = 4096) -> OverlayRequest:
+def parse_overlay_request(data: object) -> OverlayRequest:
     """Validate a ``/v1/overlay/feasible`` body (``d1`` or ``d1_values``)."""
     body = _require_object(data)
-    d1, scalar = _axis(body, "d1", "d1_values", max_points)
+    d1, scalar = _axis(body, "d1", "d1_values")
     try:
         return OverlayRequest(
             d1=d1,
@@ -265,8 +277,8 @@ class UnderlayRequest:
 
     def __post_init__(self) -> None:
         check_probability(self.p, "p")
-        check_positive_int(self.mt, "mt")
-        check_positive_int(self.mr, "mr")
+        check_positive_int(self.mt, "mt", MAX_ANTENNAS)
+        check_positive_int(self.mr, "mr", MAX_ANTENNAS)
         check_positive(self.d, "d")
         if not self.distances:
             raise ValueError("distances must be non-empty")
@@ -277,10 +289,10 @@ class UnderlayRequest:
             raise ValueError(f"convention must be one of {CONVENTIONS}")
 
 
-def parse_underlay_request(data: object, max_points: int = 4096) -> UnderlayRequest:
+def parse_underlay_request(data: object) -> UnderlayRequest:
     """Validate a ``/v1/underlay/energy`` body (``distance`` or ``distances``)."""
     body = _require_object(data)
-    distances, scalar = _axis(body, "distance", "distances", max_points)
+    distances, scalar = _axis(body, "distance", "distances")
     try:
         return UnderlayRequest(
             p=_as_float(_get(body, "p"), "p"),
@@ -320,7 +332,7 @@ class EnvironmentSpec:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        check_non_negative_int(self.n_scatterers, "n_scatterers")
+        check_non_negative_int(self.n_scatterers, "n_scatterers", MAX_SCATTERERS)
         check_positive(self.inner_radius_m, "inner_radius_m")
         if self.outer_radius_m <= self.inner_radius_m:
             raise ValueError("outer_radius_m must exceed inner_radius_m")
@@ -395,7 +407,7 @@ class InterweaveRequest:
         check_non_negative(self.amplitudes[1], "amplitudes[1]")
 
 
-def parse_interweave_request(data: object, max_points: int = 4096) -> InterweaveRequest:
+def parse_interweave_request(data: object) -> InterweaveRequest:
     """Validate a ``/v1/interweave/pattern`` body (``point`` or ``points``)."""
     body = _require_object(data)
     if "point" in body and "points" in body:
@@ -407,9 +419,10 @@ def parse_interweave_request(data: object, max_points: int = 4096) -> Interweave
         raw = body["points"]
         if not isinstance(raw, (list, tuple)) or not raw:
             raise BadRequestError("points must be a non-empty list of [x, y] pairs")
-        if len(raw) > max_points:
+        if len(raw) > MAX_SWEEP_POINTS:
             raise BadRequestError(
-                f"points has {len(raw)} entries; the per-request limit is {max_points}"
+                f"points has {len(raw)} entries; "
+                f"the per-request limit is {MAX_SWEEP_POINTS}"
             )
         points = tuple(_as_point(p, f"points[{j}]") for j, p in enumerate(raw))
         scalar = False

@@ -70,14 +70,17 @@ from repro.service.httpio import encode_payload, read_request, render_response
 from repro.service.metrics import LatencyHistogram
 from repro.service.pool import RestartBudget
 from repro.service.schemas import error_payload
-from repro.utils.validation import check_non_negative_int, check_positive_int
+from repro.utils.validation import check_positive_int
 
-__all__ = ["ShardSupervisor", "aggregate_snapshots"]
+__all__ = ["MAX_SHARD_RESTARTS", "ShardSupervisor", "aggregate_snapshots"]
 
 logger = logging.getLogger("repro.service")
 
 Payload = Dict[str, object]
 _Event = Tuple[str, int, Dict[str, object]]
+
+#: Crashed-shard replacements before the fleet latches degraded.
+MAX_SHARD_RESTARTS = 3
 
 #: How long one admin fan-out request to a shard may take (seconds).
 _FANOUT_TIMEOUT_S = 5.0
@@ -158,17 +161,10 @@ def aggregate_snapshots(snapshots: List[Payload]) -> Payload:
 class ShardSupervisor:
     """Spawn, balance, replace and aggregate ``N`` server shards."""
 
-    def __init__(
-        self,
-        config: ServiceConfig,
-        shards: int,
-        max_shard_restarts: int = 3,
-    ) -> None:
+    def __init__(self, config: ServiceConfig, shards: int) -> None:
         self.config = config
         self.shards = check_positive_int(shards, "shards")
-        self._budget = RestartBudget(
-            check_non_negative_int(max_shard_restarts, "max_shard_restarts")
-        )
+        self._budget = RestartBudget(MAX_SHARD_RESTARTS)
         self._port = 0
         self._placeholder: Optional[socket.socket] = None
         self._shards: Dict[int, _Shard] = {}
@@ -255,14 +251,8 @@ class ShardSupervisor:
             str(config.workers),
             "--coalesce-ms",
             str(config.coalesce_ms),
-            "--max-coalesce",
-            str(config.max_coalesce),
             "--queue-limit",
             str(config.queue_limit),
-            "--table-convention",
-            config.table_convention,
-            "--max-sweep-points",
-            str(config.max_sweep_points),
             "--max-pool-restarts",
             str(config.max_pool_restarts),
             "--retry-after-s",
@@ -271,8 +261,6 @@ class ShardSupervisor:
             str(config.drain_timeout_s),
             "--max-sims",
             str(config.max_sims),
-            "--max-sim-nodes",
-            str(config.max_sim_nodes),
             "--sim-stall-timeout-ms",
             str(
                 0.0

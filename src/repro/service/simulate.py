@@ -35,9 +35,12 @@ from repro.service.errors import (
 from repro.service.faults import FaultInjector
 from repro.service.metrics import Metrics
 
-__all__ = ["SimulationRunner", "parse_simulate_request"]
+__all__ = ["MAX_SIM_NODES", "SimulationRunner", "parse_simulate_request"]
 
 Row = Dict[str, object]
+
+#: Per-request cap on a scenario's admission-time ``n_nodes``.
+MAX_SIM_NODES = 5000
 
 #: Pipe poll granularity — how quickly a cancelled stream reaps its child.
 _POLL_S = 0.1
@@ -49,11 +52,11 @@ _ROW_ERRORS: Dict[int, Type[ServiceError]] = {
 }
 
 
-def parse_simulate_request(data: object, max_nodes: int) -> ScenarioSpec:
+def parse_simulate_request(data: object) -> ScenarioSpec:
     """Validate a ``/v1/simulate`` body into a :class:`ScenarioSpec`.
 
     Library ``ValueError``s (unknown fields, bad types, out-of-range
-    values) become 400s; ``max_nodes`` bounds the admission-time
+    values) become 400s; :data:`MAX_SIM_NODES` bounds the admission-time
     population (churn joins are separately capped by ``max_joins``).
     """
     if not isinstance(data, dict):
@@ -62,9 +65,9 @@ def parse_simulate_request(data: object, max_nodes: int) -> ScenarioSpec:
         spec = scenario_from_mapping(data)
     except (ValueError, TypeError) as exc:
         raise BadRequestError(str(exc)) from exc
-    if spec.n_nodes > max_nodes:
+    if spec.n_nodes > MAX_SIM_NODES:
         raise BadRequestError(
-            f"n_nodes={spec.n_nodes} exceeds the server limit of {max_nodes}"
+            f"n_nodes={spec.n_nodes} exceeds the server limit of {MAX_SIM_NODES}"
         )
     return spec
 
@@ -93,7 +96,7 @@ def _child_main(spec: ScenarioSpec, conn: Connection) -> None:
     except Exception as exc:  # noqa: BLE001 - relayed as a terminal error row
         # The status the service maps this exception to (see
         # PlanningService._failure): the request's fault, or the server's.
-        status = 400 if isinstance(exc, (ValueError, TypeError)) else 500
+        status = 400 if isinstance(exc, (ValueError, TypeError, OverflowError)) else 500
         try:
             conn.send(("error", (f"{type(exc).__name__}: {exc}", status)))
         except (BrokenPipeError, OSError):  # parent already gone

@@ -15,7 +15,18 @@ import numpy as np
 
 RngLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
 
-__all__ = ["as_rng", "keyed_seed_sequence", "spawn_rngs", "spawn_seed_sequences"]
+__all__ = [
+    "MAX_SEED",
+    "as_rng",
+    "keyed_seed_sequence",
+    "spawn_rngs",
+    "spawn_seed_sequences",
+]
+
+#: The largest seed a declarative spec accepts: any unsigned 64-bit
+#: integer.  ``SeedSequence`` takes larger ones, but a reader that holds
+#: a seed in a ``uint64`` does not.
+MAX_SEED = 2**64 - 1
 
 
 def as_rng(rng: RngLike = None) -> np.random.Generator:

@@ -68,13 +68,17 @@ def check_non_negative_arrays(**arrays: np.ndarray) -> None:
         check_non_negative(float(grid[row, column]), names[row])
 
 
-def check_non_negative_int(value: int, name: str) -> int:
-    """Require an integer ``>= 0`` (bool rejected); return it as int."""
+def check_non_negative_int(
+    value: int, name: str, maximum: Optional[int] = None
+) -> int:
+    """Require an integer ``>= 0`` (bool rejected), optionally bounded above."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {type(value)!r}")
     value = int(value)
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
     return value
 
 
@@ -133,10 +137,12 @@ def check_in_range(
 def coerce_field(value: Any, kind: type, name: str) -> Any:
     """One JSON scalar read strictly as ``kind`` (``str``, ``int`` or ``float``).
 
-    A number field rejects bools and non-numbers; an ``int`` field also
-    rejects any value a float does not hold as an exact integer, NaN and
-    ±inf included.  An integer literal beyond float range raises too, so
-    every bad value is a ``ValueError`` naming ``name``.
+    A number field rejects bools and non-numbers.  An ``int`` field
+    returns a JSON integer as it is, however large (the dataclass that
+    receives it bounds it), and accepts a float only when it holds an
+    exact integer, so NaN and ±inf are rejected.  A ``float`` field
+    rejects an integer literal beyond float range.  Every bad value is a
+    ``ValueError`` naming ``name``.
     """
     if kind is str:
         if not isinstance(value, str):
@@ -144,14 +150,16 @@ def coerce_field(value: Any, kind: type, name: str) -> Any:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number")
+    if kind is int and isinstance(value, int):
+        return value
     try:
         number = float(value)
     except OverflowError:
         raise ValueError(f"{name} is out of range") from None
     if kind is int:
-        if not number.is_integer() or number != value:
+        if not number.is_integer():
             raise ValueError(f"{name} must be an integer")
-        return int(value)
+        return int(number)
     return number
 
 

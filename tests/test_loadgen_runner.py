@@ -5,6 +5,7 @@ Fault events reach the in-process server the way they reach a real binary:
 """
 
 import json
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.loadgen import (
     EndpointMix,
     FaultEvent,
     TrafficSpec,
+    build_plan,
     evaluate,
     load_trace,
     outcome_digest,
@@ -22,6 +24,7 @@ from repro.loadgen import (
 from repro.loadgen.cli import main as loadgen_main
 from repro.service.config import ServiceConfig
 from repro.service.testing import ThreadedServer
+from repro.utils.rng import as_rng, keyed_seed_sequence
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +161,129 @@ class TestFaultedRun:
         spec = small_spec(faults=(FaultEvent(action="kill_shard"),))
         with pytest.raises(ValueError, match="'kill_shard'.*supervisor"):
             run_plan(spec, server.config.host, server.port)
+
+
+def one_request(kind, client=None, faults=(), **mix):
+    """A spec and a plan of its first request alone (plan index 0)."""
+    spec = TrafficSpec(
+        seed=5,
+        duration_s=1.0,
+        mix=(EndpointMix(kind=kind, arrival=ArrivalSpec(rate_per_s=20.0), **mix),),
+        client=client if client is not None else ClientPolicy(),
+        faults=faults,
+        max_concurrency=1,
+        time_scale=0.0,
+    )
+    plan = build_plan(spec)[:1]
+    assert plan[0].index == 0
+    return spec, plan
+
+
+def wait_for_idle_sims(server, deadline_s=10.0):
+    start = time.monotonic()
+    while server.service.sims.active > 0:
+        if time.monotonic() - start > deadline_s:
+            raise AssertionError("a simulate slot was never released")
+        time.sleep(0.02)
+
+
+class TestRetrySchedule:
+    """The runner's retry loop, pinned through an injected sleeper."""
+
+    def test_429_waits_exactly_the_retry_after_hint(self, plain_server):
+        spec, plan = one_request(
+            "simulate_stream", sim_nodes=6, sim_duration_s=1.5, sim_snapshot_s=0.5
+        )
+        sims = plain_server.service.sims
+        wait_for_idle_sims(plain_server)
+        held = plain_server.config.max_sims
+        for _ in range(held):
+            sims.acquire()  # every slot busy: the first attempt gets 429
+        sleeps = []
+
+        def sleeper(delay_s):
+            sleeps.append(delay_s)
+            for _ in range(held):
+                sims.release()
+
+        trace = run_plan(
+            spec, plain_server.config.host, plain_server.port, plan=plan, sleep=sleeper
+        )
+        record = trace.records[0]
+        assert record.status == 200 and record.ok_verified
+        assert record.retries == 1
+        # The server's Retry-After (1 s), not the <= 50 ms first jitter.
+        assert sleeps == [plain_server.config.retry_after_s] == [1.0]
+
+    def test_truncated_stream_waits_the_keyed_jitter(self, server):
+        spec, plan = one_request(
+            "underlay_stream",
+            sweep_points=4,
+            faults=(
+                FaultEvent(
+                    action="truncate_stream",
+                    after_rows=1,
+                    path="/v1/underlay/energy",
+                ),
+            ),
+        )
+        sleeps = []
+        trace = run_plan(
+            spec, server.config.host, server.port, plan=plan, sleep=sleeps.append
+        )
+        record = trace.records[0]
+        assert record.status == 200 and record.ok_verified
+        assert record.retries == 1
+        rng = as_rng(keyed_seed_sequence(spec.seed, plan[0].index))
+        assert sleeps == [spec.client.backoff_s(0, None, rng)]
+
+    def test_abort_on_buffered_ebar_is_absorbed_by_one_retry(self, server):
+        spec, plan = one_request(
+            "ebar", faults=(FaultEvent(action="abort", path="/v1/ebar"),)
+        )
+        sleeps = []
+        trace = run_plan(
+            spec, server.config.host, server.port, plan=plan, sleep=sleeps.append
+        )
+        record = trace.records[0]
+        assert record.status == 200 and record.ok_verified
+        assert record.retries == 1
+        assert len(sleeps) == 1
+
+    def test_unretried_error_row_is_a_structured_500(self, server):
+        spec, plan = one_request(
+            "simulate_stream",
+            client=ClientPolicy(max_attempts=1),
+            faults=(FaultEvent(action="kill_sim_child", after_rows=0),),
+            sim_nodes=6,
+            sim_duration_s=1.5,
+            sim_snapshot_s=0.5,
+        )
+        sleeps = []
+        trace = run_plan(
+            spec, server.config.host, server.port, plan=plan, sleep=sleeps.append
+        )
+        wait_for_idle_sims(server)
+        record = trace.records[0]
+        assert record.status == 500
+        assert record.structured_error
+        assert record.retries == 0
+        assert sleeps == []
+
+    def test_status_outside_retry_on_is_not_retried(self, server):
+        spec, plan = one_request(
+            "ebar",
+            client=ClientPolicy(max_attempts=3, retry_on=(429, 500, 503, 504)),
+            faults=(FaultEvent(action="abort", path="/v1/ebar"),),
+        )
+        sleeps = []
+        trace = run_plan(
+            spec, server.config.host, server.port, plan=plan, sleep=sleeps.append
+        )
+        record = trace.records[0]
+        assert record.status == 599 and record.truncated
+        assert record.retries == 0
+        assert sleeps == []
 
 
 class TestCli:

@@ -20,6 +20,7 @@ from repro.loadgen.spec import (
     traffic_from_mapping,
     traffic_to_mapping,
 )
+from repro.utils.rng import as_rng
 
 
 class TestSpecValidation:
@@ -59,6 +60,47 @@ class TestSpecValidation:
             ClientPolicy(retry_on=(200,))
 
 
+class TestClientPolicyBackoff:
+    """The retry schedule: a server hint, else full jitter from ``rng``."""
+
+    def test_seeded_schedule_is_reproducible(self):
+        policy = ClientPolicy()
+        first_rng, second_rng = as_rng(42), as_rng(42)
+        first = [policy.backoff_s(k, None, first_rng) for k in range(4)]
+        second = [policy.backoff_s(k, None, second_rng) for k in range(4)]
+        assert first == second
+
+    def test_schedule_matches_full_jitter_formula(self):
+        policy = ClientPolicy(base_delay_s=0.1, multiplier=2.0, max_delay_s=5.0)
+        draws = as_rng(7)
+        rng = as_rng(7)
+        for attempt in range(8):
+            cap = min(5.0, 0.1 * 2.0**attempt)
+            assert policy.backoff_s(attempt, None, draws) == float(rng.uniform(0.0, cap))
+
+    def test_delay_is_capped(self):
+        policy = ClientPolicy(base_delay_s=1.0, multiplier=10.0, max_delay_s=2.0)
+        rng = as_rng(3)
+        for attempt in range(10):
+            assert 0.0 <= policy.backoff_s(attempt, None, rng) <= 2.0
+
+    def test_retry_after_overrides_the_jitter(self):
+        policy = ClientPolicy()
+        rng = as_rng(1)
+        assert policy.backoff_s(0, 7.5, rng) == 7.5
+        assert policy.backoff_s(3, 0.0, rng) == 0.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            ClientPolicy(max_attempts=0)
+        with pytest.raises(ValueError):
+            ClientPolicy(base_delay_s=0.0)
+        with pytest.raises(ValueError):
+            ClientPolicy().backoff_s(-1, None, as_rng(1))
+        with pytest.raises(ValueError):
+            ClientPolicy().backoff_s(0, -2.0, as_rng(1))
+
+
 class TestMappingRoundTrip:
     def test_smoke_spec_round_trips(self):
         spec = smoke_spec(include_shard_kill=True)
@@ -88,9 +130,11 @@ class TestMappingRoundTrip:
     def test_type_mismatches_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             traffic_from_mapping({"seed": 1.5})
-        for beyond_float in (float("inf"), float("nan"), 10**400):
+        for beyond_float in (float("inf"), float("nan"), 10**400, 2**64):
             with pytest.raises(ValueError, match="seed"):
                 traffic_from_mapping({"seed": beyond_float})
+        # Every unsigned 64-bit seed is exact, past float's 2**53 too.
+        assert traffic_from_mapping({"seed": 2**63 - 1}).seed == 2**63 - 1
         with pytest.raises(ValueError, match="retry_on"):
             traffic_from_mapping({"client": {"retry_on": ["429"]}})
 

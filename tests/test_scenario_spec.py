@@ -122,9 +122,12 @@ class TestParsing:
             {"traffic": [{"name": "cbr", "packet_bits": float("inf")}]},
             {"n_nodes": 10**400},
             {"duration_s": 10**400},
+            {"seed": 2**64},
         ):
             with pytest.raises(ValueError):
                 scenario_from_mapping(body)
+        # Every unsigned 64-bit seed is exact, past float's 2**53 too.
+        assert scenario_from_mapping({"n_nodes": 10, "seed": 2**63 - 1}).seed == 2**63 - 1
 
     def test_pair_fields(self):
         spec = scenario_from_mapping({"arena_m": [500, 250]})

@@ -197,6 +197,26 @@ class TestParadigmEndpoints:
             ("/v1/simulate", b'{"seed": Infinity}'),
             ("/v1/simulate", b'{"churn": {"max_joins": 1e400}}'),
             ("/v1/simulate", b'{"traffic": [{"name": "cbr", "packet_bits": -Infinity}]}'),
+            # One past each work cap: scatterers, m, mt (both ebar solvers).
+            (
+                "/v1/interweave/pattern",
+                b'{"st1": [0, 0], "st2": [15, 0], "wavelength": 30, "point": [1, 1],'
+                b' "delta": 0.0, "environment": {"n_scatterers": 65, "seed": 1}}',
+            ),
+            ("/v1/overlay/feasible", b'{"d1": 40.0, "m": 17, "bandwidth": 10000.0}'),
+            (
+                "/v1/underlay/energy",
+                b'{"p": 1e-3, "mt": 17, "mr": 2, "d": 5.0, "distance": 40.0,'
+                b' "bandwidth": 10000.0}',
+            ),
+            ("/v1/ebar", b'{"p": 1e-3, "b": 2, "mt": 17, "mr": 2, "solver": "exact"}'),
+            # Arithmetic past float range: 2.0**b and a squared distance.
+            ("/v1/ebar", b'{"p": 1e-3, "b": 1100, "mt": 2, "mr": 2, "solver": "exact"}'),
+            (
+                "/v1/underlay/energy",
+                b'{"p": 1e-3, "mt": 2, "mr": 2, "d": 1e308, "distance": 40.0,'
+                b' "bandwidth": 10000.0}',
+            ),
         ):
             status, _ = asyncio.run(service.handle("POST", path, body))
             assert status == 400, (path, body)

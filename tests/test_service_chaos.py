@@ -5,8 +5,8 @@ HTTP framing, worker pool — with one deterministic fault armed on the
 live :class:`FaultInjector`, then asserts the exact recovery behavior
 promised by the resilience layer: supervised pool restarts with
 bit-identical retried results, 504 deadlines that never stall the event
-loop, degraded inline fallback, and client-side retries over truncated
-responses.
+loop, degraded inline fallback, and truncated responses surfacing as
+transport failures.
 """
 
 import threading
@@ -15,9 +15,8 @@ import time
 import pytest
 
 from repro.service import work
-from repro.service.client import ServiceClient, ServiceClientError
+from repro.service.client import ServiceClientError
 from repro.service.config import ServiceConfig
-from repro.service.retry import RetryPolicy
 from repro.service.schemas import UnderlayRequest
 from repro.service.testing import ThreadedServer
 
@@ -152,21 +151,3 @@ class TestAbortedResponse:
                 server.client().ebar(0.001, 2, 2, 2)
             assert err.value.status == 599
             assert err.value.is_transport_failure
-
-    def test_retry_policy_rides_through_the_abort(self):
-        config = ServiceConfig(
-            port=0, workers=0, coalesce_ms=0.0, request_log=False
-        )
-        with ThreadedServer(config) as server:
-            server.service.faults.arm_abort(1, paths=("/v1/ebar",))
-            sleeps = []
-            client = ServiceClient(
-                server.config.host,
-                server.port,
-                retry=RetryPolicy(max_attempts=3, rng=7),
-                sleep=sleeps.append,
-            )
-            payload = client.ebar(0.001, 2, 2, 2)
-            # First attempt hit the truncated response, the retry landed.
-            assert payload["e_bar"] > 0
-            assert len(sleeps) == 1

@@ -7,8 +7,6 @@ import signal
 import subprocess
 import sys
 
-import pytest
-
 from repro.service.cli import _build_parser, build_config, main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -27,31 +25,21 @@ class TestArgumentMapping:
         args = _build_parser().parse_args(
             [
                 "--host", "0.0.0.0", "--port", "0", "--workers", "4",
-                "--coalesce-ms", "7.5", "--max-coalesce", "16",
-                "--queue-limit", "3", "--seed", "42",
-                "--table-convention", "diversity_only",
-                "--max-sweep-points", "100", "--drain-timeout-s", "1.5",
-                "--no-request-log",
+                "--coalesce-ms", "7.5", "--queue-limit", "3", "--seed", "42",
+                "--drain-timeout-s", "1.5", "--no-request-log",
             ]
         )
         config = build_config(args)
         assert (config.host, config.port, config.workers) == ("0.0.0.0", 0, 4)
         assert config.coalesce_ms == 7.5
-        assert config.max_coalesce == 16
         assert config.queue_limit == 3
         assert config.seed == 42
-        assert config.table_convention == "diversity_only"
-        assert config.max_sweep_points == 100
         assert config.drain_timeout_s == 1.5
         assert config.request_log is False
 
     def test_invalid_value_exits_2(self, capsys):
         assert main(["--workers", "-1"]) == 2
         assert "workers" in capsys.readouterr().err
-
-    def test_unknown_convention_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            _build_parser().parse_args(["--table-convention", "bogus"])
 
 
 class TestSubprocess:

@@ -10,13 +10,13 @@ import socket
 import pytest
 
 from repro.service.client import (
-    RETRYABLE_STATUSES,
     TRANSPORT_FAILURE_STATUS,
-    CircuitOpenError,
     ServiceClient,
     ServiceClientError,
     _parse_retry_after,
 )
+from repro.service.config import ServiceConfig
+from repro.service.testing import ThreadedServer
 
 
 def _closed_port():
@@ -43,12 +43,6 @@ class TestTransportFailures:
             client.request("GET", "/healthz")
         assert err.value.__cause__ is not None
 
-    def test_transport_status_is_retryable(self):
-        assert TRANSPORT_FAILURE_STATUS in RETRYABLE_STATUSES
-        assert 429 in RETRYABLE_STATUSES
-        assert 503 in RETRYABLE_STATUSES
-        assert 400 not in RETRYABLE_STATUSES
-
 
 class TestServiceClientError:
     def test_carries_status_message_and_payload(self):
@@ -68,12 +62,6 @@ class TestServiceClientError:
     def test_out_of_range_status_rejected(self):
         with pytest.raises(ValueError):
             ServiceClientError(600, "nope")
-
-    def test_circuit_open_error_is_a_503_client_error(self):
-        exc = CircuitOpenError("breaker open")
-        assert isinstance(exc, ServiceClientError)
-        assert exc.status == 503
-        assert not exc.is_transport_failure
 
 
 class TestParseRetryAfter:
@@ -101,3 +89,31 @@ class TestValidation:
     def test_bad_timeout_rejected(self):
         with pytest.raises(ValueError):
             ServiceClient(timeout_s=0.0)
+
+
+class TestBackpressure:
+    def test_429_has_retry_after_and_clears_when_the_pool_drains(self):
+        config = ServiceConfig(
+            port=0,
+            workers=0,
+            coalesce_ms=0.0,
+            request_log=False,
+            queue_limit=2,
+            retry_after_s=1.0,
+        )
+        with ThreadedServer(config) as server:
+            # Saturate the pool accounting so the next sweep is rejected.
+            server.service.pool._inflight = config.queue_limit
+            with pytest.raises(ServiceClientError) as err:
+                server.client().underlay_energy(
+                    1e-3, 2, 2, 5.0, [40.0, 60.0], 10e3
+                )
+            assert err.value.status == 429
+            assert err.value.retry_after_s == 1.0
+            assert err.value.payload["status"] == 429
+
+            server.service.pool._inflight = 0
+            payload = server.client().underlay_energy(
+                1e-3, 2, 2, 5.0, [40.0, 60.0], 10e3
+            )
+            assert payload["count"] == 2

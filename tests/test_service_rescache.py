@@ -176,6 +176,26 @@ class TestServiceResultCache:
         assert counters == {"hits": 1, "misses": 0}
         assert warm == cold
 
+    def test_stream_after_a_cut_is_a_byte_identical_hit(self, tmp_path):
+        body = dict(distance=[30.0, 30.5, 31.0, 31.5, 32.0, 32.5], **UNDERLAY_ARGS)
+        with ThreadedServer(_config(tmp_path)) as server:
+            client = server.client()
+            baseline = list(client.underlay_energy_stream(**body))
+            assert baseline[-1] == {"done": True, "count": len(baseline) - 1}
+            server.service.faults.arm_truncate_stream(
+                1, after_rows=1, paths=("/v1/underlay/energy",)
+            )
+            with pytest.raises(ServiceClientError) as excinfo:
+                list(client.underlay_energy_stream(**body))
+            assert excinfo.value.status == 599
+            hits_before = client.metrics_snapshot()["result_cache"]["hits"]
+            replayed = list(client.underlay_energy_stream(**body))
+            hits_after = client.metrics_snapshot()["result_cache"]["hits"]
+        assert json.dumps(replayed, sort_keys=True) == json.dumps(
+            baseline, sort_keys=True
+        )
+        assert hits_after == hits_before + 1
+
     def test_unseeded_stochastic_interweave_bypasses_the_cache(self, tmp_path):
         with ThreadedServer(_config(tmp_path, seed=42)) as server:
             client = server.client()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.service.errors import BadRequestError
 from repro.service.schemas import (
+    MAX_SWEEP_POINTS,
     EbarRequest,
     InterweaveRequest,
     OverlayRequest,
@@ -70,7 +71,7 @@ class TestOverlay:
     def test_max_points_enforced(self):
         with pytest.raises(BadRequestError, match="per-request limit"):
             parse_overlay_request(
-                {"d1": [1.0, 2.0, 3.0], "m": 2, "bandwidth": 10e3}, max_points=2
+                {"d1": [1.0] * (MAX_SWEEP_POINTS + 1), "m": 2, "bandwidth": 10e3}
             )
 
     @pytest.mark.parametrize(
@@ -179,8 +180,11 @@ class TestInterweave:
     def test_max_points_enforced(self):
         with pytest.raises(BadRequestError, match="per-request limit"):
             parse_interweave_request(
-                {**self.BASE, "points": [[0.0, 0.0]] * 3, "delta": 0.0},
-                max_points=2,
+                {
+                    **self.BASE,
+                    "points": [[0.0, 0.0]] * (MAX_SWEEP_POINTS + 1),
+                    "delta": 0.0,
+                }
             )
 
     def test_dataclass_revalidates(self):

@@ -134,21 +134,19 @@ class TestAggregateSnapshots:
 #: Two configs with every ServiceConfig field off its default.
 OFF_DEFAULT_CONFIGS = [
     dict(
-        host="localhost", port=9001, workers=3, coalesce_ms=1.5, max_coalesce=7,
-        queue_limit=9, seed=11, table_convention="diversity_only",
-        max_sweep_points=100, drain_timeout_s=2.5, request_log=False,
+        host="localhost", port=9001, workers=3, coalesce_ms=1.5,
+        queue_limit=9, seed=11, drain_timeout_s=2.5, request_log=False,
         request_timeout_ms=750.0, max_pool_restarts=1, retry_after_s=2.0,
         reuse_port=True, admin_port=9002, shard_index=4, result_cache=True,
-        result_cache_dir="shared-results", max_sims=4, max_sim_nodes=300,
+        result_cache_dir="shared-results", max_sims=4,
         sim_stall_timeout_ms=None, chaos_admin=True,
     ),
     dict(
-        host="0.0.0.0", port=9003, workers=0, coalesce_ms=0.25, max_coalesce=1,
-        queue_limit=1, seed=0, table_convention="diversity_only",
-        max_sweep_points=1, drain_timeout_s=0.5, request_log=False,
+        host="0.0.0.0", port=9003, workers=0, coalesce_ms=0.25,
+        queue_limit=1, seed=0, drain_timeout_s=0.5, request_log=False,
         request_timeout_ms=0.125, max_pool_restarts=0, retry_after_s=0.5,
         reuse_port=True, admin_port=0, shard_index=0, result_cache=True,
-        result_cache_dir="other-results", max_sims=1, max_sim_nodes=1,
+        result_cache_dir="other-results", max_sims=1,
         sim_stall_timeout_ms=2500.0, chaos_admin=True,
     ),
 ]

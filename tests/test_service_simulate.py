@@ -75,11 +75,18 @@ class TestBuffered:
     def test_node_cap_is_400(self, server):
         client = server.client()
         with pytest.raises(ServiceClientError) as err:
-            client.simulate({"n_nodes": 100000})
+            client.simulate({"n_nodes": simulate.MAX_SIM_NODES + 1})
         assert err.value.status == 400
 
+    def test_64_bit_seed_is_served(self, server):
+        client = server.client(timeout_s=120.0)
+        result = client.simulate({**SCENARIO, "seed": 2**63 - 1})
+        assert result["count"] == 3
+        assert result["summary"]["digest"]
+
     @pytest.mark.parametrize(
-        "error,status", [(ValueError, 400), (TypeError, 400), (RuntimeError, 500)]
+        "error,status",
+        [(ValueError, 400), (TypeError, 400), (OverflowError, 400), (RuntimeError, 500)],
     )
     def test_failed_run_keeps_its_status(self, server, monkeypatch, error, status):
         """The forked child reports which kind of exception ended the run:
@@ -222,4 +229,4 @@ class TestRunnerUnit:
         from repro.service.errors import BadRequestError
 
         with pytest.raises(BadRequestError):
-            parse_simulate_request([1, 2], max_nodes=100)
+            parse_simulate_request([1, 2])
