@@ -24,7 +24,7 @@ third-party lint dependency), in three tiers:
   arguments contradicting annotated parameters.  Select the whole tier
   with ``--select RP3``.
 
-Findings can be exported as JSON or as SARIF for code-scanning UIs.
+Findings can be exported as SARIF (a JSON document) for code-scanning UIs.
 
 Usage::
 

@@ -8,7 +8,6 @@ and CI rely on.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional, Sequence
 
@@ -46,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "sarif"),
         default="text",
         help="output format (default: text)",
     )
@@ -81,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _render(findings: Sequence[Finding], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps([finding.to_dict() for finding in findings], indent=2)
     if fmt == "sarif":
         return sarif_json(findings)
     return "\n".join(finding.format() for finding in findings)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
 
 from repro.utils.validation import check_non_negative_int
 
@@ -32,13 +31,3 @@ class Finding:
     def format(self) -> str:
         """Render as ``path:line:col: RULE-ID message``."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (the CLI's ``--format json``)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule_id,
-            "message": self.message,
-        }

@@ -67,14 +67,11 @@ __all__ = [
 
 #: The :mod:`repro.utils.units` converters as unit transfer functions:
 #: terminal call name -> (expected input unit, produced output unit).
-#: ``linear_to_dbm`` is the deprecated misnomer alias of ``watts_to_dbm``;
-#: its *actual* contract is watts in, dBm out.
 CONVERTERS: Dict[str, Tuple[str, str]] = {
     "db_to_linear": ("db", "ratio"),
     "linear_to_db": ("ratio", "db"),
     "dbm_to_watts": ("dbm", "watts"),
     "watts_to_dbm": ("watts", "dbm"),
-    "linear_to_dbm": ("watts", "dbm"),
     "dbi_to_linear": ("dbi", "ratio"),
     "dbm_per_hz_to_watts_per_hz": ("dbm_per_hz", "watts_per_hz"),
     "milliwatts_to_watts": ("milliwatts", "watts"),
@@ -748,7 +745,7 @@ class _Inferencer:
                         candidates = [
                             name
                             for name, (inp, _out) in CONVERTERS.items()
-                            if inp == got.name and name != "linear_to_dbm"
+                            if inp == got.name
                         ]
                         suggestion = next(
                             (

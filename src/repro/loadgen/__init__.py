@@ -1,7 +1,6 @@
 """Deterministic chaos load generator for the planning service.
 
-One subsystem folds the chaos harness and the service bench workload into a
-single declarative tool:
+The chaos harness as one declarative tool:
 
 * :mod:`repro.loadgen.spec` — the :class:`~repro.loadgen.spec.TrafficSpec`
   model: per-endpoint arrival processes, request mixes over every service
@@ -15,13 +14,13 @@ single declarative tool:
   outcome digest (record/replay, bit-identical);
 * :mod:`repro.loadgen.verdict` — the machine-checked
   every-request-accounted-for invariant;
-* :mod:`repro.loadgen.presets` — the CI smoke plan and the bench mix;
+* :mod:`repro.loadgen.presets` — the CI smoke plan;
 * :mod:`repro.loadgen.cli` — ``python -m repro.loadgen`` (run / replay /
   verify / plan).
 """
 
 from repro.loadgen.plan import PlannedRequest, build_plan
-from repro.loadgen.presets import bench_spec, smoke_spec
+from repro.loadgen.presets import smoke_spec
 from repro.loadgen.runner import run_plan
 from repro.loadgen.spec import (
     ENDPOINT_KINDS,
@@ -57,7 +56,6 @@ __all__ = [
     "Trace",
     "TrafficSpec",
     "Verdict",
-    "bench_spec",
     "build_plan",
     "classify",
     "endpoint_route",

@@ -2,7 +2,7 @@
 
 Four subcommands::
 
-    repro-loadgen run    --preset smoke|bench | --spec FILE
+    repro-loadgen run    --preset smoke | --spec FILE
                          --host H --port P [--admin-port P]
                          [--trace OUT.json] [--time-scale X] [--seed N]
     repro-loadgen replay --trace IN.json --host H --port P [--admin-port P]
@@ -32,7 +32,7 @@ import sys
 from typing import List, Optional
 
 from repro.loadgen.plan import build_plan
-from repro.loadgen.presets import bench_spec, smoke_spec
+from repro.loadgen.presets import smoke_spec
 from repro.loadgen.runner import run_plan
 from repro.loadgen.spec import TrafficSpec, traffic_from_mapping
 from repro.loadgen.trace import Trace, load_trace, outcome_digest
@@ -47,10 +47,8 @@ def _load_spec(args: argparse.Namespace) -> TrafficSpec:
             spec = traffic_from_mapping(json.load(handle))
     elif args.preset == "smoke":
         spec = smoke_spec(include_shard_kill=args.admin_port is not None)
-    elif args.preset == "bench":
-        spec = bench_spec()
     else:
-        raise ValueError("need --spec FILE or --preset smoke|bench")
+        raise ValueError("need --spec FILE or --preset smoke")
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
@@ -127,7 +125,7 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spec", default=None, help="traffic spec JSON file")
     parser.add_argument(
         "--preset",
-        choices=("smoke", "bench"),
+        choices=("smoke",),
         default=None,
         help="built-in spec (ignored when --spec is given)",
     )

@@ -1,12 +1,9 @@
-"""Canned traffic specs: the CI smoke plan and the bench workload.
+"""The canned traffic spec: the CI smoke plan.
 
 :func:`smoke_spec` is the ``chaos-replay`` plan — every endpoint kind, all
 stream-aware fault actions, retry-enabled client policy so fault-hit
 requests converge to the clean outcome and the trace digest is independent
-of which in-flight request drew a count-armed fault.  :func:`bench_spec`
-reproduces the coalescing-friendly scalar-heavy mix the service benchmark
-has always used, so ``benchmarks/bench_service.py`` can delegate workload
-construction here instead of keeping its own sampler.
+of which in-flight request drew a count-armed fault.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from repro.loadgen.spec import (
     TrafficSpec,
 )
 
-__all__ = ["bench_spec", "smoke_spec"]
+__all__ = ["smoke_spec"]
 
 
 def smoke_spec(
@@ -92,47 +89,4 @@ def smoke_spec(
         ),
         faults=tuple(faults),
         max_concurrency=8,
-    )
-
-
-def bench_spec(
-    seed: int = 2026,
-    duration_s: float = 10.0,
-    total_rate_per_s: float = 128.0,
-) -> TrafficSpec:
-    """The benchmark mix: scalar-heavy, coalescing- and cache-friendly.
-
-    Mirrors the historical ``bench_service`` workload proportions — mostly
-    scalar ``ebar``/``overlay``/``underlay``/``interweave`` lookups (the
-    coalescer's bread and butter, with repeats that hit the caches) plus a
-    thin tail of buffered sweeps for the worker pool.
-    """
-    rate = total_rate_per_s
-    return TrafficSpec(
-        seed=seed,
-        duration_s=duration_s,
-        mix=(
-            EndpointMix(kind="ebar", arrival=ArrivalSpec(rate_per_s=0.40 * rate)),
-            EndpointMix(
-                kind="overlay", arrival=ArrivalSpec(rate_per_s=0.20 * rate)
-            ),
-            EndpointMix(
-                kind="underlay", arrival=ArrivalSpec(rate_per_s=0.20 * rate)
-            ),
-            EndpointMix(
-                kind="interweave", arrival=ArrivalSpec(rate_per_s=0.10 * rate)
-            ),
-            EndpointMix(
-                kind="overlay_sweep",
-                arrival=ArrivalSpec(rate_per_s=0.05 * rate),
-                sweep_points=16,
-            ),
-            EndpointMix(
-                kind="underlay_sweep",
-                arrival=ArrivalSpec(rate_per_s=0.05 * rate),
-                sweep_points=16,
-            ),
-        ),
-        client=ClientPolicy(timeout_s=120.0, max_attempts=1),
-        max_concurrency=16,
     )

@@ -200,7 +200,7 @@ def outcome_digest(records: Sequence[RequestRecord]) -> str:
 
 
 def summarize_latencies(latencies_ms: Sequence[float]) -> Dict[str, float]:
-    """count/mean/p50/p95/p99/max summary (the bench harness's format)."""
+    """count/mean/p50/p95/p99/max summary of latencies in milliseconds."""
     ordered = sorted(latencies_ms)
     return {
         "count": float(len(ordered)),

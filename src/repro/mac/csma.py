@@ -1,11 +1,13 @@
 """CSMA/CA medium-access simulation.
 
-A slotted 802.11-DCF-style model on the discrete-event kernel: stations
-with saturated or Poisson traffic sense the shared medium, defer for DIFS,
-draw a random backoff from a contention window that doubles per collision
-(binary exponential backoff), transmit, and expect an ACK after SIFS.
-Simultaneous transmissions collide; collided frames are retried up to a
-retry limit.
+A slotted 802.11-DCF-style model: stations with saturated or Poisson
+traffic sense the shared medium, defer for DIFS, draw a random backoff
+from a contention window that doubles per collision (binary exponential
+backoff), transmit, and expect an ACK after SIFS.  Simultaneous
+transmissions collide; collided frames are retried up to a retry limit.
+:meth:`CsmaCaSimulator.run` advances its own clock from one contention
+decision to the next; it does not use the :mod:`repro.simulation` event
+kernel.
 
 CoMIMONet uses this at the link layer (Section 2.1) — within a cluster the
 head and members contend for the intra-cluster channel; between clusters

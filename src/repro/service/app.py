@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import math
 from collections import deque
 from dataclasses import asdict, replace
 from typing import (
@@ -147,6 +148,21 @@ def _response_is_pure(path: str, data: object) -> bool:
     if env.get("seed") is not None:
         return True
     return bool(env.get("n_scatterers", 6) == 0)
+
+
+def _check_finite_answer(name: str, values: Sequence[float]) -> None:
+    """Refuse an interweave answer that left float range (400, not NaN).
+
+    Extreme geometry (a point at ``1e308``, a ``1e-308`` wavelength) makes
+    the phase arithmetic overflow; strict JSON has no ``NaN`` or
+    ``Infinity``, so such an answer is a bad request, not a 200.
+    """
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(
+                f"interweave {name} is {float(value)!r}: the request's geometry "
+                "leaves float range"
+            )
 
 
 class RowStream:
@@ -730,6 +746,7 @@ class PlanningService:
     async def _handle_interweave(self, request: InterweaveRequest) -> bytes:
         request = self._resolve_environment(request)
         delta = work.interweave_delta(request)
+        _check_finite_answer("delta", [delta])
         if request.scalar:
             key: _InterweaveKey = (
                 request.st1,
@@ -746,6 +763,7 @@ class PlanningService:
             ]
         else:
             amplitudes = await self.pool.submit(work.interweave_amplitudes, request)
+        _check_finite_answer("amplitude", amplitudes)
         payload: Payload = {
             "amplitudes": amplitudes,
             "count": len(amplitudes),

@@ -12,6 +12,13 @@ one) encode in the worker, so the event loop only frames bytes.
 Worker processes memoize one :class:`EnergyModel` / system object per
 ``e_bar_b`` convention (module-level dict, rebuilt per process after fork),
 so repeated sweeps do not re-solve the energy tables.
+
+Each function the service calls runs its numpy work under
+``np.errstate(all="ignore")``: an extreme client input (a distance of
+``1e308``) must not print a ``RuntimeWarning`` into the daemon's JSON log,
+and the non-finite values such an input leaves are refused downstream as
+400s.  The library's own gains stay unwrapped, because the simulator calls
+them thousands of times per run.
 """
 
 from __future__ import annotations
@@ -88,9 +95,10 @@ def _underlay(convention: str) -> UnderlaySystem:
 
 def ebar_exact(request: EbarRequest) -> float:
     """``solve_ebar`` at the request point — bit-identical to a direct call."""
-    return solve_ebar(
-        request.p, request.b, request.mt, request.mr, convention=request.convention
-    )
+    with np.errstate(all="ignore"):
+        return solve_ebar(
+            request.p, request.b, request.mt, request.mr, convention=request.convention
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -128,13 +136,14 @@ def overlay_rows(request: OverlayRequest) -> List[Row]:
     """Algorithm 1 feasibility over the request's D1 axis, built straight
     from :meth:`OverlaySystem.distance_arrays`; each row equals
     :func:`overlay_row_dict` of the scalar analysis at that point."""
-    a = _overlay(request.convention).distance_arrays(
-        request.d1,
-        request.m,
-        request.bandwidth,
-        p_direct=request.p_direct,
-        p_relay=request.p_relay,
-    )
+    with np.errstate(all="ignore"):
+        a = _overlay(request.convention).distance_arrays(
+            request.d1,
+            request.m,
+            request.bandwidth,
+            p_direct=request.p_direct,
+            p_relay=request.p_relay,
+        )
     columns = (a.e1, a.b_direct, a.d2, a.b_simo, a.d3, a.b_miso)
     return [
         _overlay_row(d1, a.m, a.bandwidth, a.p_direct, a.p_relay, *point)
@@ -178,14 +187,15 @@ def underlay_rows(request: UnderlayRequest) -> List[Row]:
     """Algorithm 2 PA energy over the request's distance axis, built
     straight from :meth:`UnderlaySystem.pa_energy_arrays`; each row equals
     :func:`underlay_row_dict` of the scalar ``pa_energy`` at that distance."""
-    a = _underlay(request.convention).pa_energy_arrays(
-        request.p,
-        request.mt,
-        request.mr,
-        request.d,
-        request.distances,
-        request.bandwidth,
-    )
+    with np.errstate(all="ignore"):
+        a = _underlay(request.convention).pa_energy_arrays(
+            request.p,
+            request.mt,
+            request.mr,
+            request.d,
+            request.distances,
+            request.bandwidth,
+        )
     columns = (a.b, a.distance, a.total_pa, a.peak_pa)
     return [
         _underlay_row(a.mt, a.mr, b, a.d, distance, total_pa, peak_pa)
@@ -249,8 +259,9 @@ def interweave_delta(request: InterweaveRequest) -> float:
     """
     if request.delta is not None:
         return request.delta
-    pair = NullSteeringPair(request.st1, request.st2, request.wavelength)
-    return pair.delay_for_null(request.pr, exact=request.exact_null)
+    with np.errstate(all="ignore"):
+        pair = NullSteeringPair(request.st1, request.st2, request.wavelength)
+        return pair.delay_for_null(request.pr, exact=request.exact_null)
 
 
 def interweave_amplitudes(request: InterweaveRequest) -> List[float]:
@@ -267,11 +278,12 @@ def interweave_amplitudes(request: InterweaveRequest) -> List[float]:
         [np.asarray(request.st1, float), np.asarray(request.st2, float)]
     )
     points = np.asarray(request.points, dtype=float)
-    values = env.amplitude_at(
-        tx,
-        points,
-        request.wavelength,
-        tx_phases_rad=np.array([delta, 0.0]),
-        tx_amplitudes=np.asarray(request.amplitudes, float),
-    )
+    with np.errstate(all="ignore"):
+        values = env.amplitude_at(
+            tx,
+            points,
+            request.wavelength,
+            tx_phases_rad=np.array([delta, 0.0]),
+            tx_amplitudes=np.asarray(request.amplitudes, float),
+        )
     return [float(v) for v in np.atleast_1d(np.asarray(values))]

@@ -24,7 +24,6 @@ from repro.utils.units import (
     dbm_per_hz_to_watts_per_hz,
     dbm_to_watts,
     linear_to_db,
-    linear_to_dbm,
     milliwatts_to_watts,
     watts_to_dbm,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "linear_to_db",
     "dbm_to_watts",
     "watts_to_dbm",
-    "linear_to_dbm",
     "dbi_to_linear",
     "dbm_per_hz_to_watts_per_hz",
     "milliwatts_to_watts",

@@ -30,7 +30,6 @@ specific alias that fits::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Annotated, Union
 
@@ -44,7 +43,6 @@ __all__ = [
     "linear_to_db",
     "dbm_to_watts",
     "watts_to_dbm",
-    "linear_to_dbm",
     "dbi_to_linear",
     "dbm_per_hz_to_watts_per_hz",
     "milliwatts_to_watts",
@@ -170,26 +168,6 @@ def watts_to_dbm(value_w: WattsLike) -> DBmLike:
     if np.any(arr <= 0.0):
         raise ValueError("watts_to_dbm requires strictly positive values")
     return 10.0 * np.log10(arr / 1e-3)
-
-
-def linear_to_dbm(value_w: WattsLike) -> DBmLike:
-    """Deprecated misnomer for :func:`watts_to_dbm`.
-
-    The input is a power in *watts*, not a dimensionless linear ratio, so
-    the historical name contradicts the naming scheme every other
-    converter follows (and trips the RP304 suffix check at call sites).
-
-    .. deprecated::
-        Call :func:`watts_to_dbm` instead; this shim will be removed once
-        external callers have migrated.
-    """
-    warnings.warn(
-        "linear_to_dbm is a deprecated alias; its argument is watts, "
-        "not a linear ratio - call watts_to_dbm instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return watts_to_dbm(value_w)
 
 
 def dbi_to_linear(value_dbi: DBiLike) -> LinearRatioLike:

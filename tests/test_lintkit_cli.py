@@ -49,13 +49,6 @@ class TestOutput:
         assert int(col) >= 1
         assert rest.strip().startswith("RP101")
 
-    def test_json_format(self, tree, capsys):
-        main([str(tree / "src"), "--format", "json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload) == 1
-        assert payload[0]["rule"] == "RP101"
-        assert payload[0]["line"] == 1
-
     def test_statistics(self, tree, capsys):
         main([str(tree / "src"), "--statistics"])
         err = capsys.readouterr().err
@@ -93,10 +86,10 @@ class TestOutput:
     def test_output_file(self, tree, tmp_path, capsys):
         # --output *also* writes the report: stdout keeps the findings
         # (for humans and logs), FILE gets the artifact CI uploads.
-        report = tmp_path / "report.json"
-        main([str(tree / "src"), "--format", "json", "--output", str(report)])
+        report = tmp_path / "report.sarif"
+        main([str(tree / "src"), "--format", "sarif", "--output", str(report)])
         payload = json.loads(report.read_text())
-        assert payload[0]["rule"] == "RP101"
+        assert payload["runs"][0]["results"][0]["ruleId"] == "RP101"
         assert json.loads(capsys.readouterr().out) == payload
 
 

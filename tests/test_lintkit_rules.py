@@ -393,13 +393,6 @@ class TestEngine:
     def test_finding_format_shape(self):
         f = Finding(path="a.py", line=3, col=7, rule_id="RP101", message="msg")
         assert f.format() == "a.py:3:7: RP101 msg"
-        assert f.to_dict() == {
-            "path": "a.py",
-            "line": 3,
-            "col": 7,
-            "rule": "RP101",
-            "message": "msg",
-        }
 
     def test_finding_rejects_negative_location(self):
         with pytest.raises(ValueError):

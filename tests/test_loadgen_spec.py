@@ -8,7 +8,7 @@ import pytest
 
 from repro.loadgen.arrivals import arrival_offsets_s
 from repro.loadgen.plan import build_plan
-from repro.loadgen.presets import bench_spec, smoke_spec
+from repro.loadgen.presets import smoke_spec
 from repro.loadgen.spec import (
     ENDPOINT_KINDS,
     ArrivalSpec,
@@ -104,10 +104,6 @@ class TestClientPolicyBackoff:
 class TestMappingRoundTrip:
     def test_smoke_spec_round_trips(self):
         spec = smoke_spec(include_shard_kill=True)
-        assert traffic_from_mapping(traffic_to_mapping(spec)) == spec
-
-    def test_bench_spec_round_trips(self):
-        spec = bench_spec()
         assert traffic_from_mapping(traffic_to_mapping(spec)) == spec
 
     def test_mapping_survives_json(self):

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import warnings
 
 import pytest
 
@@ -217,8 +218,39 @@ class TestParadigmEndpoints:
                 b'{"p": 1e-3, "mt": 2, "mr": 2, "d": 1e308, "distance": 40.0,'
                 b' "bandwidth": 10000.0}',
             ),
+            # Geometry whose arithmetic overflows: the answer would carry
+            # NaN or Infinity, which strict JSON cannot hold.
+            (
+                "/v1/interweave/pattern",
+                b'{"st1": [0, 0], "st2": [15, 0], "wavelength": 30.0,'
+                b' "point": [1e308, 1e308], "pr": [100, 0]}',
+            ),
+            (
+                "/v1/interweave/pattern",
+                b'{"st1": [0, 0], "st2": [1e308, 0], "wavelength": 30.0,'
+                b' "point": [10, 10], "pr": [100, 0]}',
+            ),
+            (
+                "/v1/interweave/pattern",
+                b'{"st1": [0, 0], "st2": [15, 0], "wavelength": 1e-308,'
+                b' "point": [10, 10], "pr": [100, 0]}',
+            ),
+            ("/v1/overlay/feasible", b'{"d1": 1e308, "m": 2, "bandwidth": 10000.0}'),
+            (
+                "/v1/underlay/energy",
+                b'{"p": 1e-3, "mt": 2, "mr": 2, "d": 5.0, "distance": 1e308,'
+                b' "bandwidth": 10000.0}',
+            ),
+            (
+                "/v1/underlay/energy",
+                b'{"p": 1e-3, "mt": 2, "mr": 2, "d": 5.0, "distance": [40.0, 1e308],'
+                b' "bandwidth": 10000.0}',
+            ),
         ):
-            status, _ = asyncio.run(service.handle("POST", path, body))
+            # No client input may print a numpy warning into the log.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                status, _ = asyncio.run(service.handle("POST", path, body))
             assert status == 400, (path, body)
 
 

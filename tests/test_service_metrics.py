@@ -1,10 +1,13 @@
-"""Metrics counters and the latency histogram."""
+"""Metrics counters, the latency histogram, and the doc that lists them."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.service.metrics import LatencyHistogram, Metrics
+
+SERVING_DOC = pathlib.Path(__file__).resolve().parent.parent / "docs" / "serving.md"
 
 
 class TestLatencyHistogram:
@@ -99,3 +102,19 @@ class TestMetrics:
         assert snap["pool"]["completed"] == 1
         assert snap["pool"]["rejected"] == 1
         assert metrics.pool_depth == 1
+
+
+class TestMetricsDoc:
+    def test_serving_doc_names_every_snapshot_key(self):
+        text = SERVING_DOC.read_text(encoding="utf-8")
+        start = text.index("## Metrics and logging")
+        end = text.find("\n## ", start)
+        section = text[start:end]
+        snapshot = Metrics().snapshot()
+        # The app adds `health`; a shard supervisor adds `shards`.
+        keys = set(snapshot) | {"health", "shards"}
+        for block in snapshot.values():
+            if isinstance(block, dict):
+                keys |= set(block)
+        missing = sorted(key for key in keys if f"`{key}`" not in section)
+        assert not missing, f"'Metrics and logging' does not name {missing}"

@@ -8,6 +8,8 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -35,6 +37,18 @@ def _underlay_direct():
     return work.underlay_rows(
         UnderlayRequest(distances=tuple(DISTANCES), **UNDERLAY_ARGS)
     )
+
+
+def _wait_for_cache_entries(root, count):
+    """Block until ``count`` result-cache entries are published under ``root``.
+
+    A shard publishes an entry just after its answer goes out, so a repeat
+    sent on the heels of that answer can reach the other shard first.
+    """
+    deadline = time.monotonic() + RECOVERY_TIMEOUT_S
+    while len(list(root.rglob("*.json"))) < count:
+        assert time.monotonic() < deadline, f"no result-cache entry under {root}"
+        time.sleep(0.01)
 
 
 # --------------------------------------------------------------------- #
@@ -280,7 +294,9 @@ def fleet(tmp_path):
 
 
 class TestShardedFleet:
-    def test_fleet_serves_aggregates_and_shares_the_result_cache(self, fleet):
+    def test_fleet_serves_aggregates_and_shares_the_result_cache(
+        self, fleet, tmp_path
+    ):
         running = fleet()
         assert running.announce["shards"] == 2
         running.wait_healthy()
@@ -288,6 +304,7 @@ class TestShardedFleet:
         client = running.client()
         first = client.underlay_energy(distance=DISTANCES, **UNDERLAY_ARGS)
         assert first["rows"] == _underlay_direct()
+        _wait_for_cache_entries(tmp_path / "results", 1)
         second = client.underlay_energy(distance=DISTANCES, **UNDERLAY_ARGS)
         assert second == first
 
@@ -305,6 +322,62 @@ class TestShardedFleet:
         assert cache["hits"] >= 1
         assert cache["hits"] + cache["misses"] >= 2
 
+        running.stop()
+
+    def test_concurrent_volley_reconciles_with_fleet_metrics(self, fleet):
+        running = fleet("--workers", "1")
+        running.wait_healthy()
+        calls = (
+            [("/v1/ebar", lambda c, b=b, mt=mt: c.ebar(1e-3, b, mt, 2))
+             for mt in (1, 2) for b in range(1, 7)]
+            + [("/v1/overlay/feasible",
+                lambda c, d1=d1: c.overlay_feasible(d1, 2, 10e3))
+               for d1 in range(20, 140, 10)]
+            + [("/v1/underlay/energy",
+                lambda c, dist=dist: c.underlay_energy(1e-3, 2, 2, 5.0, dist, 10e3))
+               for dist in range(40, 150, 10)]
+            + [("/v1/interweave/pattern",
+                lambda c, x=x: c.interweave_pattern(
+                    (0.0, 0.0), (15.0, 0.0), 30.0, (x, 40.0), pr=(100.0, 0.0)))
+               for x in range(40, 150, 10)]
+            + [("/v1/overlay/feasible",
+                lambda c: c.overlay_feasible([20.0, 40.0, 60.0], 3, 10e3)),
+               ("/v1/underlay/energy",
+                lambda c: c.underlay_energy(distance=DISTANCES, **UNDERLAY_ARGS))]
+        )
+
+        def fire(call):
+            path, send = call
+            try:
+                send(running.client())
+            except ServiceClientError as exc:
+                return path, exc.status
+            return path, 200
+
+        admin = running.admin()
+        before = admin.metrics_snapshot()
+        with ThreadPoolExecutor(max_workers=8) as threads:
+            seen = list(threads.map(fire, calls))
+        after = admin.metrics_snapshot()
+
+        assert [status for _, status in seen] == [200] * len(calls)
+
+        def delta(block):
+            moved = {key: after[block].get(key, 0) - before[block].get(key, 0)
+                     for key in set(after[block]) | set(before[block])}
+            return {key: count for key, count in moved.items() if count}
+
+        # The supervisor's snapshot is one /metrics request on each live
+        # shard, counted before that shard renders and its 200 after.
+        live = before["shards"]["alive"]
+        assert live == after["shards"]["alive"] == 2
+        paths = Counter(path for path, _ in seen)
+        paths["/metrics"] += live
+        assert delta("requests_by_endpoint") == dict(paths)
+        assert delta("responses_by_status") == {"200": len(calls) + live}
+        # Every request was new to the shared cache; both sweeps were pooled.
+        assert delta("result_cache") == {"misses": len(calls)}
+        assert after["pool"]["completed"] - before["pool"]["completed"] == 2
         running.stop()
 
     def test_killed_shard_is_replaced_within_budget(self, fleet):

@@ -13,7 +13,6 @@ from repro.utils.units import (
     dbm_per_hz_to_watts_per_hz,
     dbm_to_watts,
     linear_to_db,
-    linear_to_dbm,
     milliwatts_to_watts,
     watts_to_dbm,
 )
@@ -124,10 +123,6 @@ class TestMoreRoundTrips:
     @given(st.floats(min_value=1e-15, max_value=1e3))
     def test_watts_dbm_roundtrip_from_watts_side(self, w):
         assert dbm_to_watts(watts_to_dbm(w)) == pytest.approx(w, rel=1e-9)
-
-    def test_linear_to_dbm_is_deprecated_watts_to_dbm(self):
-        with pytest.warns(DeprecationWarning, match="watts_to_dbm"):
-            assert linear_to_dbm(0.5) == watts_to_dbm(0.5)
 
     def test_dbm_per_hz_alias_consistency(self):
         assert dbm_per_hz_to_watts_per_hz(-171.0) == dbm_to_watts(-171.0)
