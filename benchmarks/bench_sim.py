@@ -9,10 +9,13 @@ Measures and writes ``BENCH_sim.json`` (repo root):
 * ``simulate_stream`` — end-to-end NDJSON streaming through a live
   ``/v1/simulate``: a seeded mobile/churning scenario in a dedicated
   server-side process, timed client-side from request to summary row.
-* ``scaling`` — in-process wall time and events/sec of the benchmark-of-
-  record ``sim-city`` scenario body (seed 1001) at 200, 500, 1000 and
-  2000 nodes.  The curve stops at 2000 because d-clustering holds an
-  n x n float64 distance matrix (3.2 GB at 20k nodes).
+* ``scaling`` — wall time, events/sec and peak RSS of the benchmark-of-
+  record ``sim-city`` scenario body (seed 1001) at 200, 500, 1000, 2000
+  and 5000 nodes, the service's ``MAX_SIM_NODES`` cap.  Each point runs
+  in a spawned process of its own and reads that process's ``VmHWM``:
+  a high-water mark only rises, so points sharing a process would each
+  report the largest so far, and ``ru_maxrss`` would not do either,
+  because a spawned child inherits its parent's through exec.
 
 The kernel numbers also act as a regression gate: the kernel must
 sustain ``--target`` events/sec (default 1M) at every hold size,
@@ -35,10 +38,12 @@ Usage::
 import argparse
 import cProfile
 import json
+import multiprocessing
 import pathlib
 import pstats
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_sim.json"
@@ -52,7 +57,7 @@ DEFAULT_TARGET_EVENTS_PER_S = 1_000_000
 DEFAULT_HOLDS = (1000, 5000)
 DEFAULT_N_EVENTS = 200_000
 DEFAULT_REPEATS = 3
-DEFAULT_SCALING_NODES = (200, 500, 1000, 2000)
+DEFAULT_SCALING_NODES = (200, 500, 1000, 2000, 5000)  # 5000: MAX_SIM_NODES
 #: Seed of the first scenario in a ``sim-city`` run of the benchmark of
 #: record; the scaling curve and ``--profile`` use it.
 CITY_SEED = 1001
@@ -133,25 +138,45 @@ def city_runner(n_nodes, duration_s):
     return lambda: list(ScenarioRuntime(spec).run())[-1]
 
 
+def peak_rss_mib():
+    """This process's peak resident set size in MiB (Linux ``VmHWM``)."""
+    for line in pathlib.Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) / 1024.0
+    raise RuntimeError("no VmHWM line in /proc/self/status")
+
+
+def scaling_point(n_nodes, duration_s):
+    """Wall time, events/sec, digest and peak RSS of one city scenario
+    (call it in a fresh process, so the RSS is this scenario's)."""
+    run = city_runner(n_nodes, duration_s)
+    start = time.perf_counter()  # lint: ignore[RP103]
+    summary = run()
+    wall_s = time.perf_counter() - start  # lint: ignore[RP103]
+    events = int(summary["events_processed"])
+    return {
+        "n_nodes": n_nodes,
+        "events_processed": events,
+        "wall_s": wall_s,
+        "events_per_s": events / wall_s,
+        "peak_rss_mib": peak_rss_mib(),
+        "digest": summary["digest"],
+    }
+
+
 def bench_scaling(node_counts, duration_s):
-    """In-process wall time and events/sec of the city scenario per size."""
+    """The city scenario's scaling curve, one spawned process per size."""
+    spawn = multiprocessing.get_context("spawn")
     points = []
     for n_nodes in node_counts:
-        run = city_runner(n_nodes, duration_s)
-        start = time.perf_counter()  # lint: ignore[RP103]
-        summary = run()
-        wall_s = time.perf_counter() - start  # lint: ignore[RP103]
-        events = int(summary["events_processed"])
-        points.append({
-            "n_nodes": n_nodes,
-            "events_processed": events,
-            "wall_s": wall_s,
-            "events_per_s": events / wall_s,
-            "digest": summary["digest"],
-        })
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            point = pool.submit(scaling_point, n_nodes, duration_s).result()
+        points.append(point)
         print(
-            f"bench_sim: scaling {n_nodes} nodes: {events} events in "
-            f"{wall_s:.2f}s ({events / wall_s / 1e3:.1f}k events/s)",
+            f"bench_sim: scaling {n_nodes} nodes: {point['events_processed']} "
+            f"events in {point['wall_s']:.2f}s "
+            f"({point['events_per_s'] / 1e3:.1f}k events/s), "
+            f"peak RSS {point['peak_rss_mib']:.0f} MiB",
             flush=True,
         )
     return {"seed": CITY_SEED, "duration_s": duration_s, "points": points}

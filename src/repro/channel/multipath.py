@@ -16,6 +16,7 @@ identically, which is why the scatterers are explicit geometry.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
@@ -89,6 +90,11 @@ class MultipathEnvironment:
             raise ValueError("need 0 < inner_radius_m < outer_radius_m")
         if echo_amplitude < 0.0 or not (0.0 < decay <= 1.0):
             raise ValueError("echo_amplitude must be >= 0 and decay in (0, 1]")
+        if n_scatterers and not math.isfinite(outer_radius_m * outer_radius_m):
+            raise ValueError(
+                f"outer_radius_m={outer_radius_m!r} is too large: its square "
+                "leaves float range"
+            )
         gen = as_rng(rng)
         scatterers = []
         for k in range(n_scatterers):

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.points import as_points, pairwise_distances
+from repro.geometry.points import as_points, distance, pairwise_distances
 
 __all__ = ["d_cluster", "validate_clustering", "cluster_diameter"]
 
@@ -57,36 +57,36 @@ def d_cluster(
     if n == 0:
         return []
 
-    dist = pairwise_distances(pts)
-
     # Deterministic scan order: start from the lexicographically smallest
     # point and repeatedly take the unvisited node closest to the previous
-    # one.  Greedy locality makes the greedy assignment fill clusters
-    # compactly instead of fragmenting them.
-    order: List[int] = []
-    start = int(np.lexsort((pts[:, 1], pts[:, 0]))[0])
-    visited = np.zeros(n, dtype=bool)
-    current = start
-    for _ in range(n):
-        order.append(current)
-        visited[current] = True
-        if len(order) == n:
-            break
-        remaining = np.where(~visited)[0]
-        current = int(remaining[np.argmin(dist[current, remaining])])
-
+    # one (lowest index on ties).  Greedy locality makes the greedy
+    # assignment fill clusters compactly instead of fragmenting them.
+    # Each node is placed as it is scanned, from its one distance row
+    # (``pairwise_distances``' formula), so memory stays O(n).
     clusters: List[List[int]] = []
-    for idx in order:
-        placed = False
-        for cluster in clusters:
+    cluster_of = np.full(n, -1, dtype=np.intp)  # -1 until scanned
+    current = int(np.lexsort((pts[:, 1], pts[:, 0]))[0])
+    for scanned in range(1, n + 1):
+        row = distance(pts, pts[current])
+        # Only a cluster owning a node within d can take this one; test
+        # those in creation order, as a scan of every cluster would.
+        for cid in np.unique(cluster_of[row <= d]).tolist():
+            if cid < 0:
+                continue
+            cluster = clusters[cid]
             if max_size is not None and len(cluster) >= max_size:
                 continue
-            if all(dist[idx, member] <= d for member in cluster):
-                cluster.append(idx)
-                placed = True
+            if all(row[member] <= d for member in cluster):
+                cluster.append(current)
+                cluster_of[current] = cid
                 break
-        if not placed:
-            clusters.append([idx])
+        else:
+            cluster_of[current] = len(clusters)
+            clusters.append([current])
+        if scanned == n:
+            break
+        remaining = np.flatnonzero(cluster_of < 0)
+        current = int(remaining[np.argmin(row[remaining])])
     for cluster in clusters:
         cluster.sort()
     return clusters

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.points import pairwise_distances
+from repro.geometry.points import distance_matrix
 from repro.network.cluster import Cluster
 from repro.network.clustering import d_cluster
 from repro.network.graph import Graph
@@ -132,9 +132,12 @@ class CoMIMONet:
         """Edge ``(A, B)`` weighted :meth:`Cluster.distance_to` iff within
         ``D_max``, inserted in ``(i, j > i)`` cluster order.
 
-        One member distance matrix, reduced to per-cluster-pair block
-        maxima: the same floats as the pairwise loop (max is exact), so
-        the backbone's tie-breaks do not move.
+        Each cluster's members against every member of the clusters after
+        it, reduced to per-cluster block maxima: one ``(size, rest)`` block
+        at a time, never an n x n matrix.  ``distance_matrix`` is
+        ``pairwise_distances``' formula and max is exact, so the weights
+        are the pairwise loop's floats and the backbone's tie-breaks do
+        not move.
         """
         graph = Graph()
         for c in self.clusters:
@@ -142,25 +145,27 @@ class CoMIMONet:
         if len(self.clusters) < 2:
             return graph
         positions = np.stack([n.position for c in self.clusters for n in c.nodes])
-        dist = pairwise_distances(positions)
-        starts = np.cumsum([0] + [c.size for c in self.clusters[:-1]])
-        block_max = np.maximum.reduceat(
-            np.maximum.reduceat(dist, starts, axis=0), starts, axis=1
-        )
-        ii, jj = np.nonzero(np.triu(block_max <= self.longhaul_range, k=1))
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            graph.add_edge(
-                self.clusters[i].cluster_id,
-                self.clusters[j].cluster_id,
-                float(block_max[i, j]),
-            )
+        starts = np.cumsum([0] + [c.size for c in self.clusters]).tolist()
+        for i, cluster in enumerate(self.clusters[:-1]):
+            lo, hi = starts[i], starts[i + 1]
+            farthest = distance_matrix(positions[lo:hi], positions[hi:]).max(axis=0)
+            block_max = np.maximum.reduceat(farthest, np.subtract(starts[i + 1 : -1], hi))
+            for j in np.flatnonzero(block_max <= self.longhaul_range).tolist():
+                graph.add_edge(
+                    cluster.cluster_id,
+                    self.clusters[i + 1 + j].cluster_id,
+                    float(block_max[j]),
+                )
         return graph
 
     def _build_backbone(self) -> Graph:
         """Spanning tree over the cluster graph (per component).
 
         ``mst`` minimizes total link length (energy-motivated); ``bfs``
-        minimizes hop count from the densest cluster.
+        minimizes hop count from the densest cluster.  Each tree grows on
+        the cluster graph itself, with no per-component copy: Prim starts
+        at the component's first vertex, and both adjacency orders are
+        ascending, so the tie-breaks are those of a copied subgraph.
         """
         backbone = Graph()
         for c in self.clusters:
@@ -168,17 +173,11 @@ class CoMIMONet:
         for component in self.cluster_graph.connected_components():
             if len(component) == 1:
                 continue
-            sub = Graph()
-            for v in component:
-                sub.add_vertex(v)
-            for u, v, w in self.cluster_graph.edges():
-                if u in component and v in component:
-                    sub.add_edge(u, v, w)
             if self.backbone_kind == "mst":
-                tree = sub.minimum_spanning_tree()
+                tree = self.cluster_graph.prim_tree(component)
             else:
                 root = max(component, key=lambda cid: self._cluster_by_id[cid].size)
-                tree = sub.bfs_tree(root)
+                tree = self.cluster_graph.bfs_tree(root)
             for u, v, w in tree.edges():
                 backbone.add_edge(u, v, w)
         return backbone

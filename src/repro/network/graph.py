@@ -13,7 +13,7 @@ backbone construction of Section 2.1).
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Collection, Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -192,18 +192,30 @@ class Graph:
         """Prim's MST (of the whole graph; raises if disconnected)."""
         if not self.is_connected():
             raise ValueError("minimum spanning tree requires a connected graph")
-        tree = Graph()
         if not self._adj:
-            return tree
-        start = next(iter(self._adj))
-        tree.add_vertex(start)
-        visited = {start}
+            return Graph()
+        return self.prim_tree(self.vertices)
+
+    def prim_tree(self, component: Collection[Hashable]) -> "Graph":
+        """Prim's minimum spanning tree of one connected component.
+
+        The tree grows from ``next(iter(component))`` and stops once it
+        spans ``len(component)`` vertices.  Equal weights break ties in
+        push order, so the tree depends on that root and on each vertex's
+        adjacency order, not on other components.
+        """
+        root = next(iter(component))
+        if root not in self._adj:
+            raise KeyError("root not in graph")
+        tree = Graph()
+        tree.add_vertex(root)
+        visited = {root}
         counter = 0
         heap: List[Tuple[float, int, Hashable, Hashable]] = []
-        for u, w in self._adj[start].items():
+        for u, w in self._adj[root].items():
             counter += 1
-            heapq.heappush(heap, (w, counter, start, u))
-        while heap and len(visited) < len(self._adj):
+            heapq.heappush(heap, (w, counter, root, u))
+        while heap and len(visited) < len(component):
             w, _, u, v = heapq.heappop(heap)
             if v in visited:
                 continue

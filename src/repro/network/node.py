@@ -89,15 +89,20 @@ class SUNode:
             raise RuntimeError(f"node {self.node_id} battery exhausted")
         self._consumed_j += energy_j
 
-    def drain(self, energy_j: float) -> None:
+    def drain(self, energy_j: float) -> bool:
         """Draw up to ``energy_j`` joules, letting the last draw empty the
         battery: ``consume(min(energy_j, remaining_j))`` while alive, and a
-        no-op on an exhausted node."""
+        no-op on an exhausted node.
+
+        Returns True iff this draw emptied the battery (the node was alive
+        before it and is dead after it)."""
         remaining = self.battery_j - self._consumed_j
         if remaining > 0.0:
             if energy_j < 0.0:
                 raise ValueError("energy_j must be non-negative")
             self._consumed_j += min(energy_j, remaining)
+            return self._consumed_j >= self.battery_j
+        return False
 
     def move_to(self, position: Tuple[float, float]) -> None:
         """Update the node's coordinates [m] (a mobility tick).

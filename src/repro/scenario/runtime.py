@@ -17,11 +17,13 @@ into a discrete-event simulation on the `repro.simulation` kernel:
   routing epoch.
 
 Between recluster ticks the backbone and every hop's ``(class, m_t, m_r,
-D)`` stay fixed, so each routing epoch keeps one shortest-path tree per
-source cluster and memoizes each long-haul hop's joules; the per-class
-distribution and reception joules are constants of the run.  The
-:class:`~repro.energy.EnergyModel` formulas are pure, so the cached floats
-are exactly those a per-packet evaluation gives.
+D)`` stay fixed, so each routing epoch roots the backbone forest once and
+routes by walking to the common ancestor, keeps each cluster's alive,
+present roster until a member dies or departs, and memoizes each
+long-haul hop's joules; the per-class distribution and reception joules
+are constants of the run.  The :class:`~repro.energy.EnergyModel` formulas
+are pure, so the cached floats are exactly those a per-packet evaluation
+gives.
 
 :meth:`ScenarioRuntime.run` yields one snapshot row per
 ``snapshot_interval_s`` of simulated time and a terminal summary row
@@ -43,7 +45,7 @@ import hashlib
 import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -161,9 +163,13 @@ class ScenarioRuntime:
         # --- network state (rebuilt on each recluster tick: one epoch) ---
         self.net: Optional[CoMIMONet] = None
         self._cluster_of: Dict[int, int] = {}
-        # Backbone Dijkstra parent map per source cluster, and long-haul
-        # per-member tx joules per (class, mt, mr, D), for this epoch.
-        self._trees: Dict[int, Dict[Hashable, Any]] = {}
+        # For this epoch: the backbone forest's parent and depth per
+        # cluster (a root is its own parent), each cluster's alive,
+        # present roster (dropped when a member dies or departs), and
+        # long-haul per-member tx joules per (class, mt, mr, D).
+        self._parent: Dict[int, int] = {}
+        self._depth: Dict[int, int] = {}
+        self._rosters: Dict[int, List[SUNode]] = {}
         self._hop_joules: Dict[Tuple[int, int, int, float], float] = {}
         self._rebuild_network()
 
@@ -194,13 +200,25 @@ class ScenarioRuntime:
     # population helpers                                                 #
     # ------------------------------------------------------------------ #
 
-    def _alive_members(self, cluster_nodes: List[SUNode]) -> List[SUNode]:
-        """Cluster members that can still participate in a transmission."""
-        return [
-            n
-            for n in cluster_nodes
-            if n.alive and not self._recs[n.node_id].departed
-        ]
+    def _roster(self, cluster_id: int) -> List[SUNode]:
+        """The cluster's members that can still take part in a
+        transmission, kept until one of them dies or departs."""
+        roster = self._rosters.get(cluster_id)
+        if roster is None:
+            assert self.net is not None
+            roster = [
+                n
+                for n in self.net.cluster(cluster_id).nodes
+                if n.alive and not self._recs[n.node_id].departed
+            ]
+            self._rosters[cluster_id] = roster
+        return roster
+
+    def _drop_roster(self, node_id: int) -> None:
+        """Forget the roster of a node's cluster (it died or departed)."""
+        cluster_id = self._cluster_of.get(node_id)
+        if cluster_id is not None:
+            self._rosters.pop(cluster_id, None)
 
     def _live_node_count(self) -> int:
         return sum(1 for i in self._present_ids if self._recs[i].node.alive)
@@ -235,7 +253,9 @@ class ScenarioRuntime:
             for i in self._present_ids
             if self._recs[i].node.alive
         ]
-        self._trees.clear()
+        self._parent.clear()
+        self._depth.clear()
+        self._rosters.clear()
         self._hop_joules.clear()
         self._cluster_of.clear()
         if not members:
@@ -251,6 +271,25 @@ class ScenarioRuntime:
         for cluster in self.net.clusters:
             for node in cluster.nodes:
                 self._cluster_of[node.node_id] = cluster.cluster_id
+        self._root_backbone()
+
+    def _root_backbone(self) -> None:
+        """Root each backbone tree at its first cluster (BFS)."""
+        assert self.net is not None
+        backbone, parent, depth = self.net.backbone, self._parent, self._depth
+        for root in backbone.vertices:
+            if root in depth:
+                continue
+            parent[root], depth[root] = root, 0
+            frontier = [root]
+            while frontier:
+                below = []
+                for v in frontier:
+                    for u in backbone.neighbors(v):
+                        if u not in depth:
+                            parent[u], depth[u] = v, depth[v] + 1
+                            below.append(u)
+                frontier = below
 
     def _on_recluster_tick(self) -> None:
         self._rebuild_network()
@@ -276,6 +315,7 @@ class ScenarioRuntime:
             return
         rec.departed = True
         self.leaves += 1
+        self._drop_roster(node_id)
         # Handle-free cancellation of the node's pending arrival.
         if rec.arrival_eid >= 0:
             self.kernel.cancel(rec.arrival_eid)
@@ -339,19 +379,30 @@ class ScenarioRuntime:
         return self._present_ids[i]
 
     def _route_path(self, src_cid: int, dst_cid: int) -> Optional[List[int]]:
-        """Backbone cluster-id path (``shortest_weighted_path``'s), read off
-        the source's Dijkstra parent map, which is kept for the epoch."""
-        parent = self._trees.get(src_cid)
-        if parent is None:
-            assert self.net is not None
-            parent = self.net.backbone.dijkstra(src_cid)[1]
-            self._trees[src_cid] = parent
-        if dst_cid not in parent:
-            return None
-        path = [dst_cid]
-        while path[-1] != src_cid:
-            path.append(parent[path[-1]])
-        return path[::-1]
+        """Backbone cluster-id path, or None across trees.
+
+        A forest has exactly one path per pair, so this is what
+        ``backbone.shortest_weighted_path`` returns: climb from both ends
+        to their common ancestor.
+        """
+        parent, depth = self._parent, self._depth
+        up, down = [src_cid], [dst_cid]
+        a, b = src_cid, dst_cid
+        while depth[a] > depth[b]:
+            a = parent[a]
+            up.append(a)
+        while depth[b] > depth[a]:
+            b = parent[b]
+            down.append(b)
+        while a != b:
+            if depth[a] == 0:
+                return None  # two roots: different trees
+            a, b = parent[a], parent[b]
+            up.append(a)
+            down.append(b)
+        down.pop()
+        up.extend(reversed(down))
+        return up
 
     def _hop_tx_joules(self, cls_index: int, mt: int, mr: int, distance: float) -> float:
         """Per-member long-haul tx joules of one packet, memoized per epoch."""
@@ -393,8 +444,10 @@ class ScenarioRuntime:
         if src_cid == dst_cid:
             # Intra-cluster: one local SISO hop, source to destination.
             d = max(src.distance_to(dst), _MIN_LOCAL_HOP_M)
-            src.drain(model.local_tx(p, b, d, bw).total * bits)
-            dst.drain(local_rx_j)
+            if src.drain(model.local_tx(p, b, d, bw).total * bits):
+                self._drop_roster(src_id)
+            if dst.drain(local_rx_j):
+                self._drop_roster(dst_id)
             self.delivered += 1
             self._latency_us_sum += self._leg_latency_us
             return
@@ -403,8 +456,9 @@ class ScenarioRuntime:
         if path is None:
             self.drops["no_route"] += 1
             return
-        clusters = [self.net.cluster(cid) for cid in path]
-        rosters = [self._alive_members(c.nodes) for c in clusters]
+        # Every roster is read before anyone is charged, so a death inside
+        # this packet changes the next packet's m_t and m_r, not this one's.
+        rosters = [self._roster(cid) for cid in path]
         if any(not roster for roster in rosters):
             # A relay cluster exhausted every member since the recluster.
             self.drops["dead_cluster"] += 1
@@ -413,10 +467,11 @@ class ScenarioRuntime:
         legs = 2 + (len(path) - 1)  # distribute + long-haul hops + collect
         # 1. Local distribution inside the source cluster (bounded by the
         #    cluster diameter), so cooperating members hold the packet.
-        src.drain(distribute_j)
+        if src.drain(distribute_j):
+            self._drop_roster(src_id)
         for member in rosters[0]:
-            if member is not src:
-                member.drain(local_rx_j)
+            if member is not src and member.drain(local_rx_j):
+                self._drop_roster(member.node_id)
         # 2. Long-haul cooperative hops along the backbone.
         for hop in range(len(path) - 1):
             tx_roster, rx_roster = rosters[hop], rosters[hop + 1]
@@ -425,16 +480,20 @@ class ScenarioRuntime:
                 cls_index, len(tx_roster), len(rx_roster), distance
             )
             for member in tx_roster:
-                member.drain(per_tx_j)
+                if member.drain(per_tx_j):
+                    self._drop_roster(member.node_id)
             for member in rx_roster:
-                member.drain(mimo_rx_j)
+                if member.drain(mimo_rx_j):
+                    self._drop_roster(member.node_id)
         # 3. Local collection: the destination cluster's head forwards to
         #    the destination node (skipped when the head IS the node).
-        head = clusters[-1].head
+        head = self.net.cluster(dst_cid).head
         if head is not dst:
             d = max(head.distance_to(dst), _MIN_LOCAL_HOP_M)
-            head.drain(model.local_tx(p, b, d, bw).total * bits)
-            dst.drain(local_rx_j)
+            if head.drain(model.local_tx(p, b, d, bw).total * bits):
+                self._drop_roster(head.node_id)
+            if dst.drain(local_rx_j):
+                self._drop_roster(dst_id)
         self.delivered += 1
         self._latency_us_sum += legs * self._leg_latency_us
 

@@ -747,6 +747,8 @@ class PlanningService:
         request = self._resolve_environment(request)
         delta = work.interweave_delta(request)
         _check_finite_answer("delta", [delta])
+        # Pass the solved offset on, so the amplitudes never solve it again.
+        request = replace(request, delta=delta, pr=None)
         if request.scalar:
             key: _InterweaveKey = (
                 request.st1,

@@ -33,6 +33,7 @@ import logging
 import sys
 from typing import Callable, List, Optional
 
+from repro.service.childproc import arm_parent_death_signal
 from repro.service.config import DEFAULT_PORT, ServiceConfig
 from repro.service.server import serve
 from repro.service.shard import ShardSupervisor
@@ -237,6 +238,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             supervisor = ShardSupervisor(config, shards)
             asyncio.run(supervisor.run())
         else:
+            if config.shard_index is not None:
+                # A shard must not outlive its supervisor, however the
+                # supervisor died: its listener would keep taking a share
+                # of the port's connections with nobody supervising it.
+                arm_parent_death_signal()
             asyncio.run(serve(config))
     except KeyboardInterrupt:  # pragma: no cover - signal handler races
         pass

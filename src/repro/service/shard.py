@@ -309,7 +309,10 @@ class ShardSupervisor:
         # repro.service.childproc).  A stopped process still holds any
         # inherited SO_REUSEPORT listening socket, silently eating a share
         # of new connections — group SIGKILL is the only signal that
-        # removes it regardless of state.
+        # removes it regardless of state.  Spawn only on the loop thread:
+        # a shard arms PR_SET_PDEATHSIG, which fires when the *thread*
+        # that forked it exits, so a spawn from a short-lived thread would
+        # kill the shard with that thread.
         proc = subprocess.Popen(
             self._child_argv(index),
             stdout=subprocess.PIPE,

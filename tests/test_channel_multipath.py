@@ -103,6 +103,12 @@ class TestRandomIndoor:
         with pytest.raises(ValueError):
             MultipathEnvironment.random_indoor(inner_radius_m=4.0, outer_radius_m=2.0)
 
+    def test_overflowing_outer_radius_is_named(self):
+        with pytest.raises(ValueError, match="outer_radius_m"):
+            MultipathEnvironment.random_indoor(outer_radius_m=1e308, rng=1)
+        # Without scatterers the radius is never squared.
+        assert MultipathEnvironment.random_indoor(0, outer_radius_m=1e308).scatterers == ()
+
 
 class TestValidation:
     def test_phase_vector_length_checked(self):

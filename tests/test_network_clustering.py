@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometry.points import pairwise_distances
 from repro.network.clustering import cluster_diameter, d_cluster, validate_clustering
+from repro.network.mobility import RandomWaypointMobility
 
 point_sets = st.integers(min_value=0, max_value=10_000).map(
     lambda seed: np.random.default_rng(seed).uniform(0, 50, size=(seed % 40 + 1, 2))
@@ -95,3 +97,84 @@ class TestValidateErrors:
         pts = np.zeros((3, 2))
         with pytest.raises(ValueError):
             validate_clustering(pts, [[0, 1, 2]], d=1.0, max_size=2)
+
+
+def _reference_d_cluster(positions, d, max_size=None):
+    """The n x n d-clustering ``d_cluster`` replaced: one full distance
+    matrix, the whole nearest-unvisited scan order first, then every
+    cluster tried in creation order for every scanned node."""
+    pts = np.atleast_2d(np.asarray(positions, dtype=float))
+    n = pts.shape[0]
+    dist = pairwise_distances(pts)
+    order = []
+    visited = np.zeros(n, dtype=bool)
+    current = int(np.lexsort((pts[:, 1], pts[:, 0]))[0])
+    for _ in range(n):
+        order.append(current)
+        visited[current] = True
+        if len(order) == n:
+            break
+        remaining = np.where(~visited)[0]
+        current = int(remaining[np.argmin(dist[current, remaining])])
+    clusters = []
+    for idx in order:
+        for cluster in clusters:
+            if max_size is not None and len(cluster) >= max_size:
+                continue
+            if all(dist[idx, member] <= d for member in cluster):
+                cluster.append(idx)
+                break
+        else:
+            clusters.append([idx])
+    for cluster in clusters:
+        cluster.sort()
+    return clusters
+
+
+def _positions(kind):
+    if kind == "lattice":
+        # 15 m integer lattice: equal scan distances everywhere, and pairs
+        # exactly d apart for d = 15 or 30.
+        return np.array([(15.0 * (i % 12), 15.0 * (i // 12)) for i in range(144)])
+    if kind == "duplicates":
+        # Co-located pairs: zero distances and argmin ties at every step.
+        return np.repeat(_positions("lattice")[::3], 2, axis=0)
+    rng = np.random.default_rng(int(kind.split("-")[1]))
+    pts = rng.uniform(0.0, 300.0, size=(200, 2))
+    if kind.startswith("mobile"):
+        # Positions after mobility ticks: the runtime's recluster inputs.
+        mobility = RandomWaypointMobility(arena=(300.0, 300.0), speed_range=(1.0, 15.0))
+        state = mobility.start(pts, rng)
+        for _ in range(7):
+            mobility.step(state, 1.0, rng)
+        pts = state.positions.copy()
+    return pts
+
+
+class TestMatchesNxNReference:
+    """The O(n)-memory scan against the n x n one: equal cluster lists."""
+
+    @pytest.mark.parametrize("max_size", [None, 1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [15.0, 21.3, 30.0, 60.0])
+    @pytest.mark.parametrize(
+        "kind", ["random-0", "random-1", "lattice", "duplicates", "mobile-2"]
+    )
+    def test_equal_clusters(self, kind, d, max_size):
+        pts = _positions(kind)
+        clusters = d_cluster(pts, d, max_size)
+        assert clusters == _reference_d_cluster(pts, d, max_size)
+        validate_clustering(pts, clusters, d, max_size)
+
+    def test_pair_exactly_d_apart_by_the_matrix_formula(self):
+        """A pair whose ``pairwise_distances`` value is ``d`` clusters
+        together, although the 1-D ``norm`` (a BLAS dot) of the same
+        difference reads one ulp more on some hosts."""
+        rng = np.random.default_rng(2026)
+        for v in rng.uniform(-100.0, 100.0, size=(20_000, 2)):
+            if np.linalg.norm(v) > np.linalg.norm(v[None, :], axis=-1)[0]:
+                break
+        else:
+            pytest.skip("the 1-D norm never differs from the row norm here")
+        pts = np.array([[0.0, 0.0], v])
+        d = float(pairwise_distances(pts)[0, 1])
+        assert d_cluster(pts, d) == _reference_d_cluster(pts, d) == [[0, 1]]

@@ -1,5 +1,8 @@
 """CoMIMONet tests: construction, links, routing, reconfiguration."""
 
+import heapq
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -218,3 +221,118 @@ class TestClusterGraphMatchesPairwiseLoop:
         assert net.n_clusters == 1
         assert net.cluster_graph.vertices == [0]
         assert net.cluster_graph.edges() == []
+
+
+def _reference_prim(graph):
+    """Prim over a whole connected graph from its first vertex, stopping
+    once every vertex is in the tree (the copied subgraph's MST)."""
+    tree = Graph()
+    start = graph.vertices[0]
+    tree.add_vertex(start)
+    visited, counter, heap = {start}, 0, []
+    for u in graph.neighbors(start):
+        counter += 1
+        heapq.heappush(heap, (graph.weight(start, u), counter, start, u))
+    while heap and len(visited) < graph.n_vertices:
+        w, _, u, v = heapq.heappop(heap)
+        if v in visited:
+            continue
+        visited.add(v)
+        tree.add_edge(u, v, w)
+        for x in graph.neighbors(v):
+            if x not in visited:
+                counter += 1
+                heapq.heappush(heap, (graph.weight(v, x), counter, v, x))
+    return tree
+
+
+def _reference_backbone(net):
+    """The copy-based backbone the copy-free one replaced: every component
+    copied edge by edge into a graph of its own and spanned there."""
+    backbone = Graph()
+    for c in net.clusters:
+        backbone.add_vertex(c.cluster_id)
+    for component in net.cluster_graph.connected_components():
+        if len(component) == 1:
+            continue
+        sub = Graph()
+        for v in component:
+            sub.add_vertex(v)
+        for u, v, w in net.cluster_graph.edges():
+            if u in component and v in component:
+                sub.add_edge(u, v, w)
+        if net.backbone_kind == "mst":
+            tree = _reference_prim(sub)
+        else:
+            root = max(component, key=lambda cid: net.cluster(cid).size)
+            tree = sub.bfs_tree(root)
+        for u, v, w in tree.edges():
+            backbone.add_edge(u, v, w)
+    return backbone
+
+
+def _islands(kind):
+    """Six 15 m lattices (tie-heavy) or six random blobs, 400 m apart."""
+    nodes = []
+    for island in range(6):
+        if kind == "lattice":
+            coords = [(15.0 * (i % 6), 15.0 * (i // 6)) for i in range(30)]
+        else:
+            rng = np.random.default_rng(island)
+            coords = [tuple(rng.uniform(0.0, 120.0, 2)) for _ in range(30)]
+        for x, y in coords:
+            nodes.append(SUNode(len(nodes), (x + 400.0 * island, y), battery_j=5.0))
+    return nodes
+
+
+class TestBackboneMatchesCopiedSubgraphs:
+    """The backbone grown on the cluster graph itself against the one grown
+    on per-component copies: the same ``edges()`` list, in order."""
+
+    @pytest.mark.parametrize("max_cluster_size", [1, 4])
+    @pytest.mark.parametrize("kind", ["lattice", "random"])
+    @pytest.mark.parametrize("backbone", ["mst", "bfs"])
+    def test_multi_component(self, backbone, kind, max_cluster_size):
+        net = CoMIMONet(
+            _islands(kind),
+            cluster_diameter=20.0,
+            longhaul_range=50.0,
+            max_cluster_size=max_cluster_size,
+            backbone=backbone,
+        )
+        components = [c for c in net.cluster_graph.connected_components() if len(c) > 1]
+        assert len(components) == 6
+        # Some component's first vertex is not its smallest, so a root
+        # other than next(iter(component)) would show.
+        assert any(next(iter(c)) != min(c) for c in components)
+        assert net.backbone.edges() == _reference_backbone(net).edges()
+
+    @pytest.mark.parametrize("backbone", ["mst", "bfs"])
+    def test_after_reconfigure(self, backbone):
+        net = CoMIMONet(
+            _islands("lattice"),
+            cluster_diameter=20.0,
+            longhaul_range=50.0,
+            max_cluster_size=2,
+            backbone=backbone,
+        )
+        for victim in net.clusters[5::9]:
+            for node in victim.nodes:
+                node.consume(node.remaining_j)
+        net.reconfigure()
+        assert net.backbone.edges() == _reference_backbone(net).edges()
+
+
+def test_construction_holds_no_n_by_n_matrix():
+    """3,000 nodes: one n x n float64 matrix alone would be 72 MB."""
+    rng = np.random.default_rng(7)
+    xy = rng.uniform(0.0, 2000.0, size=(3000, 2))
+    nodes = [SUNode(i, (x, y)) for i, (x, y) in enumerate(xy)]
+    tracemalloc.start()
+    try:
+        net = CoMIMONet(nodes, cluster_diameter=60.0, longhaul_range=200.0, max_cluster_size=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.cluster_graph.n_edges > 0
+    assert peak < 40e6

@@ -88,10 +88,12 @@ class TestDrain:
         ref = SUNode(0, (0.0, 0.0), battery_j=battery)
         node = SUNode(1, (0.0, 0.0), battery_j=battery)
         for energy_j in draws:
+            was_alive = node.alive
             _reference_charge(ref, energy_j)
-            node.drain(energy_j)
+            emptied = node.drain(energy_j)
             assert node.consumed_j == ref.consumed_j
             assert node.alive is (ref.remaining_j > 0.0)
+            assert emptied is (was_alive and not node.alive)
 
     def test_exact_empty_draw_kills(self):
         node = SUNode(0, (0.0, 0.0), battery_j=1.0)

@@ -173,6 +173,109 @@ class TestEpochRoutes:
         assert disconnected > 0 and longest >= 4
 
 
+def _alive_present(rt, cluster_id):
+    """The reference roster: every member alive and not departed, now."""
+    return [
+        n
+        for n in rt.net.cluster(cluster_id).nodes
+        if n.alive and not rt._recs[n.node_id].departed
+    ]
+
+
+class TestEpochRosters:
+    """Rosters kept for the epoch against the alive, present members at
+    each packet, read through the (m_t, m_r) each long-haul hop prices."""
+
+    @staticmethod
+    def _relay_route(seed):
+        """A runtime, a route across two or more relay clusters of two or
+        more members, and the list each hop's (m_t, m_r) is recorded in."""
+        spec = ScenarioSpec(
+            n_nodes=60,
+            arena_m=(600.0, 600.0),
+            duration_s=20.0,
+            seed=seed,
+            longhaul_range_m=130.0,
+        )
+        rt = ScenarioRuntime(spec)
+        ids = [c.cluster_id for c in rt.net.clusters]
+        path = next(
+            p
+            for p in (rt._route_path(a, b) for a in ids for b in ids)
+            if p and len(p) >= 4 and all(rt.net.cluster(c).size >= 2 for c in p[1:-1])
+        )
+        hops = []
+        priced = rt._hop_tx_joules
+
+        def record(cls_index, mt, mr, distance):
+            hops.append((mt, mr))
+            return priced(cls_index, mt, mr, distance)
+
+        rt._hop_tx_joules = record
+        return rt, path, hops
+
+    @staticmethod
+    def _send(rt, path):
+        """One packet from the source cluster's head to the destination's."""
+        src = rt.net.cluster(path[0]).head.node_id
+        dst = rt.net.cluster(path[-1]).head.node_id
+        rt._deliver(src, dst, rt._recs[src].cls_index)
+
+    @staticmethod
+    def _expected(rt, path):
+        sizes = [len(_alive_present(rt, c)) for c in path]
+        return list(zip(sizes[:-1], sizes[1:]))
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_death_inside_a_packet_keeps_its_m(self, seed):
+        rt, path, hops = self._relay_route(seed)
+        victim = rt.net.cluster(path[1]).nodes[-1]
+        mimo_rx_j = rt._class_joules[rt._recs[victim.node_id].cls_index][2]
+        # Less than one reception left: hop 0 empties it, hop 1 sends from it.
+        victim.drain(victim.remaining_j - mimo_rx_j / 2.0)
+        expected = self._expected(rt, path)
+        self._send(rt, path)
+        assert not victim.alive
+        assert hops == expected
+        # The next packet no longer counts it.
+        hops.clear()
+        shrunk = self._expected(rt, path)
+        assert shrunk[0][1] == expected[0][1] - 1
+        self._send(rt, path)
+        assert hops == shrunk
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_death_outside_the_route_leaves_the_roster(self, seed):
+        rt, path, hops = self._relay_route(seed)
+        self._send(rt, path)  # every roster on the route is now kept
+        victim, peer = rt.net.cluster(path[2]).nodes[:2]
+        cls_index = rt._recs[victim.node_id].cls_index
+        local_rx_j = rt._class_joules[cls_index][1]
+        # An intra-cluster packet the victim sends empties its battery.
+        victim.drain(victim.remaining_j - local_rx_j / 2.0)
+        rt._deliver(victim.node_id, peer.node_id, cls_index)
+        assert not victim.alive
+        hops.clear()
+        expected = self._expected(rt, path)
+        assert expected[1][1] == len(rt.net.cluster(path[2]).nodes) - 1
+        self._send(rt, path)
+        assert hops == expected
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_departure_leaves_the_roster(self, seed):
+        rt, path, hops = self._relay_route(seed)
+        self._send(rt, path)
+        victim = rt.net.cluster(path[1]).nodes[-1]
+        rt._on_leave(victim.node_id)
+        consumed = victim.consumed_j
+        hops.clear()
+        expected = self._expected(rt, path)
+        assert expected[0][1] == len(rt.net.cluster(path[1]).nodes) - 1
+        self._send(rt, path)
+        assert hops == expected
+        assert victim.consumed_j == consumed
+
+
 class TestDynamics:
     def test_traffic_flows(self):
         summary = run_rows(FAST)[-1]

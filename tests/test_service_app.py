@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from repro.beamforming.pairwise import NullSteeringPair
 from repro.service.app import PlanningService
 from repro.service.config import ServiceConfig
 from repro.service.errors import OverloadedError
@@ -187,6 +188,36 @@ class TestParadigmEndpoints:
         _, replay = call(service, "POST", "/v1/interweave/pattern", body)
         assert replay["amplitudes"] == payload["amplitudes"]
         assert replay["seed_used"] == seed
+
+    def test_interweave_solves_the_phase_offset_once(self, service, monkeypatch):
+        solves = []
+        solve = NullSteeringPair.delay_for_null
+
+        def counted(pair, *args, **kwargs):
+            solves.append(args)
+            return solve(pair, *args, **kwargs)
+
+        monkeypatch.setattr(NullSteeringPair, "delay_for_null", counted)
+        body = {"st1": [0.0, 0.0], "st2": [15.0, 0.0], "wavelength": 30.0, "pr": [90.0, 35.0]}
+        status, _ = call(service, "POST", "/v1/interweave/pattern", {**body, "point": [40.0, 7.0]})
+        assert status == 200
+        assert len(solves) == 1
+        status, _ = call(
+            service, "POST", "/v1/interweave/pattern", {**body, "points": [[40.0, 7.0], [9.0, 3.0]]}
+        )
+        assert status == 200
+        assert len(solves) == 2
+
+    def test_overflowing_environment_radius_names_the_field(self, service):
+        status, payload = call(
+            service,
+            "POST",
+            "/v1/interweave/pattern",
+            {"st1": [0.0, 0.0], "st2": [15.0, 0.0], "wavelength": 30.0, "point": [10.0, 10.0],
+             "delta": 0.0, "environment": {"n_scatterers": 3, "seed": 1, "outer_radius_m": 1e308}},
+        )
+        assert status == 400
+        assert "outer_radius_m" in payload["detail"]
 
     def test_out_of_domain_parameter_is_400(self, service):
         for path, body in (

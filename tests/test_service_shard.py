@@ -293,7 +293,58 @@ def fleet(tmp_path):
         built.kill()
 
 
+def _pid_gone(pid):
+    """True once ``pid`` no longer runs (absent, or a zombie left for its
+    new parent to reap)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def _listening(port):
+    """Whether any TCP socket of this network namespace listens on ``port``
+    (``/proc/net/tcp*``: state ``0A`` is LISTEN)."""
+    for table in ("/proc/net/tcp", "/proc/net/tcp6"):
+        with open(table) as rows:
+            for row in list(rows)[1:]:
+                fields = row.split()
+                if int(fields[1].rsplit(":", 1)[1], 16) == port and fields[3] == "0A":
+                    return True
+    return False
+
+
 class TestShardedFleet:
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux-only"
+    )
+    def test_shards_die_with_a_sigkilled_supervisor(self, fleet):
+        running = fleet()
+        running.wait_healthy()
+        per_shard = running.admin().metrics_snapshot()["shards"]["per_shard"]
+        pids = [entry["pid"] for entry in per_shard]
+        assert len(pids) == 2 and not any(_pid_gone(pid) for pid in pids)
+        try:
+            running.kill()
+            # A dead shard's leader reads as a zombie while its other
+            # threads still exit and close the listener, so wait for both.
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and (
+                not all(_pid_gone(pid) for pid in pids) or _listening(running.port)
+            ):
+                time.sleep(0.05)
+            assert all(_pid_gone(pid) for pid in pids)
+            assert not _listening(running.port)
+        finally:
+            for pid in pids:  # never leak a shard, even on failure
+                if not _pid_gone(pid):
+                    os.kill(pid, signal.SIGKILL)
+
     def test_fleet_serves_aggregates_and_shares_the_result_cache(
         self, fleet, tmp_path
     ):
