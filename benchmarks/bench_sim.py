@@ -15,14 +15,24 @@ Measures and writes ``BENCH_sim.json`` (repo root):
   in a spawned process of its own and reads that process's ``VmHWM``:
   a high-water mark only rises, so points sharing a process would each
   report the largest so far, and ``ru_maxrss`` would not do either,
-  because a spawned child inherits its parent's through exec.
+  because a spawned child inherits its parent's through exec.  The same
+  process then runs the scenario a second time with its mobility,
+  network-build and delivery handlers wrapped, and records the CPU
+  seconds each phase took (``phase_cpu_s``); ``wall_s`` and
+  ``events_per_s`` come from the unwrapped run.
 
-The kernel numbers also act as a regression gate: the kernel must
-sustain ``--target`` events/sec (default 1M) at every hold size,
-scaled by the same floating-point calibration ratio the
-``bench_kernels.py`` gate uses — the committed reference calibration
-time makes the absolute target portable across machine speeds.  Run
-with ``--no-gate`` to measure without failing.
+Two regression gates run unless ``--no-gate`` is given:
+
+* the kernel must sustain ``--target`` events/sec (default 1M) at every
+  hold size, scaled by the same floating-point calibration ratio the
+  ``bench_kernels.py`` gate uses — the committed reference calibration
+  time makes the absolute target portable across machine speeds;
+* every scenario digest (each scaling point and ``simulate_stream``)
+  must equal the committed ``BENCH_sim.json``'s for the same size, seed
+  and duration.  A run that breaks this writes nothing, so the committed
+  reference is never replaced by rows that disagree with it.
+
+``--no-gate`` measures and rewrites the file without failing.
 
 ``--profile`` instead prints the cProfile top 25 (by cumulative time) of
 one ``--sim-nodes`` city scenario and writes nothing — the standing way to
@@ -61,6 +71,8 @@ DEFAULT_SCALING_NODES = (200, 500, 1000, 2000, 5000)  # 5000: MAX_SIM_NODES
 #: Seed of the first scenario in a ``sim-city`` run of the benchmark of
 #: record; the scaling curve and ``--profile`` use it.
 CITY_SEED = 1001
+#: Seed of the ``/v1/simulate`` end-to-end scenario.
+STREAM_SEED = 2026
 PROFILE_TOP = 25
 
 
@@ -146,20 +158,58 @@ def peak_rss_mib():
     raise RuntimeError("no VmHWM line in /proc/self/status")
 
 
+def phase_cpu_s(n_nodes, duration_s):
+    """CPU seconds one city scenario spends per phase: mobility ticks,
+    network builds, packet delivery and everything else (the rest of
+    the run, the wrappers' own clock reads included)."""
+    from repro.scenario.runtime import ScenarioRuntime
+    from repro.scenario.spec import scenario_from_mapping
+
+    spent = {"mobility": 0.0, "network": 0.0, "delivery": 0.0}
+
+    def timed(phase, handler):
+        def wrapper(self, *args):
+            start = time.process_time()
+            try:
+                return handler(self, *args)
+            finally:
+                spent[phase] += time.process_time() - start
+
+        return wrapper
+
+    class PhaseTimedRuntime(ScenarioRuntime):
+        _on_mobility_tick = timed("mobility", ScenarioRuntime._on_mobility_tick)
+        _rebuild_network = timed("network", ScenarioRuntime._rebuild_network)
+        _deliver = timed("delivery", ScenarioRuntime._deliver)
+
+    spec = scenario_from_mapping(city_scenario(n_nodes, duration_s, CITY_SEED))
+    start = time.process_time()
+    summary = list(PhaseTimedRuntime(spec).run())[-1]
+    total = time.process_time() - start
+    spent["other"] = total - sum(spent.values())
+    return spent, summary["digest"]
+
+
 def scaling_point(n_nodes, duration_s):
-    """Wall time, events/sec, digest and peak RSS of one city scenario
-    (call it in a fresh process, so the RSS is this scenario's)."""
+    """Wall time, events/sec, digest and peak RSS of one city scenario,
+    then its per-phase CPU split from a second, wrapped run (call it in a
+    fresh process, so the RSS is this scenario's)."""
     run = city_runner(n_nodes, duration_s)
     start = time.perf_counter()  # lint: ignore[RP103]
     summary = run()
     wall_s = time.perf_counter() - start  # lint: ignore[RP103]
     events = int(summary["events_processed"])
+    peak = peak_rss_mib()
+    phases, digest = phase_cpu_s(n_nodes, duration_s)
+    if digest != summary["digest"]:
+        raise RuntimeError(f"{n_nodes} nodes: the wrapped run digests {digest}")
     return {
         "n_nodes": n_nodes,
         "events_processed": events,
         "wall_s": wall_s,
         "events_per_s": events / wall_s,
-        "peak_rss_mib": peak_rss_mib(),
+        "peak_rss_mib": peak,
+        "phase_cpu_s": phases,
         "digest": summary["digest"],
     }
 
@@ -172,11 +222,12 @@ def bench_scaling(node_counts, duration_s):
         with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
             point = pool.submit(scaling_point, n_nodes, duration_s).result()
         points.append(point)
+        split = ", ".join(f"{k} {v:.2f}" for k, v in point["phase_cpu_s"].items())
         print(
             f"bench_sim: scaling {n_nodes} nodes: {point['events_processed']} "
             f"events in {point['wall_s']:.2f}s "
             f"({point['events_per_s'] / 1e3:.1f}k events/s), "
-            f"peak RSS {point['peak_rss_mib']:.0f} MiB",
+            f"peak RSS {point['peak_rss_mib']:.0f} MiB; CPU s: {split}",
             flush=True,
         )
     return {"seed": CITY_SEED, "duration_s": duration_s, "points": points}
@@ -197,7 +248,7 @@ def bench_simulate_stream(n_nodes, duration_s):
     from repro.service.config import ServiceConfig
     from repro.service.testing import ThreadedServer
 
-    scenario = city_scenario(n_nodes, duration_s, seed=2026)
+    scenario = city_scenario(n_nodes, duration_s, seed=STREAM_SEED)
     config = ServiceConfig(port=0, workers=0, request_log=False, result_cache=False)
     with ThreadedServer(config) as server:
         client = server.client(timeout_s=600.0)
@@ -210,6 +261,7 @@ def bench_simulate_stream(n_nodes, duration_s):
     result = {
         "n_nodes": n_nodes,
         "duration_s": duration_s,
+        "seed": STREAM_SEED,
         "snapshot_rows": len(rows) - 1,
         "events_processed": events,
         "wall_s": wall_s,
@@ -224,6 +276,38 @@ def bench_simulate_stream(n_nodes, duration_s):
         flush=True,
     )
     return result
+
+
+def scenario_digests(payload):
+    """``{(kind, seed, duration_s, n_nodes): digest}`` of a BENCH_sim
+    payload's scenarios (a ``simulate_stream`` without a seed is left
+    out: it cannot be matched)."""
+    digests = {}
+    scaling = payload.get("scaling", {})
+    for point in scaling.get("points", []):
+        key = ("scaling", scaling["seed"], scaling["duration_s"], point["n_nodes"])
+        digests[key] = point["digest"]
+    stream = payload.get("simulate_stream")
+    if stream is not None and "seed" in stream:
+        key = ("simulate_stream", stream["seed"], stream["duration_s"], stream["n_nodes"])
+        digests[key] = stream["digest"]
+    return digests
+
+
+def digest_mismatches(committed, fresh):
+    """Descriptions of every fresh scenario whose digest differs from the
+    committed payload's for the same kind, seed, duration and size."""
+    reference = scenario_digests(committed)
+    mismatches = []
+    for key, digest in sorted(scenario_digests(fresh).items()):
+        expected = reference.get(key)
+        if expected is not None and expected != digest:
+            kind, seed, duration_s, n_nodes = key
+            mismatches.append(
+                f"{kind} seed {seed}, {duration_s:g} s, {n_nodes} nodes: "
+                f"{digest} != committed {expected}"
+            )
+    return mismatches
 
 
 def main(argv=None):
@@ -246,7 +330,7 @@ def main(argv=None):
                         help="skip the /v1/simulate end-to-end leg")
     parser.add_argument("--no-gate", action="store_true",
                         help="measure and write JSON without failing on "
-                        "the throughput gate")
+                        "the throughput or digest gate")
     parser.add_argument("--output", default=str(DEFAULT_OUTPUT),
                         help="output JSON path (default BENCH_sim.json)")
     parser.add_argument("--profile", action="store_true",
@@ -258,6 +342,11 @@ def main(argv=None):
     if args.profile:
         profile_scenario(args.sim_nodes, args.sim_duration_s)
         return 0
+
+    # The committed digests, read before anything can rewrite the file.
+    committed = (
+        json.loads(DEFAULT_OUTPUT.read_text()) if DEFAULT_OUTPUT.exists() else {}
+    )
 
     cal_s = best_of(calibration, args.repeats)
     # A slower machine (larger cal_s) gets a proportionally lower bar.
@@ -273,9 +362,10 @@ def main(argv=None):
     kernels = bench_kernels(DEFAULT_HOLDS, args.n_events, args.repeats)
     payload = {
         "note": ("hold-model kernel churn, /v1/simulate NDJSON streaming "
-                 "and the in-process city scenario scaling curve; gate: "
-                 "kernel events/sec >= target scaled by the calibration "
-                 "ratio"),
+                 "and the in-process city scenario scaling curve with its "
+                 "per-phase CPU split; gates: kernel events/sec >= target "
+                 "scaled by the calibration ratio, and every scenario digest "
+                 "equal to the committed file's"),
         "calibration_s": cal_s,
         "ref_calibration_s": REF_CALIBRATION_S,
         "target_events_per_s": args.target,
@@ -294,6 +384,19 @@ def main(argv=None):
         row["gate"] = "ok" if ok else "REGRESSED"
         if not ok:
             failed.append(name)
+
+    mismatches = digest_mismatches(committed, payload)
+    if mismatches and not args.no_gate:
+        for line in mismatches:
+            print(f"bench_sim: digest changed: {line}", file=sys.stderr)
+        print(f"bench_sim: {DEFAULT_OUTPUT} not rewritten", file=sys.stderr)
+        return 1
+    checked = len(scenario_digests(payload).keys() & scenario_digests(committed).keys())
+    print(
+        f"bench_sim: {checked} scenario digests checked against {DEFAULT_OUTPUT.name}, "
+        f"{len(mismatches)} changed",
+        flush=True,
+    )
 
     output = pathlib.Path(args.output)
     output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

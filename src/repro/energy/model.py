@@ -169,6 +169,9 @@ class EnergyModel:
         self._local_vectors: Callable[
             [float, Meters, Hertz, Tuple[int, ...]], LocalVectors
         ] = memo(self._build_local_vectors)
+        self._local_tx_terms: Callable[[float, int, Hertz], Tuple[float, Joules]] = memo(
+            self._build_local_tx_terms
+        )
 
     # ------------------------------------------------------------------ #
     # e_bar_b passthrough                                                #
@@ -199,6 +202,28 @@ class EnergyModel:
         d = check_positive(d, "d")
         bandwidth = check_positive(bandwidth, "bandwidth")
         c = self.constants
+        pa_per_gain, circuit = self._local_tx_terms(p, b, bandwidth)
+        pa = pa_per_gain * c.local_gain(d) * c.noise_figure_linear * c.sigma2_w_hz
+        return EnergyBreakdown(pa=float(pa), circuit=float(circuit))
+
+    def local_tx_terms(self, p: float, b: int, bandwidth: Hertz) -> Tuple[float, Joules]:
+        """Formula (1)'s distance-free parts, ``(pa_per_gain, circuit)``.
+
+        ``pa_per_gain`` is ``(4/3)(1+alpha)(2^b - 1)/b * ln(4(1 - 2^{-b/2})
+        /(bp))``, so that ``pa_per_gain * local_gain(d) * N_f * sigma^2 +
+        circuit``, in that order, is :meth:`local_tx`'s ``total`` bit for
+        bit.  Memoized per ``(p, b, bandwidth)``, at most
+        :data:`B_VECTOR_MEMO_SIZE` keys.
+        """
+        p = check_probability(p, "p")
+        b = check_positive_int(b, "b")
+        bandwidth = check_positive(bandwidth, "bandwidth")
+        return self._local_tx_terms(p, b, bandwidth)
+
+    def _build_local_tx_terms(
+        self, p: float, b: int, bandwidth: Hertz
+    ) -> Tuple[float, Joules]:
+        c = self.constants
         alpha = c.peak_to_average_alpha(b)
         log_arg = 4.0 * (1.0 - 2.0 ** (-b / 2.0)) / (b * p)
         if log_arg <= 1.0:
@@ -206,18 +231,9 @@ class EnergyModel:
                 f"target BER p={p} too lax for b={b}: the AWGN inversion "
                 "ln(4(1-2^{-b/2})/(bp)) is non-positive"
             )
-        pa = (
-            (4.0 / 3.0)
-            * (1.0 + alpha)
-            * (2.0**b - 1.0)
-            / b
-            * np.log(log_arg)
-            * c.local_gain(d)
-            * c.noise_figure_linear
-            * c.sigma2_w_hz
-        )
+        pa_per_gain = (4.0 / 3.0) * (1.0 + alpha) * (2.0**b - 1.0) / b * np.log(log_arg)
         circuit = c.p_ct_w / (b * bandwidth) + c.p_syn_w * c.t_tr_s / self.packet_bits
-        return EnergyBreakdown(pa=float(pa), circuit=float(circuit))
+        return float(pa_per_gain), float(circuit)
 
     # ------------------------------------------------------------------ #
     # Formula (2): local reception                                       #

@@ -17,11 +17,12 @@ and is used both defensively and by the property-based tests.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.points import as_points, distance, pairwise_distances
+from repro.geometry.points import as_points, pairwise_distances
 
 __all__ = ["d_cluster", "validate_clustering", "cluster_diameter"]
 
@@ -36,7 +37,7 @@ def d_cluster(
     Parameters
     ----------
     positions:
-        ``(n, 2)`` node coordinates.
+        ``(n, 2)`` finite node coordinates.
     d:
         Maximum intra-cluster pairwise distance.
     max_size:
@@ -56,40 +57,128 @@ def d_cluster(
     n = pts.shape[0]
     if n == 0:
         return []
+    if not np.isfinite(pts).all():
+        raise ValueError("positions must be finite")
 
     # Deterministic scan order: start from the lexicographically smallest
-    # point and repeatedly take the unvisited node closest to the previous
+    # point and repeatedly take the unscanned node closest to the previous
     # one (lowest index on ties).  Greedy locality makes the greedy
     # assignment fill clusters compactly instead of fragmenting them.
-    # Each node is placed as it is scanned, from its one distance row
-    # (``pairwise_distances``' formula), so memory stays O(n).
+    # Each node is placed as it is scanned: into the first cluster, in
+    # creation order, with room and every member within d.
+    #
+    # Distances are sqrt(dx*dx + dy*dy) in plain floats, the float
+    # ``pairwise_distances`` gives (``math.hypot`` rounds differently).
+    # Two grids keep each step local.  Their cells are powers of two, so
+    # a node's cell floor(x / cell) is exact.  A cluster can only take a
+    # node within d of its first member, which lies in the 3 x 3 cells
+    # around the node on a grid of cells larger than d.  The nearest
+    # unscanned node is searched ring by ring on a grid of about one node
+    # per cell: a node r + 1 or more rings out is at least r cells away,
+    # so the search stops once its best distance is strictly below that.
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+    reach = float(np.abs(pts).max())
+    spacing = float(np.ptp(pts, axis=0).max()) / math.sqrt(n)
+    step = _cell_size(spacing, reach)
+    unscanned: Dict[Tuple[int, int], List[int]] = {}
+    for j, (x, y) in enumerate(zip(xs, ys)):
+        unscanned.setdefault((math.floor(x / step), math.floor(y / step)), []).append(j)
+    gx0, gy0 = min(k[0] for k in unscanned), min(k[1] for k in unscanned)
+    gx1, gy1 = max(k[0] for k in unscanned), max(k[1] for k in unscanned)
+    cell = _cell_size(d, reach)
+    open_at: Dict[Tuple[int, int], List[int]] = {}  # open clusters by first member's cell
+    home_cell: List[Tuple[int, int]] = []
     clusters: List[List[int]] = []
-    cluster_of = np.full(n, -1, dtype=np.intp)  # -1 until scanned
+    sqrt = math.sqrt
     current = int(np.lexsort((pts[:, 1], pts[:, 0]))[0])
     for scanned in range(1, n + 1):
-        row = distance(pts, pts[current])
-        # Only a cluster owning a node within d can take this one; test
-        # those in creation order, as a scan of every cluster would.
-        for cid in np.unique(cluster_of[row <= d]).tolist():
-            if cid < 0:
-                continue
-            cluster = clusters[cid]
-            if max_size is not None and len(cluster) >= max_size:
-                continue
-            if all(row[member] <= d for member in cluster):
-                cluster.append(current)
-                cluster_of[current] = cid
+        x, y = xs[current], ys[current]
+        cx, cy = math.floor(x / cell), math.floor(y / cell)
+        candidates: List[int] = []
+        for i in (cx - 1, cx, cx + 1):
+            for j in (cy - 1, cy, cy + 1):
+                candidates.extend(open_at.get((i, j), ()))
+        home = -1
+        for cid in sorted(candidates):
+            for m in clusters[cid]:
+                dx = xs[m] - x
+                dy = ys[m] - y
+                if not sqrt(dx * dx + dy * dy) <= d:
+                    break
+            else:
+                home = cid
                 break
-        else:
-            cluster_of[current] = len(clusters)
+        if home < 0:
+            home = len(clusters)
             clusters.append([current])
+            home_cell.append((cx, cy))
+            if max_size is None or max_size > 1:
+                open_at.setdefault((cx, cy), []).append(home)
+        else:
+            clusters[home].append(current)
+            if max_size is not None and len(clusters[home]) >= max_size:
+                full = open_at[home_cell[home]]
+                full.remove(home)
+                if not full:
+                    del open_at[home_cell[home]]
+
+        kx, ky = math.floor(x / step), math.floor(y / step)
+        bucket = unscanned[(kx, ky)]
+        bucket.remove(current)
+        if not bucket:
+            del unscanned[(kx, ky)]
         if scanned == n:
             break
-        remaining = np.flatnonzero(cluster_of < 0)
-        current = int(remaining[np.argmin(row[remaining])])
-    for cluster in clusters:
-        cluster.sort()
+        best, best_j, r = math.inf, -1, 0
+        r_max = max(kx - gx0, gx1 - kx, ky - gy0, gy1 - ky)
+        while True:
+            for key in _ring(kx, ky, r, gx0, gy0, gx1, gy1):
+                for j in unscanned.get(key, ()):
+                    dx = xs[j] - x
+                    dy = ys[j] - y
+                    dist = sqrt(dx * dx + dy * dy)
+                    if dist < best or (dist == best and j < best_j) or best_j < 0:
+                        best, best_j = dist, j
+            if best < r * step or r >= r_max:
+                break
+            r += 1
+        current = best_j
+    for members in clusters:
+        members.sort()
     return clusters
+
+
+def _cell_size(length: float, reach: float) -> float:
+    """A power-of-two grid cell strictly larger than ``length``.
+
+    Never below ``2**-500``, so an in-cell offset's square is a normal
+    float and ``sqrt(dx*dx + dy*dy) >= |dx|`` holds exactly; ``inf`` (one
+    cell for every point: ``floor(x / inf) == 0``) when ``length`` or the
+    largest coordinate magnitude ``reach`` leaves no finite cell count.
+    """
+    if not length < 2.0**1000:
+        return math.inf
+    size = math.ldexp(1.0, max(math.frexp(length)[1], -500))
+    return size if reach < size * 2.0**1000 else math.inf
+
+
+def _ring(
+    kx: int, ky: int, r: int, gx0: int, gy0: int, gx1: int, gy1: int
+) -> List[Tuple[int, int]]:
+    """The cells ``r`` rings around ``(kx, ky)`` (Chebyshev distance r),
+    clipped to the grid's occupied box ``[gx0, gx1] x [gy0, gy1]``."""
+    if r == 0:
+        return [(kx, ky)]
+    xlo, xhi = max(kx - r, gx0), min(kx + r, gx1)
+    ylo, yhi = max(ky - r + 1, gy0), min(ky + r - 1, gy1)
+    cells: List[Tuple[int, int]] = []
+    for y in (ky - r, ky + r):
+        if gy0 <= y <= gy1:
+            cells.extend((x, y) for x in range(xlo, xhi + 1))
+    for x in (kx - r, kx + r):
+        if gx0 <= x <= gx1:
+            cells.extend((x, y) for y in range(ylo, yhi + 1))
+    return cells
 
 
 def cluster_diameter(positions: np.ndarray, members: Sequence[int]) -> float:

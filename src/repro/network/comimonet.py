@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.points import distance_matrix
 from repro.network.cluster import Cluster
 from repro.network.clustering import d_cluster
 from repro.network.graph import Graph
@@ -134,10 +133,15 @@ class CoMIMONet:
 
         Each cluster's members against every member of the clusters after
         it, reduced to per-cluster block maxima: one ``(size, rest)`` block
-        at a time, never an n x n matrix.  ``distance_matrix`` is
-        ``pairwise_distances``' formula and max is exact, so the weights
-        are the pairwise loop's floats and the backbone's tie-breaks do
-        not move.
+        at a time, never an n x n matrix.  Each block holds ``dx*dx +
+        dy*dy``, the sum ``pairwise_distances`` takes the root of, and the
+        root goes on the block maxima alone: a rounded square root never
+        decreases, so the root of the largest sum is the largest root.
+        The weights are thus the pairwise loop's floats and the
+        backbone's tie-breaks do not move.  Each cluster's later neighbors
+        go in with one :meth:`Graph.add_neighbors` call, so every
+        adjacency dict stays in ascending cluster order, as per-edge
+        insertion leaves it.
         """
         graph = Graph()
         for c in self.clusters:
@@ -145,17 +149,24 @@ class CoMIMONet:
         if len(self.clusters) < 2:
             return graph
         positions = np.stack([n.position for c in self.clusters for n in c.nodes])
+        xs, ys = positions[:, 0], positions[:, 1]
         starts = np.cumsum([0] + [c.size for c in self.clusters]).tolist()
+        ids = np.array([c.cluster_id for c in self.clusters])
         for i, cluster in enumerate(self.clusters[:-1]):
             lo, hi = starts[i], starts[i + 1]
-            farthest = distance_matrix(positions[lo:hi], positions[hi:]).max(axis=0)
-            block_max = np.maximum.reduceat(farthest, np.subtract(starts[i + 1 : -1], hi))
-            for j in np.flatnonzero(block_max <= self.longhaul_range).tolist():
-                graph.add_edge(
-                    cluster.cluster_id,
-                    self.clusters[i + 1 + j].cluster_id,
-                    float(block_max[j]),
-                )
+            dx = xs[hi:] - xs[lo:hi, None]
+            dy = ys[hi:] - ys[lo:hi, None]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            farthest = dx.max(axis=0)
+            block_max = np.sqrt(
+                np.maximum.reduceat(farthest, np.subtract(starts[i + 1 : -1], hi))
+            )
+            near = np.flatnonzero(block_max <= self.longhaul_range)
+            graph.add_neighbors(
+                cluster.cluster_id, ids[i + 1 + near].tolist(), block_max[near].tolist()
+            )
         return graph
 
     def _build_backbone(self) -> Graph:

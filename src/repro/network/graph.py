@@ -13,7 +13,7 @@ backbone construction of Section 2.1).
 from __future__ import annotations
 
 import heapq
-from typing import Collection, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Collection, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -44,6 +44,23 @@ class Graph:
         self.add_vertex(v)
         self._adj[u][v] = float(weight)
         self._adj[v][u] = float(weight)
+
+    def add_neighbors(
+        self, u: Hashable, neighbors: Sequence[Hashable], weights: Sequence[float]
+    ) -> None:
+        """Insert the edges ``(u, neighbors[k], weights[k])`` in one call.
+
+        The bulk form of :meth:`add_edge` for trusted input, without its
+        per-edge checks: every endpoint must already be a vertex, no
+        neighbor may be ``u``, and each weight must be a non-negative
+        float.  Each new entry goes at the end of its adjacency dict, as
+        with :meth:`add_edge`.
+        """
+        adj = self._adj
+        nbrs = adj[u]
+        for v, w in zip(neighbors, weights):
+            nbrs[v] = w
+            adj[v][u] = w
 
     def remove_vertex(self, v: Hashable) -> None:
         """Delete a vertex and every incident edge."""
@@ -201,31 +218,48 @@ class Graph:
 
         The tree grows from ``next(iter(component))`` and stops once it
         spans ``len(component)`` vertices.  Equal weights break ties in
-        push order, so the tree depends on that root and on each vertex's
-        adjacency order, not on other components.
+        the order edges are offered (root first, then each new vertex's
+        adjacency order), so the tree depends on that root and on those
+        orders, not on other components.
+
+        Prim with a heap that takes an offer to a vertex outside the tree
+        only when it is strictly lighter than that vertex's best offer so
+        far.  The offers it drops are ones a lazy Prim would push and never
+        use: each is no lighter than an earlier offer to the same vertex,
+        which sorts first on ``(weight, push order)``.  A superseded offer
+        is strictly heavier than the one that replaced it, so a vertex's
+        first pop is its best offer, as in the lazy heap, and the two add
+        the same edges in the same order.
         """
         root = next(iter(component))
-        if root not in self._adj:
+        adj = self._adj
+        if root not in adj:
             raise KeyError("root not in graph")
         tree = Graph()
         tree.add_vertex(root)
-        visited = {root}
-        counter = 0
+        # Each vertex's lightest offer so far; -1.0 marks a tree vertex,
+        # which no (non-negative) offer beats.
+        offered: Dict[Hashable, float] = {root: -1.0}
         heap: List[Tuple[float, int, Hashable, Hashable]] = []
-        for u, w in self._adj[root].items():
-            counter += 1
-            heapq.heappush(heap, (w, counter, root, u))
-        while heap and len(visited) < len(component):
-            w, _, u, v = heapq.heappop(heap)
-            if v in visited:
-                continue
-            visited.add(v)
-            tree.add_edge(u, v, w)
-            for x, wx in self._adj[v].items():
-                if x not in visited:
+        counter, size, v = 0, 1, root
+        while True:
+            for x, wx in adj[v].items():
+                w0 = offered.get(x)
+                if w0 is None or wx < w0:
                     counter += 1
+                    offered[x] = wx
                     heapq.heappush(heap, (wx, counter, v, x))
-        return tree
+            if size == len(component):
+                return tree
+            while heap:
+                w, _, u, v = heapq.heappop(heap)
+                if offered[v] >= 0.0:
+                    break
+            else:
+                return tree
+            offered[v] = -1.0
+            size += 1
+            tree.add_edge(u, v, w)
 
     def bfs_tree(self, root: Hashable) -> "Graph":
         """BFS spanning tree of root's component (hop-count backbone)."""

@@ -104,16 +104,42 @@ class RandomWaypointMobility:
         Mutates ``state`` in place and returns ``state.positions``.
         Waypoint arrivals re-draw a destination and speed from ``rng`` in
         node order, exactly as :meth:`walk` does within a step.
+
+        Every moving node's first leg is one array pass; only the nodes
+        that reach their waypoint within the tick run the per-node loop,
+        in ascending order, so the draws keep their order.  Each leg
+        length is ``sqrt`` of a ``matmul`` of the row with itself, which
+        hands the row to the same ``dot`` routine the 1-D
+        ``np.linalg.norm`` uses, so it is that norm's float bit for bit
+        (``einsum`` and ``norm(..., axis=-1)`` round differently).
         """
         check_positive(step_s, "step_s")
         gen = as_rng(rng)
         pos = state.positions
         waypoints = state.waypoints
         speeds = state.speeds
-        moving = state.pause_left < step_s
+        moving = np.flatnonzero(state.pause_left < step_s)
         state.pause_left = np.maximum(state.pause_left - step_s, 0.0)
+        if step_s <= 1e-12 or not moving.size:
+            return pos  # all paused, or a tick under the walk's 1e-12 s floor
+        diff = waypoints[moving] - pos[moving]
+        dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+        travel = speeds[moving] * step_s
+        short = travel < dist
+        ratio = travel[short] / dist[short]
+        pos[moving[short]] += diff[short] * ratio[:, None]
+        self._arrive(state, moving[~short].tolist(), step_s, gen)
+        return pos
+
+    def _arrive(
+        self, state: WaypointState, nodes: List[int], step_s: float, gen: np.random.Generator
+    ) -> None:
+        """The per-node walk of one tick, for nodes that reach a waypoint."""
+        pos = state.positions
+        waypoints = state.waypoints
+        speeds = state.speeds
         pause_left = state.pause_left
-        for i in np.where(moving)[0]:
+        for i in nodes:
             budget = step_s
             while budget > 1e-12:
                 to_target = waypoints[i] - pos[i]
@@ -130,7 +156,6 @@ class RandomWaypointMobility:
                 if self.pause_s > 0.0:
                     pause_left[i] = self.pause_s
                     break
-        return pos
 
     def admit(self, state: WaypointState, rng: RngLike = None) -> int:
         """Add a newly joined node to an incremental walk.

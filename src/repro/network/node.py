@@ -8,7 +8,7 @@ level, so the node tracks cumulative energy consumption explicitly.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -103,6 +103,25 @@ class SUNode:
             self._consumed_j += min(energy_j, remaining)
             return self._consumed_j >= self.battery_j
         return False
+
+    @staticmethod
+    def drain_all(nodes: Iterable["SUNode"], energy_j: float) -> List["SUNode"]:
+        """:meth:`drain` ``energy_j`` from each node in turn, in one call.
+
+        The same arithmetic as one :meth:`drain` per node; returns the
+        nodes this call emptied, in order."""
+        emptied: List[SUNode] = []
+        for node in nodes:
+            remaining = node.battery_j - node._consumed_j
+            if remaining > 0.0:
+                if energy_j < 0.0:
+                    raise ValueError("energy_j must be non-negative")
+                # min(energy_j, remaining): the first argument unless the
+                # second is smaller.
+                node._consumed_j += remaining if remaining < energy_j else energy_j
+                if node._consumed_j >= node.battery_j:
+                    emptied.append(node)
+        return emptied
 
     def move_to(self, position: Tuple[float, float]) -> None:
         """Update the node's coordinates [m] (a mobility tick).

@@ -21,9 +21,11 @@ D)`` stay fixed, so each routing epoch roots the backbone forest once and
 routes by walking to the common ancestor, keeps each cluster's alive,
 present roster until a member dies or departs, and memoizes each
 long-haul hop's joules; the per-class distribution and reception joules
-are constants of the run.  The :class:`~repro.energy.EnergyModel` formulas
-are pure, so the cached floats are exactly those a per-packet evaluation
-gives.
+and formula (1)'s distance-free terms are constants of the run, and each
+roster is charged in one :meth:`~repro.network.node.SUNode.drain_all`
+call.  The :class:`~repro.energy.EnergyModel` formulas are pure, so the
+cached floats, combined in the formulas' own order, are exactly those a
+per-packet evaluation gives.
 
 :meth:`ScenarioRuntime.run` yields one snapshot row per
 ``snapshot_interval_s`` of simulated time and a terminal summary row
@@ -125,16 +127,20 @@ class ScenarioRuntime:
             EnergyModel(packet_bits=cls.packet_bits) for cls in spec.traffic
         ]
         # Per-class (distribution local_tx at the cluster diameter, local_rx,
-        # mimo_rx) joules per packet: fixed for the whole run.
+        # mimo_rx) joules per packet, and formula (1)'s distance-free
+        # (pa_per_gain, circuit) for the other local legs: fixed for the
+        # whole run.
         p, b, bw = spec.target_ber, spec.constellation_b, spec.bandwidth_hz
+        self._bits = [float(cls.packet_bits) for cls in spec.traffic]
         self._class_joules: List[Tuple[float, float, float]] = []
-        for cls, model in zip(spec.traffic, self._energy):
-            bits = float(cls.packet_bits)
+        self._local_terms: List[Tuple[float, float]] = []
+        for bits, model in zip(self._bits, self._energy):
             self._class_joules.append((
                 model.local_tx(p, b, spec.cluster_diameter_m, bw).total * bits,
                 model.local_rx(b, bw).total * bits,
                 model.mimo_rx(b, bw).total * bits,
             ))
+            self._local_terms.append(model.local_tx_terms(p, b, bw))
         fractions = np.array([cls.fraction for cls in spec.traffic], dtype=float)
         self._fractions = fractions / fractions.sum()
         # Deterministic per-leg MAC latency estimate: DIFS + mean initial
@@ -238,10 +244,10 @@ class ScenarioRuntime:
         # Step every row (including departed nodes) so the mobility
         # stream's draw order is independent of churn outcomes.
         self.mobility.step(self._walk, spec.mobility_step_s, self._rng_mobility)
-        pos = self._walk.positions
-        for node_id in self._present_ids:
-            row = pos[node_id]
-            self._recs[node_id].node.move_to((float(row[0]), float(row[1])))
+        # One copy of the present rows: no node's position aliases the walk.
+        present, recs = self._present_ids, self._recs
+        for node_id, row in zip(present, self._walk.positions[present]):
+            recs[node_id].node.move_to(row)
         self._mobility_tick_no += 1
         t_next = (self._mobility_tick_no + 1) * spec.mobility_step_s
         if t_next <= spec.duration_s:
@@ -404,20 +410,33 @@ class ScenarioRuntime:
         up.extend(reversed(down))
         return up
 
+    def _local_tx_joules(self, cls_index: int, d: float) -> float:
+        """One packet's tx joules over a ``d``-metre local leg: ``local_tx(p,
+        b, d, B).total * bits``, from the class's formula (1) terms."""
+        pa_per_gain, circuit = self._local_terms[cls_index]
+        c = self._energy[cls_index].constants
+        pa = pa_per_gain * c.local_gain(d) * c.noise_figure_linear * c.sigma2_w_hz
+        return float((pa + circuit) * self._bits[cls_index])
+
     def _hop_tx_joules(self, cls_index: int, mt: int, mr: int, distance: float) -> float:
-        """Per-member long-haul tx joules of one packet, memoized per epoch."""
+        """Per-member long-haul tx joules of one packet, memoized per epoch:
+        ``mimo_tx(...).total * bits``, read off the class's formula (3)
+        vectors the way ``EnergyModel.mimo_tx_pa_grid`` reads them."""
         key = (cls_index, mt, mr, distance)
         joules = self._hop_joules.get(key)
         if joules is None:
             spec = self.spec
-            joules = self._energy[cls_index].mimo_tx(
-                spec.target_ber, spec.constellation_b, mt, mr, distance, spec.bandwidth_hz
-            ).total * float(spec.traffic[cls_index].packet_bits)
+            model = self._energy[cls_index]
+            p, b, bw = spec.target_ber, spec.constellation_b, spec.bandwidth_hz
+            v = model.mimo_vectors(p, mt, mr, bw, (b,))
+            pa = v.pa_per_gain[0] * model.constants.longhaul_gain(distance)
+            joules = float((pa + v.tx_circuit[0]) * self._bits[cls_index])
+            if joules != joules:  # e_bar_b refused: raise what mimo_tx raises
+                model.mimo_tx(p, b, mt, mr, distance, bw)
             self._hop_joules[key] = joules
         return joules
 
     def _deliver(self, src_id: int, dst_id: int, cls_index: int) -> None:
-        spec = self.spec
         self.offered += 1
         src = self._recs[src_id].node
         dst = self._recs[dst_id].node
@@ -435,19 +454,16 @@ class ScenarioRuntime:
             self.drops["unassociated"] += 1
             return
 
-        cls = spec.traffic[cls_index]
-        model = self._energy[cls_index]
-        bits = float(cls.packet_bits)
-        p, b, bw = spec.target_ber, spec.constellation_b, spec.bandwidth_hz
         distribute_j, local_rx_j, mimo_rx_j = self._class_joules[cls_index]
+        drop = self._drop_roster
 
         if src_cid == dst_cid:
             # Intra-cluster: one local SISO hop, source to destination.
             d = max(src.distance_to(dst), _MIN_LOCAL_HOP_M)
-            if src.drain(model.local_tx(p, b, d, bw).total * bits):
-                self._drop_roster(src_id)
+            if src.drain(self._local_tx_joules(cls_index, d)):
+                drop(src_id)
             if dst.drain(local_rx_j):
-                self._drop_roster(dst_id)
+                drop(dst_id)
             self.delivered += 1
             self._latency_us_sum += self._leg_latency_us
             return
@@ -458,42 +474,48 @@ class ScenarioRuntime:
             return
         # Every roster is read before anyone is charged, so a death inside
         # this packet changes the next packet's m_t and m_r, not this one's.
-        rosters = [self._roster(cid) for cid in path]
-        if any(not roster for roster in rosters):
-            # A relay cluster exhausted every member since the recluster.
-            self.drops["dead_cluster"] += 1
-            return
+        # A kept roster is what a fresh read gives, so the reads may stop
+        # at the first empty one.
+        kept = self._rosters
+        rosters: List[List[SUNode]] = []
+        for cid in path:
+            roster = kept.get(cid)
+            if roster is None:
+                roster = self._roster(cid)
+            if not roster:
+                # A relay cluster exhausted every member since the recluster.
+                self.drops["dead_cluster"] += 1
+                return
+            rosters.append(roster)
 
         legs = 2 + (len(path) - 1)  # distribute + long-haul hops + collect
         # 1. Local distribution inside the source cluster (bounded by the
         #    cluster diameter), so cooperating members hold the packet.
         if src.drain(distribute_j):
-            self._drop_roster(src_id)
-        for member in rosters[0]:
-            if member is not src and member.drain(local_rx_j):
-                self._drop_roster(member.node_id)
+            drop(src_id)
+        cooperators = [member for member in rosters[0] if member is not src]
+        for member in SUNode.drain_all(cooperators, local_rx_j):
+            drop(member.node_id)
         # 2. Long-haul cooperative hops along the backbone.
+        weight = self.net.cluster_graph.weight
         for hop in range(len(path) - 1):
             tx_roster, rx_roster = rosters[hop], rosters[hop + 1]
-            distance = self.net.cluster_graph.weight(path[hop], path[hop + 1])
             per_tx_j = self._hop_tx_joules(
-                cls_index, len(tx_roster), len(rx_roster), distance
+                cls_index, len(tx_roster), len(rx_roster), weight(path[hop], path[hop + 1])
             )
-            for member in tx_roster:
-                if member.drain(per_tx_j):
-                    self._drop_roster(member.node_id)
-            for member in rx_roster:
-                if member.drain(mimo_rx_j):
-                    self._drop_roster(member.node_id)
+            for member in SUNode.drain_all(tx_roster, per_tx_j):
+                drop(member.node_id)
+            for member in SUNode.drain_all(rx_roster, mimo_rx_j):
+                drop(member.node_id)
         # 3. Local collection: the destination cluster's head forwards to
         #    the destination node (skipped when the head IS the node).
         head = self.net.cluster(dst_cid).head
         if head is not dst:
             d = max(head.distance_to(dst), _MIN_LOCAL_HOP_M)
-            if head.drain(model.local_tx(p, b, d, bw).total * bits):
-                self._drop_roster(head.node_id)
+            if head.drain(self._local_tx_joules(cls_index, d)):
+                drop(head.node_id)
             if dst.drain(local_rx_j):
-                self._drop_roster(dst_id)
+                drop(dst_id)
         self.delivered += 1
         self._latency_us_sum += legs * self._leg_latency_us
 

@@ -29,6 +29,7 @@ import os
 import signal
 import stat
 import sys
+from typing import Iterable
 
 __all__ = ["arm_parent_death_signal", "close_inherited_sockets", "harden_child"]
 
@@ -36,8 +37,9 @@ __all__ = ["arm_parent_death_signal", "close_inherited_sockets", "harden_child"]
 #: dies (cleared across fork, so each child must arm it itself).
 _PR_SET_PDEATHSIG = 1
 
-#: How far to scan the fd table.  Service processes sit far below this;
-#: a bounded scan keeps the fork path O(1) even under generous ulimits.
+#: How far to scan the fd table on a host without ``/proc/self/fd``.
+#: Service processes sit far below this; a bounded scan keeps the fork
+#: path O(1) even under generous ulimits.
 _MAX_SCAN_FD = 4096
 
 
@@ -48,11 +50,21 @@ def close_inherited_sockets(max_fd: int = _MAX_SCAN_FD) -> None:
     (the listener, accepted connections, the event loop's self-pipe
     pair), and none of them belong to the child.  The pipe back to the
     parent is not a socket, so it survives untouched.
+
+    The open fds are read off ``/proc/self/fd`` (a few dozen ``fstat``
+    calls instead of one per fd number); only a host without it scans
+    fds 3 to ``max_fd - 1``.
     """
-    for fd in range(3, max_fd):
+    try:
+        fds: Iterable[int] = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:
+        fds = range(3, max_fd)
+    for fd in fds:
+        if fd < 3:
+            continue
         try:
             mode = os.fstat(fd).st_mode
-        except OSError:
+        except OSError:  # e.g. the listing's own, now closed, directory fd
             continue
         if stat.S_ISSOCK(mode):
             try:

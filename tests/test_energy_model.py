@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constants import PAPER_CONSTANTS
 from repro.energy.ebar import solve_ebar
@@ -47,6 +49,52 @@ class TestLocalTx:
         # 4 (1 - 2^{-b/2}) / (b p) = 0.83 < 1 at b = 4, p = 0.9
         with pytest.raises(ValueError):
             energy_model.local_tx(0.9, 4, 2.0, 10e3)
+
+
+def _reference_local_tx(model, p, b, d, bandwidth):
+    """Formula (1) as one expression, before its distance-free factor was
+    memoized: ``(pa, circuit)``."""
+    c = model.constants
+    alpha = c.peak_to_average_alpha(b)
+    log_arg = 4.0 * (1.0 - 2.0 ** (-b / 2.0)) / (b * p)
+    pa = (
+        (4.0 / 3.0)
+        * (1.0 + alpha)
+        * (2.0**b - 1.0)
+        / b
+        * np.log(log_arg)
+        * c.local_gain(d)
+        * c.noise_figure_linear
+        * c.sigma2_w_hz
+    )
+    circuit = c.p_ct_w / (b * bandwidth) + c.p_syn_w * c.t_tr_s / model.packet_bits
+    return float(pa), float(circuit)
+
+
+class TestLocalTxTerms:
+    """``local_tx`` through the memoized ``local_tx_terms`` against the
+    one-expression formula, compared with ``==``."""
+
+    @given(
+        p=st.sampled_from([1e-6, 1e-4, 1e-3, 0.01]),
+        b=st.integers(1, 8),
+        d=st.floats(min_value=1e-6, max_value=1e4),
+        bandwidth=st.sampled_from([10e3, 40e3, 1e6]),
+        packet_bits=st.sampled_from([1000, 10_000, 12_000]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_one_expression(self, p, b, d, bandwidth, packet_bits):
+        model = EnergyModel(packet_bits=packet_bits)
+        got = model.local_tx(p, b, d, bandwidth)
+        assert (got.pa, got.circuit) == _reference_local_tx(model, p, b, d, bandwidth)
+        pa_per_gain, circuit = model.local_tx_terms(p, b, bandwidth)
+        assert circuit == got.circuit
+        c = model.constants
+        assert pa_per_gain * c.local_gain(d) * c.noise_figure_linear * c.sigma2_w_hz == got.pa
+
+    def test_lax_target_still_refused(self, energy_model):
+        with pytest.raises(ValueError):
+            energy_model.local_tx_terms(0.9, 4, 10e3)
 
 
 class TestLocalRx:

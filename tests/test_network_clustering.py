@@ -1,12 +1,19 @@
 """d-clustering tests: invariants via hypothesis, determinism, caps."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.points import pairwise_distances
-from repro.network.clustering import cluster_diameter, d_cluster, validate_clustering
+from repro.network.clustering import (
+    _cell_size,
+    cluster_diameter,
+    d_cluster,
+    validate_clustering,
+)
 from repro.network.mobility import RandomWaypointMobility
 
 point_sets = st.integers(min_value=0, max_value=10_000).map(
@@ -178,3 +185,94 @@ class TestMatchesNxNReference:
         pts = np.array([[0.0, 0.0], v])
         d = float(pairwise_distances(pts)[0, 1])
         assert d_cluster(pts, d) == _reference_d_cluster(pts, d) == [[0, 1]]
+
+
+class TestGridScanMatchesNxNReference:
+    """The grid scan on inputs that stress its cells, against the n x n
+    reference: equal cluster lists."""
+
+    @staticmethod
+    def _assert_matches(pts, d, max_size):
+        clusters = d_cluster(pts, d, max_size)
+        assert clusters == _reference_d_cluster(pts, d, max_size)
+        validate_clustering(pts, clusters, d, max_size)
+        return clusters
+
+    @pytest.mark.parametrize("max_size", [None, 2, 4])
+    @pytest.mark.parametrize("d", [8.0, 16.0, 32.0, 48.0])
+    def test_points_on_cell_boundaries(self, d, max_size):
+        # Multiples of 8 m around the origin: on the boundary of every
+        # power-of-two cell from 8 m up, with pairs exactly d apart.
+        grid = [(8.0 * i, 8.0 * j) for i in range(-6, 7) for j in range(-6, 7)]
+        pts = np.array(grid)[np.random.default_rng(1).permutation(len(grid))]
+        self._assert_matches(pts, d, max_size)
+
+    @pytest.mark.parametrize("max_size", [None, 3])
+    @pytest.mark.parametrize("d", [3.0, 5.0, 9.0])
+    def test_every_point_in_one_cell(self, d, max_size):
+        # [0, 8)^2 is one cell of the within-d grid for every d here.
+        pts = np.random.default_rng(2).uniform(0.0, 8.0, size=(300, 2))
+        self._assert_matches(pts, d, max_size)
+
+    @pytest.mark.parametrize("max_size", [None, 2])
+    def test_every_point_in_one_place(self, max_size):
+        pts = np.tile([[3.25, -7.5]], (50, 1))
+        clusters = self._assert_matches(pts, 1.0, max_size)
+        assert len(clusters) == (1 if max_size is None else 25)
+
+    @pytest.mark.parametrize("max_size", [None, 3])
+    def test_d_beyond_the_arena_diagonal(self, max_size):
+        pts = np.random.default_rng(3).uniform(0.0, 100.0, size=(200, 2))
+        clusters = self._assert_matches(pts, 2.0 * np.hypot(100.0, 100.0), max_size)
+        assert len(clusters) == (1 if max_size is None else 67)
+
+    @pytest.mark.parametrize("max_size", [None, 4])
+    def test_two_thousand_nodes(self, max_size):
+        pts = np.random.default_rng(4).uniform(0.0, 800.0, size=(2000, 2))
+        self._assert_matches(pts, 60.0, max_size)
+
+    def test_pair_exactly_d_apart_where_hypot_differs(self):
+        """A pair exactly d apart by ``pairwise_distances``' formula, where
+        ``math.hypot`` reads one ulp off that distance."""
+        rng = np.random.default_rng(7)
+        for v in rng.uniform(-100.0, 100.0, size=(20_000, 2)).tolist():
+            by_formula = math.sqrt(v[0] * v[0] + v[1] * v[1])
+            if math.hypot(*v) != by_formula:
+                break
+        else:
+            pytest.skip("math.hypot never differs from the formula here")
+        pts = np.array([[0.0, 0.0], v])
+        assert float(pairwise_distances(pts)[0, 1]) == by_formula
+        for d in (by_formula, min(by_formula, math.hypot(*v))):
+            assert d_cluster(pts, d) == _reference_d_cluster(pts, d)
+
+    def test_scan_tie_that_hypot_would_break(self):
+        """Two nodes at one distance by the formula, where ``math.hypot``
+        puts the lower-index one farther: the scan takes it first."""
+        rng = np.random.default_rng(11)
+        for u in rng.uniform(10.0, 20.0, size=(2000, 2)).tolist():
+            t = 2e-9  # a turn small enough to keep the norm's last bits
+            v = [u[0] * math.cos(t) - u[1] * math.sin(t), u[0] * math.sin(t) + u[1] * math.cos(t)]
+            same = math.sqrt(u[0] * u[0] + u[1] * u[1]) == math.sqrt(v[0] * v[0] + v[1] * v[1])
+            if same and math.hypot(*u) != math.hypot(*v):
+                break
+        else:
+            pytest.skip("no formula tie that math.hypot breaks here")
+        far, near = sorted([u, v], key=lambda w: -math.hypot(*w))
+        pts = np.array([[0.0, 0.0], far, near])
+        # max_size=1: one cluster per node, created in scan order
+        assert self._assert_matches(pts, 1e-3, 1) == [[0], [1], [2]]
+
+    def test_ring_search_looks_one_ring_past_an_exact_tie(self):
+        """After ring 1 the best distance equals the ring bound (one cell),
+        and a lower-index node two rings out reads the same distance (its
+        offset, one cell plus half an ulp, rounds down to one cell): the
+        search must look at ring 2 and take it."""
+        cell = 64.0
+        x = np.nextafter(cell, 0.0)  # last float of cell 0
+        pts = np.array([[x, 32.0], [2.0 * cell, 32.0], [x, 96.0]])
+        assert _cell_size(float(np.ptp(pts, axis=0).max()) / np.sqrt(3), 128.0) == cell
+        dist = pairwise_distances(pts)
+        assert dist[0, 1] == dist[0, 2] == cell
+        clusters = self._assert_matches(pts, 16.0, None)
+        assert clusters == [[0], [1], [2]]

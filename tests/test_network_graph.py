@@ -1,5 +1,7 @@
 """Graph algorithm tests, cross-validated against networkx."""
 
+import heapq
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -155,6 +157,117 @@ class TestSpanningTrees:
         tree = g.bfs_tree(0)
         assert set(tree.vertices) == comp
         assert tree.n_edges == len(comp) - 1
+
+
+def _lazy_prim(graph, component):
+    """The lazy Prim ``prim_tree`` replaced: every offer to a vertex outside
+    the tree goes on the heap, ties broken in push order."""
+    root = next(iter(component))
+    tree = Graph()
+    tree.add_vertex(root)
+    visited, counter, heap = {root}, 0, []
+    for u in graph.neighbors(root):
+        counter += 1
+        heapq.heappush(heap, (graph.weight(root, u), counter, root, u))
+    while heap and len(visited) < len(component):
+        w, _, u, v = heapq.heappop(heap)
+        if v in visited:
+            continue
+        visited.add(v)
+        tree.add_edge(u, v, w)
+        for x in graph.neighbors(v):
+            if x not in visited:
+                counter += 1
+                heapq.heappush(heap, (graph.weight(v, x), counter, v, x))
+    return tree
+
+
+def _lattice(side, offset, rng, diagonals):
+    """A side x side grid of weight-1 edges (diagonals weigh 2), with
+    vertex labels spread so set order is not ascending order."""
+
+    def label(i, j):
+        return offset + 1031 * (i * side + j)
+
+    edges = []
+    for i in range(side):
+        for j in range(side):
+            if i + 1 < side:
+                edges.append((label(i, j), label(i + 1, j), 1.0))
+            if j + 1 < side:
+                edges.append((label(i, j), label(i, j + 1), 1.0))
+            if diagonals and i + 1 < side and j + 1 < side:
+                edges.append((label(i, j), label(i + 1, j + 1), 2.0))
+    rng.shuffle(edges)
+    return edges
+
+
+class TestPrimMatchesLazyHeap:
+    """The eager ``prim_tree`` against the lazy heap version: the same
+    ``edges()`` list, in order, for every component."""
+
+    @staticmethod
+    def _assert_same_trees(g):
+        components = g.connected_components()
+        for component in components:
+            ours, ref = g.prim_tree(component), _lazy_prim(g, component)
+            assert ours.vertices == ref.vertices
+            assert ours.edges() == ref.edges()
+        return components
+
+    @pytest.mark.parametrize("diagonals", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tie_heavy_lattices(self, seed, diagonals):
+        rng = np.random.default_rng(seed)
+        g = Graph()
+        for k, side in enumerate((7, 5, 9)):
+            for u, v, w in _lattice(side, k, rng, diagonals):
+                g.add_edge(u, v, w)
+        components = self._assert_same_trees(g)
+        assert len(components) == 3
+        assert any(next(iter(c)) != min(c) for c in components)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_multi_component_random_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(1200)[:120].tolist()
+        g = Graph()
+        for v in labels:
+            g.add_vertex(v)
+        for block in (labels[:40], labels[40:80], labels[80:]):  # no edges across
+            for i, u in enumerate(block):
+                for v in block[i + 1 :]:
+                    if rng.random() < 0.1:
+                        # few distinct weights: many ties
+                        g.add_edge(u, v, float(rng.integers(1, 4)))
+        components = self._assert_same_trees(g)
+        assert sum(len(c) > 1 for c in components) >= 3
+
+    def test_dense_two_weight_graph(self):
+        rng = np.random.default_rng(9)
+        g = Graph()
+        for i in range(60):
+            for j in range(i + 1, 60):
+                g.add_edge(i, j, float(rng.integers(1, 3)))
+        self._assert_same_trees(g)
+
+
+class TestAddNeighbors:
+    def test_matches_add_edge(self):
+        rng = np.random.default_rng(4)
+        bulk, single = Graph(), Graph()
+        for g in (bulk, single):
+            for v in range(30):
+                g.add_vertex(v)
+        for u in range(30):
+            later = [v for v in range(u + 1, 30) if rng.random() < 0.5]
+            weights = rng.uniform(0.0, 9.0, len(later)).tolist()
+            bulk.add_neighbors(u, later, weights)
+            for v, w in zip(later, weights):
+                single.add_edge(u, v, w)
+        assert bulk.vertices == single.vertices
+        for v in bulk.vertices:
+            assert list(bulk._adj[v].items()) == list(single._adj[v].items())
 
 
 class TestCommunicationGraph:

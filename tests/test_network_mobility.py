@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.network.mobility import RandomWaypointMobility, simulate_recluster_interval
+from repro.network.mobility import (
+    RandomWaypointMobility,
+    WaypointState,
+    simulate_recluster_interval,
+)
 from repro.utils.rng import as_rng
 
 
@@ -168,3 +172,107 @@ class TestReclusterInterval:
         )
         assert len(intervals) == 5
         assert all(0.0 < t <= 30.0 for t in intervals)
+
+
+def _reference_step(model, state, step_s, gen):
+    """The per-node step the array pass replaced: every moving node walks
+    its legs in node order, each leg measured by the 1-D ``norm``."""
+    pos, waypoints, speeds = state.positions, state.waypoints, state.speeds
+    moving = state.pause_left < step_s
+    state.pause_left = np.maximum(state.pause_left - step_s, 0.0)
+    for i in np.where(moving)[0]:
+        budget = step_s
+        while budget > 1e-12:
+            to_target = waypoints[i] - pos[i]
+            dist = float(np.linalg.norm(to_target))
+            travel = speeds[i] * budget
+            if travel < dist:
+                pos[i] += to_target * (travel / dist)
+                break
+            pos[i] = waypoints[i]
+            budget -= dist / speeds[i] if speeds[i] > 0 else budget
+            waypoints[i] = gen.uniform((0.0, 0.0), model.arena)
+            speeds[i] = gen.uniform(*model.speed_range)
+            if model.pause_s > 0.0:
+                state.pause_left[i] = model.pause_s
+                break
+    return pos
+
+
+def _copy_state(state):
+    return WaypointState(
+        positions=state.positions.copy(),
+        waypoints=state.waypoints.copy(),
+        speeds=state.speeds.copy(),
+        pause_left=state.pause_left.copy(),
+    )
+
+
+def _assert_states_equal(a, b):
+    for field in ("positions", "waypoints", "speeds", "pause_left"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field), err_msg=field)
+
+
+class TestStepMatchesPerNodeLoop:
+    """The array-pass ``step`` against the per-node loop it replaced, over
+    random states: every array and the generator state equal, exactly."""
+
+    @staticmethod
+    def _run_both(model, state, ticks, step_s, seed, admit_every=0):
+        ref_state, ref_gen, gen = _copy_state(state), as_rng(seed), as_rng(seed)
+        arrivals = 0
+        for tick in range(1, ticks + 1):
+            before = state.waypoints.copy()
+            returned = model.step(state, step_s, gen)
+            _reference_step(model, ref_state, step_s, ref_gen)
+            assert returned is state.positions
+            _assert_states_equal(state, ref_state)
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+            arrivals += int(np.any(state.waypoints != before, axis=1).sum())
+            if admit_every and tick % admit_every == 0:
+                model.admit(state, gen)
+                model.admit(ref_state, ref_gen)
+        return arrivals
+
+    @pytest.mark.parametrize("pause_s", [0.0, 2.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_states(self, seed, pause_s):
+        model = RandomWaypointMobility(
+            arena=(300.0, 200.0), speed_range=(0.5, 12.0), pause_s=pause_s
+        )
+        gen = as_rng(seed)
+        state = model.start(model.initial_positions(2000, gen), gen)
+        arrivals = self._run_both(model, state, 12, 1.0, seed + 100, admit_every=4)
+        assert state.n == 2003
+        assert arrivals > 20
+
+    def test_short_legs_arrive_several_times_in_one_tick(self):
+        model = RandomWaypointMobility(arena=(4.0, 4.0), speed_range=(3.0, 9.0))
+        gen = as_rng(7)
+        state = model.start(model.initial_positions(300, gen), gen)
+        before = state.waypoints.copy()
+        self._run_both(model, state, 1, 2.0, 8)
+        # Legs of at most ~5.7 m at 6-18 m per tick: many nodes arrive, and
+        # some arrive more than once, within the one tick.
+        assert int(np.any(state.waypoints != before, axis=1).sum()) > 100
+
+    @pytest.mark.parametrize("pause_s", [0.0, 1.0])
+    def test_exact_arrivals(self, pause_s):
+        """A node already on its waypoint, and ``travel == dist`` exactly
+        (3-4-5 legs: the norm is exact), both take the arrival branch."""
+        model = RandomWaypointMobility(
+            arena=(100.0, 100.0), speed_range=(5.0, 10.0), pause_s=pause_s
+        )
+        gen = as_rng(9)
+        state = model.start(model.initial_positions(40, gen), gen)
+        state.waypoints[::4] = state.positions[::4]  # on the waypoint
+        state.positions[1::4] = np.round(state.positions[1::4])
+        state.waypoints[1::4] = state.positions[1::4] + [3.0, 4.0]
+        state.speeds[1::4] = 5.0  # travel == dist == 5 in a 1 s tick
+        state.pause_left[2::8] = 0.5  # paused, but moving within the tick
+        state.pause_left[3::8] = 2.0  # paused through the tick
+        before = state.waypoints.copy()
+        self._run_both(model, state, 1, 1.0, 10)
+        assert np.all(state.waypoints[::4] != before[::4])
+        assert np.all(state.waypoints[1::4] != before[1::4])
+        self._run_both(model, state, 2, 1.0, 11)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.node import SUNode
 
@@ -135,3 +137,74 @@ class TestGeometry:
         b = SUNode(1, (3.0, 4.0))
         assert a.distance_to(b) == 5.0
         assert b.distance_to(a) == 5.0
+
+
+class TestDrainAll:
+    """One ``drain_all`` call per roster against one ``drain`` per member:
+    bit-equal ``consumed_j`` and the same emptied members, in order."""
+
+    @staticmethod
+    def _pair(batteries, consumed):
+        nodes = []
+        for battery, used in zip(batteries, consumed):
+            node = SUNode(len(nodes), (0.0, 0.0), battery_j=battery)
+            node._consumed_j = used
+            nodes.append(node)
+        twins = []
+        for node in nodes:
+            twin = SUNode(node.node_id, (0.0, 0.0), battery_j=node.battery_j)
+            twin._consumed_j = node.consumed_j
+            twins.append(twin)
+        return nodes, twins
+
+    @pytest.mark.parametrize(
+        "batteries, consumed, draws",
+        [
+            # exact-empty draws, an over-draw and an already dead member
+            ([1.0, 1.0, 0.5, 2.0], [0.75, 0.5, 0.5, 0.0], [0.25, 0.5, 0.3]),
+            # float rounding near empty, and a mains-powered member
+            ([0.1 + 0.2, float("inf"), 0.3], [0.1, 0.0, 0.2], [0.2, 1e-17, 0.1]),
+            # an infinite draw empties every finite battery at once
+            ([float("inf"), 3.0, 1e-300], [0.0, 1.0, 0.0], [float("inf"), 1.0]),
+            ([5.0, 5.0], [0.0, 0.0], [0.0, 2.5, 2.5, 1.0]),
+        ],
+    )
+    def test_matches_per_member_drain(self, batteries, consumed, draws):
+        nodes, twins = self._pair(batteries, consumed)
+        emptied_somewhere = False
+        for energy_j in draws:
+            emptied = SUNode.drain_all(nodes, energy_j)
+            expected = [t.node_id for t in twins if t.drain(energy_j)]
+            assert [n.node_id for n in emptied] == expected
+            assert [n.consumed_j for n in nodes] == [t.consumed_j for t in twins]
+            assert [n.alive for n in nodes] == [t.alive for t in twins]
+            emptied_somewhere |= bool(expected)
+        assert emptied_somewhere
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=1e-3, max_value=10.0),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_rosters(self, members, draws):
+        batteries = [b for b, _ in members]
+        consumed = [b * f for b, f in members]
+        nodes, twins = self._pair(batteries, consumed)
+        for energy_j in draws:
+            emptied = SUNode.drain_all(nodes, energy_j)
+            assert [n.node_id for n in emptied] == [t.node_id for t in twins if t.drain(energy_j)]
+            assert [n.consumed_j for n in nodes] == [t.consumed_j for t in twins]
+
+    def test_negative_draw_rejected_while_a_member_is_alive(self):
+        dead = SUNode(0, (0.0, 0.0), battery_j=1.0)
+        dead.consume(1.0)
+        assert SUNode.drain_all([dead], -1.0) == []  # drain skips dead nodes first
+        with pytest.raises(ValueError):
+            SUNode.drain_all([dead, SUNode(1, (0.0, 0.0), battery_j=1.0)], -0.1)

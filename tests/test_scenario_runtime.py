@@ -1,6 +1,11 @@
 """Scenario-runtime tests: determinism, golden digests, dynamics."""
 
+import functools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenario.runtime import ScenarioRuntime, rows_digest
 from repro.scenario.spec import ChurnSpec, ScenarioSpec, TrafficClass
@@ -274,6 +279,83 @@ class TestEpochRosters:
         self._send(rt, path)
         assert hops == expected
         assert victim.consumed_j == consumed
+
+
+#: Two classes whose packet sizes differ, so their circuit terms differ.
+TWO_CLASSES = ScenarioSpec(
+    n_nodes=20,
+    arena_m=(300.0, 300.0),
+    duration_s=5.0,
+    seed=4,
+    traffic=(
+        TrafficClass(name="light", fraction=0.5, rate_per_node_s=0.2),
+        TrafficClass(name="heavy", fraction=0.5, rate_per_node_s=0.2, packet_bits=12000),
+    ),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _two_class_runtime():
+    return ScenarioRuntime(TWO_CLASSES)
+
+
+class TestLegPrices:
+    """Per-leg joules read off per-class constants against the formulas'
+    own ``local_tx(p, b, d, B).total * bits`` and ``mimo_tx(...).total *
+    bits``, compared with ``==``."""
+
+    @given(
+        cls_index=st.integers(0, 1),
+        d=st.floats(min_value=1e-6, max_value=TWO_CLASSES.cluster_diameter_m),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_local_legs(self, cls_index, d):
+        rt, spec = _two_class_runtime(), TWO_CLASSES
+        bits = float(spec.traffic[cls_index].packet_bits)
+        expected = rt._energy[cls_index].local_tx(
+            spec.target_ber, spec.constellation_b, d, spec.bandwidth_hz
+        ).total * bits
+        assert rt._local_tx_joules(cls_index, d) == expected
+
+    @given(
+        cls_index=st.integers(0, 1),
+        mt=st.integers(1, 4),
+        mr=st.integers(1, 4),
+        distance=st.floats(
+            min_value=0.0, max_value=TWO_CLASSES.longhaul_range_m, exclude_min=True
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_long_haul_hops(self, cls_index, mt, mr, distance):
+        rt, spec = _two_class_runtime(), TWO_CLASSES
+        bits = float(spec.traffic[cls_index].packet_bits)
+        expected = rt._energy[cls_index].mimo_tx(
+            spec.target_ber, spec.constellation_b, mt, mr, distance, spec.bandwidth_hz
+        ).total * bits
+        assert rt._hop_tx_joules(cls_index, mt, mr, distance) == expected
+        assert rt._hop_tx_joules(cls_index, mt, mr, distance) == expected  # memo hit
+
+    @pytest.mark.parametrize("cls_index", [0, 1])
+    def test_dense_local_sweep(self, cls_index):
+        """The PA term is small next to the circuit term inside a cluster,
+        so a last-bit slip in it rarely reaches the total.  Nodes drift
+        apart within an epoch, so sweep d far past the diameter too, where
+        the PA term dominates."""
+        rt, spec = _two_class_runtime(), TWO_CLASSES
+        bits = float(spec.traffic[cls_index].packet_bits)
+        model = rt._energy[cls_index]
+        rng = np.random.default_rng(cls_index)
+        exponents = rng.uniform(-6.0, np.log10(100.0 * spec.cluster_diameter_m), 20_000)
+        for d in (10.0**exponents).tolist():
+            expected = model.local_tx(
+                spec.target_ber, spec.constellation_b, d, spec.bandwidth_hz
+            ).total * bits
+            assert rt._local_tx_joules(cls_index, d) == expected, d
+
+    def test_classes_differ(self):
+        rt = _two_class_runtime()
+        assert rt._local_tx_joules(0, 10.0) != rt._local_tx_joules(1, 10.0)
+        assert rt._local_terms[0][1] != rt._local_terms[1][1]
 
 
 class TestDynamics:

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import resource
 import socket
 import time
 
@@ -23,6 +24,27 @@ def _probe_fds(conn, sock_fd):
     except OSError:
         sock_alive = False
     conn.send(sock_alive)
+    conn.close()
+
+
+def _is_open(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+
+def _probe_open_fds(conn, fds, without_proc):
+    if without_proc:
+        # A host without /proc: the fd listing fails (this child only).
+        def no_proc(path):
+            raise FileNotFoundError(path)
+
+        os.listdir = no_proc
+    harden_child()
+    # The reply travels over the inherited pipe, which must survive.
+    conn.send({"pipe": _is_open(conn.fileno()), "open": [_is_open(fd) for fd in fds]})
     conn.close()
 
 
@@ -67,6 +89,33 @@ class TestHardenChild:
             # The parent's own copy is untouched.
             assert listener.getsockname()[1] > 0
         finally:
+            listener.close()
+
+    @pytest.mark.parametrize("without_proc", [False, True])
+    def test_child_closes_listeners_above_fd_1024_and_keeps_its_pipe(self, without_proc):
+        high = 1500
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] <= high or _is_open(high):
+            pytest.skip(f"fd {high} is not free to use here")
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            os.dup2(listener.fileno(), high)
+            parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.get_context().Process(
+                target=_probe_open_fds,
+                args=(child_conn, [listener.fileno(), high], without_proc),
+            )
+            child.start()
+            child_conn.close()
+            assert parent_conn.poll(10.0)
+            assert parent_conn.recv() == {"pipe": True, "open": [False, False]}
+            child.join(timeout=10.0)
+            assert child.exitcode == 0
+            assert _is_open(high) and listener.getsockname()[1] > 0
+        finally:
+            if _is_open(high):
+                os.close(high)
             listener.close()
 
     def test_child_dies_when_its_parent_is_killed(self):
