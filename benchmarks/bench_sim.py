@@ -55,12 +55,17 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+# This file runs as a script, so its own directory is on sys.path, and the
+# spawned scaling workers inherit that path: one copy of the timing helpers.
+from bench_kernels import best_of, calibration
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_sim.json"
 
 #: Seconds the bench_kernels calibration workload takes on the machine
-#: that set the 1M events/sec target (same workload, same constant as
-#: BASELINE_kernels.json's "calibration" entry — regenerate both together).
+#: that set the 1M events/sec target.  BASELINE_kernels.json's
+#: "calibration" entry times the same workload but reads 0.02011 s, not
+#: this constant — regenerate both together.
 REF_CALIBRATION_S = 0.0199
 
 DEFAULT_TARGET_EVENTS_PER_S = 1_000_000
@@ -74,32 +79,6 @@ CITY_SEED = 1001
 #: Seed of the ``/v1/simulate`` end-to-end scenario.
 STREAM_SEED = 2026
 PROFILE_TOP = 25
-
-
-def calibration():
-    """Fixed numpy workload; speed tracks host floating-point throughput."""
-    import numpy as np
-
-    # Calibration workload, not library results: a fixed-seed local
-    # generator is exactly what a hardware probe wants.
-    rng = np.random.default_rng(2026)  # lint: ignore[RP102]
-    a = rng.standard_normal((400, 400))
-    total = 0.0
-    for _ in range(6):
-        b = a @ a.T
-        total += float(np.log1p(np.abs(b)).sum())
-    assert total > 0.0
-
-
-def best_of(fn, repeats):
-    """Best (minimum) wall-clock seconds over ``repeats`` runs."""
-    best = float("inf")
-    for _ in range(repeats):
-        # Benchmarks measure wall-clock by definition.
-        start = time.perf_counter()  # lint: ignore[RP103]
-        fn()
-        best = min(best, time.perf_counter() - start)  # lint: ignore[RP103]
-    return best
 
 
 def bench_kernels(holds, n_events, repeats):

@@ -3,9 +3,6 @@
 import numpy as np
 
 from repro.baselines.power_game import PowerControlGame
-from repro.energy.model import EnergyModel
-from repro.network import CoMIMONet, SUNode
-from repro.network.protocol import SessionSimulator
 
 
 class TestPowerGame:
@@ -20,21 +17,3 @@ class TestPowerGame:
         outcome = benchmark(game.run)
         assert outcome.converged
 
-
-class TestProtocol:
-    def test_three_hop_session(self, benchmark):
-        def run():
-            rng = np.random.default_rng(5)
-            nodes = []
-            nid = 0
-            for cx in (0.0, 120.0, 240.0, 360.0):
-                for _ in range(3):
-                    off = rng.uniform(-0.8, 0.8, 2)
-                    nodes.append(SUNode(nid, (cx + off[0], off[1]), battery_j=1e4))
-                    nid += 1
-            net = CoMIMONet(nodes, cluster_diameter=2.5, longhaul_range=150.0)
-            sim = SessionSimulator(net, EnergyModel(), rng=5)
-            return sim.run_session(0, 3, 500_000.0)
-
-        result = benchmark(run)
-        assert result.completed

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.service.faults import FAULT_ACTIONS, FaultRequest
 from repro.service.schemas import MAX_SWEEP_POINTS
-from repro.service.simulate import MAX_SIM_NODES
+from repro.service.simulate import MAX_SIM_NODES, MAX_SIM_SNAPSHOTS
 from repro.utils.rng import MAX_SEED
 from repro.utils.validation import (
     check_in_range,
@@ -82,7 +82,9 @@ ENDPOINT_KINDS: Tuple[str, ...] = tuple(_ROUTES)
 # is, never through a float, so each field is bounded: ``seed`` by
 # :data:`repro.utils.rng.MAX_SEED`, ``sweep_points`` and ``sim_nodes`` by
 # the service's own caps (``schemas.MAX_SWEEP_POINTS``,
-# ``simulate.MAX_SIM_NODES``), and the rest by the constants below.
+# ``simulate.MAX_SIM_NODES``), and the rest by the constants below.  A
+# scenario's snapshot count, ``sim_duration_s / sim_snapshot_s``, is bounded
+# the same way, by ``simulate.MAX_SIM_SNAPSHOTS``.
 
 #: ``ClientPolicy.max_attempts``: tries per request, the first included.
 MAX_ATTEMPTS = 100
@@ -160,6 +162,12 @@ class EndpointMix:
         check_positive_int(self.sim_nodes, "sim_nodes", MAX_SIM_NODES)
         check_positive(self.sim_duration_s, "sim_duration_s")
         check_positive(self.sim_snapshot_s, "sim_snapshot_s")
+        snapshots = self.sim_duration_s / self.sim_snapshot_s  # inf if it overflows
+        if snapshots > MAX_SIM_SNAPSHOTS:
+            raise ValueError(
+                f"sim_duration_s / sim_snapshot_s = {snapshots:g} snapshots "
+                f"must be <= {MAX_SIM_SNAPSHOTS}"
+            )
 
 
 @dataclass(frozen=True)

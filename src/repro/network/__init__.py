@@ -28,7 +28,6 @@ from repro.network.mobility import (
     simulate_recluster_interval,
 )
 from repro.network.node import SUNode
-from repro.network.protocol import SessionResult, SessionSimulator
 
 __all__ = [
     "SUNode",
@@ -40,8 +39,6 @@ __all__ = [
     "CoMIMONet",
     "CooperativeLink",
     "LinkKind",
-    "SessionSimulator",
-    "SessionResult",
     "RandomWaypointMobility",
     "WaypointState",
     "simulate_recluster_interval",

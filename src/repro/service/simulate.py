@@ -35,12 +35,21 @@ from repro.service.errors import (
 from repro.service.faults import FaultInjector
 from repro.service.metrics import Metrics
 
-__all__ = ["MAX_SIM_NODES", "SimulationRunner", "parse_simulate_request"]
+__all__ = [
+    "MAX_SIM_NODES",
+    "MAX_SIM_SNAPSHOTS",
+    "SimulationRunner",
+    "parse_simulate_request",
+]
 
 Row = Dict[str, object]
 
 #: Per-request cap on a scenario's admission-time ``n_nodes``.
 MAX_SIM_NODES = 5000
+
+#: Per-request cap on a scenario's snapshot rows, ``ceil(duration_s /
+#: snapshot_interval_s)``: the rows a buffered run collects in the server.
+MAX_SIM_SNAPSHOTS = 4096
 
 #: Pipe poll granularity — how quickly a cancelled stream reaps its child.
 _POLL_S = 0.1
@@ -57,7 +66,8 @@ def parse_simulate_request(data: object) -> ScenarioSpec:
 
     Library ``ValueError``s (unknown fields, bad types, out-of-range
     values) become 400s; :data:`MAX_SIM_NODES` bounds the admission-time
-    population (churn joins are separately capped by ``max_joins``).
+    population (churn joins are separately capped by ``max_joins``) and
+    :data:`MAX_SIM_SNAPSHOTS` the row count.
     """
     if not isinstance(data, dict):
         raise BadRequestError("request body must be a JSON object")
@@ -68,6 +78,12 @@ def parse_simulate_request(data: object) -> ScenarioSpec:
     if spec.n_nodes > MAX_SIM_NODES:
         raise BadRequestError(
             f"n_nodes={spec.n_nodes} exceeds the server limit of {MAX_SIM_NODES}"
+        )
+    snapshots = spec.duration_s / spec.snapshot_interval_s  # inf if it overflows
+    if snapshots > MAX_SIM_SNAPSHOTS:
+        raise BadRequestError(
+            f"duration_s / snapshot_interval_s = {snapshots:g} snapshots exceeds "
+            f"the server limit of {MAX_SIM_SNAPSHOTS}"
         )
     return spec
 

@@ -59,6 +59,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ClientPolicy(retry_on=(200,))
 
+    def test_sim_snapshots_mirror_the_service_cap(self):
+        """A scenario the service would refuse for its row count is
+        refused when the spec is built, the way ``sim_nodes`` is."""
+        EndpointMix(kind="simulate", sim_duration_s=4096.0, sim_snapshot_s=1.0)
+        with pytest.raises(ValueError, match="4096"):
+            EndpointMix(kind="simulate", sim_duration_s=4096.5, sim_snapshot_s=1.0)
+        with pytest.raises(ValueError, match="snapshots"):
+            EndpointMix(kind="simulate", sim_duration_s=1e300, sim_snapshot_s=1e-300)
+
 
 class TestClientPolicyBackoff:
     """The retry schedule: a server hint, else full jitter from ``rng``."""

@@ -1,5 +1,6 @@
 """Scenario-runtime tests: determinism, golden digests, dynamics."""
 
+import collections
 import functools
 
 import numpy as np
@@ -397,6 +398,87 @@ class TestDynamics:
         )
         assert run_rows(spec) == run_rows(spec)
         assert run_rows(spec)[-1]["offered"] > 0
+
+
+#: Two nodes thousands of metres apart with a 10 m long-haul range: each
+#: is its own cluster and its own backbone tree for the whole run.
+FOREST = ScenarioSpec(
+    n_nodes=2,
+    arena_m=(5000.0, 10.0),
+    duration_s=20.0,
+    seed=3,
+    speed_range_mps=(0.01, 0.01),
+    cluster_diameter_m=1.0,
+    longhaul_range_m=10.0,
+)
+
+
+#: One watched packet: its ends, whether it stayed inside one cluster,
+#: whether it was delivered, the nodes it may charge (its ends, the
+#: destination cluster's head and the alive, present members of every
+#: cluster on its backbone path) and the nodes whose ``consumed_j`` it changed.
+Packet = collections.namedtuple("Packet", "src dst intra delivered allowed changed")
+
+
+def _charges_per_packet(spec):
+    """Run ``spec`` to the end with every packet watched."""
+    rt = ScenarioRuntime(spec)
+    deliver = rt._deliver
+    packets = []
+
+    def watched(src_id, dst_id, cls_index):
+        before = {i: rec.node.consumed_j for i, rec in rt._recs.items()}
+        src_cid, dst_cid = rt._cluster_of.get(src_id), rt._cluster_of.get(dst_id)
+        intra = src_cid is not None and src_cid == dst_cid
+        allowed = {src_id, dst_id}
+        if rt.net is not None and None not in (src_cid, dst_cid) and not intra:
+            allowed.add(rt.net.cluster(dst_cid).head.node_id)
+            for cid in rt._route_path(src_cid, dst_cid) or ():
+                allowed.update(n.node_id for n in _alive_present(rt, cid))
+        delivered = rt.delivered
+        deliver(src_id, dst_id, cls_index)
+        changed = {i for i, rec in rt._recs.items() if rec.node.consumed_j != before[i]}
+        packets.append(
+            Packet(src_id, dst_id, intra, rt.delivered > delivered, allowed, changed)
+        )
+
+    rt._deliver = watched
+    list(rt.run())
+    return packets
+
+
+class TestWhoPays:
+    """Which nodes a packet may charge, and which packets fail, checked
+    packet by packet over whole runs."""
+
+    def test_forest_drops_every_cross_tree_packet(self):
+        rt = ScenarioRuntime(FOREST)
+        a, b = (c.cluster_id for c in rt.net.clusters)
+        assert rt._route_path(a, b) is None
+        summary = run_rows(FOREST)[-1]
+        assert summary["offered"] > 0
+        assert summary["dropped"]["no_route"] == summary["offered"]
+        assert summary["delivered"] == 0
+        assert summary["live_nodes"] == 2
+
+    @pytest.mark.parametrize("spec", [FAST, CHURNY, DRAINING], ids=["fast", "churny", "draining"])
+    def test_delivered_packet_charges_only_its_route(self, spec):
+        packets = _charges_per_packet(spec)
+        routed = [p for p in packets if p.delivered and not p.intra]
+        assert routed
+        for p in routed:
+            assert p.changed <= p.allowed
+            assert {p.src, p.dst} <= p.changed
+        for p in packets:
+            if not p.delivered:
+                assert p.changed == set()
+
+    @pytest.mark.parametrize("spec", [FAST, CHURNY, DRAINING], ids=["fast", "churny", "draining"])
+    def test_intra_cluster_packet_charges_only_its_ends(self, spec):
+        local = [p for p in _charges_per_packet(spec) if p.delivered and p.intra]
+        assert local
+        for p in local:
+            assert p.changed == {p.src, p.dst}
 
 
 class TestDigestHelpers:

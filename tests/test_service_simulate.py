@@ -9,6 +9,7 @@ from repro.scenario.spec import scenario_from_mapping
 from repro.service import simulate
 from repro.service.client import ServiceClientError
 from repro.service.config import ServiceConfig
+from repro.service.errors import BadRequestError
 from repro.service.simulate import SimulationRunner, parse_simulate_request
 from repro.service.testing import ThreadedServer
 
@@ -77,6 +78,25 @@ class TestBuffered:
         with pytest.raises(ServiceClientError) as err:
             client.simulate({"n_nodes": simulate.MAX_SIM_NODES + 1})
         assert err.value.status == 400
+
+    def test_snapshot_cap_is_400(self, server):
+        """A body asking for 10**9 snapshot rows is refused before any
+        child starts, buffered or streamed, with the cap in the answer.
+        The cap is read and the parser checked before anything is sent,
+        so a server without the cap never runs this body."""
+        body = {"n_nodes": 2, "duration_s": 1e6, "snapshot_interval_s": 1e-3}
+        assert body["duration_s"] / body["snapshot_interval_s"] > simulate.MAX_SIM_SNAPSHOTS
+        with pytest.raises(BadRequestError, match="4096"):
+            parse_simulate_request(body)
+        client = server.client()
+        with pytest.raises(ServiceClientError) as err:
+            client.simulate(body)
+        assert err.value.status == 400
+        assert str(simulate.MAX_SIM_SNAPSHOTS) in err.value.payload["detail"]
+        with pytest.raises(ServiceClientError) as err:
+            list(client.simulate_stream(body))
+        assert err.value.status == 400
+        assert server.service.sims.active == 0
 
     def test_64_bit_seed_is_served(self, server):
         client = server.client(timeout_s=120.0)
@@ -226,7 +246,15 @@ class TestRunnerUnit:
             SimulationRunner(max_sims=0)
 
     def test_parse_rejects_non_object(self):
-        from repro.service.errors import BadRequestError
-
         with pytest.raises(BadRequestError):
             parse_simulate_request([1, 2])
+
+    def test_parse_admits_exactly_the_snapshot_cap(self):
+        cap = simulate.MAX_SIM_SNAPSHOTS
+        spec = parse_simulate_request({"duration_s": float(cap), "snapshot_interval_s": 1.0})
+        assert spec.duration_s / spec.snapshot_interval_s == cap
+        with pytest.raises(BadRequestError, match=str(cap)):
+            parse_simulate_request({"duration_s": cap + 0.5, "snapshot_interval_s": 1.0})
+        # 1e300 / 1e-300 overflows to inf, which counts as over the cap.
+        with pytest.raises(BadRequestError, match="inf snapshots"):
+            parse_simulate_request({"duration_s": 1e300, "snapshot_interval_s": 1e-300})
