@@ -13,7 +13,6 @@ from repro.core.overlay import OverlaySystem
 from repro.core.schemes import hop_energy, hop_timing
 from repro.core.underlay import UnderlaySystem
 from repro.energy.model import EnergyModel
-from repro.energy.optimize import minimize_over_b
 from repro.testbed.environment import table3_testbed
 
 

@@ -15,9 +15,9 @@ Run:  python examples/network_lifetime.py
 
 import numpy as np
 
-from repro.core.schemes import hop_energy
+from repro.core.schemes import HopEnergy, hop_energy
 from repro.energy import EnergyModel
-from repro.energy.optimize import minimize_over_b
+from repro.energy.optimize import DEFAULT_B_RANGE, best_over_b
 from repro.mac import CsmaCaSimulator, CsmaConfig
 from repro.network import CoMIMONet, SUNode
 
@@ -32,6 +32,20 @@ def build_network(seed: int = 11) -> CoMIMONet:
             nodes.append(SUNode(node_id, (cx + offset[0], offset[1]), battery_j=400.0))
             node_id += 1
     return CoMIMONet(nodes, cluster_diameter=2.5, longhaul_range=170.0)
+
+
+def best_hop(model: EnergyModel, p: float, mt: int, mr: int, length_m: float,
+             bandwidth: float) -> HopEnergy:
+    """The hop at the constellation size b minimizing its total energy."""
+    def total(b: int) -> float:
+        try:
+            return hop_energy(model, p, b, mt, mr, 2.5, length_m, bandwidth).total
+        except ValueError:
+            return np.nan  # no energy meets p at this size
+
+    rows, _ = best_over_b(np.array([[total(b)] for b in DEFAULT_B_RANGE]))
+    b = DEFAULT_B_RANGE[rows[0]]
+    return hop_energy(model, p, b, mt, mr, 2.5, length_m, bandwidth)
 
 
 def run_until_death(cooperative: bool, chunk_bits: float = 1e6) -> float:
@@ -53,14 +67,7 @@ def run_until_death(cooperative: bool, chunk_bits: float = 1e6) -> float:
                     raise RuntimeError("cluster died mid-transfer")
                 mt = len(tx.alive_nodes) if cooperative else 1
                 mr = len(rx.alive_nodes) if cooperative else 1
-                best = minimize_over_b(
-                    lambda b: hop_energy(
-                        model, p, b, mt, mr, 2.5, link.length_m, bandwidth
-                    ).total
-                )
-                hop = hop_energy(
-                    model, p, best.b, mt, mr, 2.5, link.length_m, bandwidth
-                )
+                hop = best_hop(model, p, mt, mr, link.length_m, bandwidth)
                 # Charge the participants.  Cooperative: the long-haul cost
                 # splits evenly across cooperators; SISO: heads pay it all.
                 if cooperative:

@@ -22,6 +22,12 @@ the direct path, how far can the relay cluster sit from Pt (D2) and from Pr
    (maximized over ``b``);
 3. ``D_3`` from ``E_1 = e^{MIMOt}(m, 1) + e^{MIMOr}`` (maximized over
    ``b``).
+
+Every step prices all constellation sizes at every point in one ``(|b|,
+n)`` array pass and picks ``b`` with
+:func:`repro.energy.optimize.best_over_b`; the one-point methods
+(:meth:`OverlaySystem.relay_energy`, :meth:`~OverlaySystem.direct_link_energy`,
+:meth:`~OverlaySystem.distance_analysis`) are that pass at ``n = 1``.
 """
 
 from __future__ import annotations
@@ -32,12 +38,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from repro.energy.model import EnergyModel
-from repro.energy.optimize import (
-    DEFAULT_B_RANGE,
-    best_over_b,
-    maximize_mimo_distance,
-    minimize_over_b,
-)
+from repro.energy.optimize import DEFAULT_B_RANGE, best_over_b
 from repro.utils.units import JoulesArray, MetersArray
 from repro.utils.validation import (
     check_finite,
@@ -166,26 +167,20 @@ class OverlaySystem:
         """
         p = check_probability(p, "p")
         m = check_positive_int(m, "m")
-        check_positive(d_pt_su, "d_pt_su")
-        check_positive(d_su_pr, "d_su_pr")
-        check_positive(bandwidth, "bandwidth")
-
-        simo = minimize_over_b(
-            lambda b: self.model.mimo_tx(p, b, 1, m, d_pt_su, bandwidth).total,
-            self.b_range,
-        )
-        miso = minimize_over_b(
-            lambda b: self.model.mimo_tx(p, b, m, 1, d_su_pr, bandwidth).total,
-            self.b_range,
-        )
+        d_pt_su = check_positive(d_pt_su, "d_pt_su")
+        d_su_pr = check_positive(d_su_pr, "d_su_pr")
+        bandwidth = check_positive(bandwidth, "bandwidth")
+        b_simo, primary_tx = self._min_tx_energy(p, 1, m, np.array([d_pt_su]), bandwidth)
+        b_miso, su_tx = self._min_tx_energy(p, m, 1, np.array([d_su_pr]), bandwidth)
+        b_simo, b_miso = int(b_simo[0]), int(b_miso[0])
         return RelayEnergy(
             m=m,
-            b_simo=simo.b,
-            b_miso=miso.b,
-            primary_tx=simo.value,
-            primary_rx=self.model.mimo_rx(miso.b, bandwidth).total,
-            su_rx=self.model.mimo_rx(simo.b, bandwidth).total,
-            su_tx=miso.value,
+            b_simo=b_simo,
+            b_miso=b_miso,
+            primary_tx=float(primary_tx[0]),
+            primary_rx=self.model.mimo_rx(b_miso, bandwidth).total,
+            su_rx=self.model.mimo_rx(b_simo, bandwidth).total,
+            su_tx=float(su_tx[0]),
         )
 
     # ------------------------------------------------------------------ #
@@ -196,12 +191,11 @@ class OverlaySystem:
         self, d1: float, p_direct: float, bandwidth: float
     ) -> Tuple[int, float]:
         """Step 1: ``E_1 = min_b e^{MIMOt}(1, 1)`` at distance ``D_1``."""
-        check_positive(d1, "d1")
-        best = minimize_over_b(
-            lambda b: self.model.mimo_tx(p_direct, b, 1, 1, d1, bandwidth).total,
-            self.b_range,
-        )
-        return best.b, best.value
+        d1 = check_positive(d1, "d1")
+        p_direct = check_probability(p_direct, "p_direct")
+        bandwidth = check_positive(bandwidth, "bandwidth")
+        b, e1 = self._min_tx_energy(p_direct, 1, 1, np.array([d1]), bandwidth)
+        return int(b[0]), float(e1[0])
 
     def distance_analysis(
         self,
@@ -214,56 +208,31 @@ class OverlaySystem:
         """Steps 1-3 of the Section 3 analysis for one parameter point.
 
         Defaults match Figure 6: direct BER 0.005, relayed BER 0.0005
-        ("10 times improved").
+        ("10 times improved").  The one-point view of
+        :meth:`distance_analyses`.
         """
-        m = check_positive_int(m, "m")
-        b_direct, e1 = self.direct_link_energy(d1, p_direct, bandwidth)
-
-        simo = maximize_mimo_distance(
-            self.model, e1, p_relay, 1, m, bandwidth, self.b_range
-        )
-        miso = maximize_mimo_distance(
-            self.model,
-            e1,
-            p_relay,
-            m,
-            1,
-            bandwidth,
-            self.b_range,
-            extra_circuit=lambda b: self.model.mimo_rx(b, bandwidth).total,
-        )
-        return OverlayDistanceResult(
-            d1=float(d1),
-            m=m,
-            bandwidth=float(bandwidth),
-            p_direct=p_direct,
-            p_relay=p_relay,
-            e1=e1,
-            b_direct=b_direct,
-            d2=simo.value,
-            b_simo=simo.b,
-            d3=miso.value,
-            b_miso=miso.b,
-        )
+        return self.distance_analyses([d1], m, bandwidth, p_direct, p_relay)[0]
 
     # ------------------------------------------------------------------ #
     # The D1 axis in one array pass                                      #
     # ------------------------------------------------------------------ #
 
-    def _direct_energy(
-        self, d1: MetersArray, p_direct: float, bandwidth: float
+    def _min_tx_energy(
+        self, p: float, mt: int, mr: int, distances: MetersArray, bandwidth: float
     ) -> Tuple[np.ndarray, JoulesArray]:
-        """Step 1 over a D1 vector: per-point ``(b_direct, E_1)`` arrays.
+        """``min_b e^{MIMOt}(mt, mr)`` over a distance vector: per-point
+        ``(b, energy)`` arrays.
 
-        ``e^{MIMOt}(1, 1)`` of every size at every point is one
-        ``(|b|, n)`` grid; a size the scalar search would skip is NaN
-        (refused ``e_bar_b``) or infinite (overflowing PA).
+        ``e^{MIMOt}(mt, mr)`` of every size at every point is one
+        ``(|b|, n)`` grid; an infeasible size is NaN (refused ``e_bar_b``)
+        or infinite (overflowing PA).  The distances must already be
+        validated as positive and finite.
         """
         model = self.model
-        pa = model.mimo_tx_pa_grid(p_direct, 1, 1, d1, bandwidth, self.b_range)
-        v = model.mimo_vectors(p_direct, 1, 1, bandwidth, self.b_range)
-        rows, e1 = best_over_b(pa + v.tx_circuit[:, None])
-        return self._b_values[rows], e1
+        pa = model.mimo_tx_pa_grid(p, mt, mr, distances, bandwidth, self.b_range)
+        v = model.mimo_vectors(p, mt, mr, bandwidth, self.b_range)
+        rows, energy = best_over_b(pa + v.tx_circuit[:, None])
+        return self._b_values[rows], energy
 
     def _max_distance(
         self,
@@ -303,16 +272,17 @@ class OverlaySystem:
 
         Every constellation size is priced at every point in one
         ``(|b|, n)`` pass of ``+ - * / sqrt`` on the memoized per-b vectors
-        (:meth:`EnergyModel.mimo_vectors`), then reduced with the scalar
-        search's rules (:func:`best_over_b`).  Each entry equals what
-        :meth:`distance_analysis` returns at that point, bit for bit.
+        (:meth:`EnergyModel.mimo_vectors`), then reduced by
+        :func:`best_over_b`.  Each entry equals a size-by-size search of
+        :meth:`EnergyModel.mimo_tx` and :meth:`EnergyModel.max_mimo_distance`
+        at that point, bit for bit.
         """
         m = check_positive_int(m, "m")
         p_direct = check_probability(p_direct, "p_direct")
         p_relay = check_probability(p_relay, "p_relay")
         bandwidth = check_positive(bandwidth, "bandwidth")
         d1 = np.asarray([check_positive(v, "d1") for v in d1_values], dtype=float)
-        b_direct, e1 = self._direct_energy(d1, p_direct, bandwidth)
+        b_direct, e1 = self._min_tx_energy(p_direct, 1, 1, d1, bandwidth)
         b_simo, d2 = self._max_distance(e1, p_relay, 1, m, bandwidth, False)
         b_miso, d3 = self._max_distance(e1, p_relay, m, 1, bandwidth, True)
         return OverlayArrays(
@@ -338,7 +308,7 @@ class OverlaySystem:
         p_relay: float = 0.0005,
     ) -> List[OverlayDistanceResult]:
         """:meth:`distance_arrays` as one :class:`OverlayDistanceResult` per
-        point — equal to calling :meth:`distance_analysis` per point."""
+        point; :meth:`distance_analysis` is its one-point view."""
         a = self.distance_arrays(d1_values, m, bandwidth, p_direct, p_relay)
         return [
             OverlayDistanceResult(
@@ -364,24 +334,3 @@ class OverlaySystem:
                 a.b_miso.tolist(),
             )
         ]
-
-    def distance_sweep(
-        self,
-        d1_values: Sequence[float],
-        m_values: Sequence[int],
-        bandwidths: Sequence[float],
-        p_direct: float = 0.005,
-        p_relay: float = 0.0005,
-    ) -> list:
-        """The full Figure 6 grid: one result per (D1, m, B) combination.
-
-        Each (m, B) cell sweeps its D1 axis vectorized via
-        :meth:`distance_analyses`.
-        """
-        results = []
-        for bw in bandwidths:
-            for m in m_values:
-                results.extend(
-                    self.distance_analyses(d1_values, m, bw, p_direct, p_relay)
-                )
-        return results

@@ -21,6 +21,11 @@ non-cooperative SISO reference, which the paper treats as the primary-user
 energy scale: a cooperative configuration whose total falls 2-4 orders of
 magnitude below SISO is what "below the noise floor at the PUs" means in
 the analysis.
+
+The search over ``b`` is one ``(|b|, n)`` array pass over the long-haul
+distance axis (:meth:`UnderlaySystem.pa_energy_arrays`, reduced by
+:func:`repro.energy.optimize.best_over_b`); :meth:`UnderlaySystem.pa_energy`
+is that pass at ``n = 1``.
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.schemes import HopEnergy, hop_energy
+from repro.core.schemes import HopEnergy
 from repro.energy.model import EnergyModel
-from repro.energy.optimize import DEFAULT_B_RANGE, best_over_b, minimize_over_b
+from repro.energy.optimize import DEFAULT_B_RANGE, best_over_b
 from repro.network.comimonet import LinkKind
 from repro.utils.units import JoulesArray, MetersArray
 from repro.utils.validation import (
@@ -98,12 +103,6 @@ class UnderlaySystem:
 
     # ------------------------------------------------------------------ #
 
-    def _hop(self, p, b, mt, mr, d, distance, bandwidth) -> HopEnergy:
-        return hop_energy(self.model, p, b, mt, mr, d, distance, bandwidth)
-
-    def _total_pa_for_b(self, p, b, mt, mr, d, distance, bandwidth) -> float:
-        return self._hop(p, b, mt, mr, d, distance, bandwidth).pa_total
-
     def pa_energy(
         self,
         p: float,
@@ -117,29 +116,9 @@ class UnderlaySystem:
 
         Parameters mirror Figure 7's sweep: target BER ``p``, cooperating
         counts ``mt``/``mr``, intra-cluster range ``d`` and long-haul
-        distance ``D``.
+        distance ``D``.  The one-point view of :meth:`pa_energy_sweep`.
         """
-        p = check_probability(p, "p")
-        mt = check_positive_int(mt, "mt")
-        mr = check_positive_int(mr, "mr")
-        check_positive(d, "d")
-        check_positive(distance, "distance")
-        check_positive(bandwidth, "bandwidth")
-        best = minimize_over_b(
-            lambda b: self._total_pa_for_b(p, b, mt, mr, d, distance, bandwidth),
-            self.b_range,
-        )
-        hop = self._hop(p, best.b, mt, mr, d, distance, bandwidth)
-        return UnderlayEnergyResult(
-            mt=mt,
-            mr=mr,
-            b=best.b,
-            d=float(d),
-            distance=float(distance),
-            total_pa=hop.pa_total,
-            peak_pa=hop.pa_peak,
-            hop=hop,
-        )
+        return self.pa_energy_sweep(p, mt, mr, d, [distance], bandwidth)[0]
 
     def siso_reference(
         self, p: float, d: float, distance: float, bandwidth: float
@@ -193,25 +172,25 @@ class UnderlaySystem:
         distances: Sequence[float],
         bandwidth: float,
     ) -> UnderlayArrays:
-        """:meth:`pa_energy` over the long-haul distance axis in one array pass.
+        """Figure 7's accounting over the long-haul distance axis in one
+        array pass.
 
-        :func:`hop_energy`'s sums for every constellation size at every
-        distance form ``(|b|, n)`` grids built from the memoized per-b
-        vectors (:meth:`EnergyModel.mimo_vectors`,
+        :func:`~repro.core.schemes.hop_energy`'s sums for every
+        constellation size at every distance form ``(|b|, n)`` grids built
+        from the memoized per-b vectors (:meth:`EnergyModel.mimo_vectors`,
         :meth:`EnergyModel.local_vectors`) with ``+`` and ``*`` in the
-        scalar operation order.  A size the scalar search skips — refused by
-        either link, or a hop whose total overflows — is NaN, and
+        scalar operation order.  An infeasible size — refused by either
+        link, or a hop whose total overflows — is NaN, and
         :func:`best_over_b` picks the first minimum of the PA total.  Each
-        entry equals :meth:`pa_energy` at that distance, bit for bit.
+        entry equals :func:`~repro.core.schemes.hop_energy` at the chosen
+        size, bit for bit.
         """
         p = check_probability(p, "p")
         mt = check_positive_int(mt, "mt")
         mr = check_positive_int(mr, "mr")
         d = check_positive(d, "d")
         bandwidth = check_positive(bandwidth, "bandwidth")
-        dist = np.asarray(
-            [check_positive(float(v), "distance") for v in distances], dtype=float
-        )
+        dist = np.asarray([check_positive(v, "distance") for v in distances], dtype=float)
         model = self.model
         local = model.local_vectors(p, d, bandwidth, self.b_range)
         mimo = model.mimo_vectors(p, mt, mr, bandwidth, self.b_range)
@@ -273,8 +252,8 @@ class UnderlaySystem:
         bandwidth: float,
     ) -> List[UnderlayEnergyResult]:
         """:meth:`pa_energy_arrays` as one :class:`UnderlayEnergyResult` per
-        distance — equal to calling :meth:`pa_energy` per distance, ``hop``
-        included."""
+        distance, ``hop`` included; :meth:`pa_energy` is its one-point
+        view."""
         a = self.pa_energy_arrays(p, mt, mr, d, distances, bandwidth)
         kind = LinkKind.classify(a.mt, a.mr)
         return [
@@ -309,21 +288,3 @@ class UnderlaySystem:
                 a.pa_local_b.tolist(),
             )
         ]
-
-    def sweep(
-        self,
-        p: float,
-        configs: Sequence,
-        d: float,
-        distances: Sequence[float],
-        bandwidth: float,
-    ) -> list:
-        """The Figure 7 grid: one result per ((mt, mr), D) combination.
-
-        Each (mt, mr) configuration sweeps its distance axis vectorized via
-        :meth:`pa_energy_sweep`.
-        """
-        results = []
-        for (mt, mr) in configs:
-            results.extend(self.pa_energy_sweep(p, mt, mr, d, distances, bandwidth))
-        return results

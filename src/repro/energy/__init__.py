@@ -7,9 +7,9 @@ Layout:
   from the average-BER relations (5)/(6);
 * :mod:`repro.energy.model` — :class:`EnergyModel`, the four per-bit energy
   formulas (local tx/rx, long-haul MIMO tx/rx) with PA/circuit splits;
-* :mod:`repro.energy.optimize` — constellation-size (``b``) optimization,
-  used by every algorithm's "determine constellation size b which minimizes
-  e_bar_b" step;
+* :mod:`repro.energy.optimize` — the constellation-size (``b``) search,
+  one array pass over every size and point, used by every algorithm's
+  "determine constellation size b which minimizes" step;
 * :mod:`repro.energy.table` — the precomputed ``e_bar_b`` lookup table that
   Algorithms 1 and 2 load into each SU node ("Preprocessing"), built by one
   vectorized :func:`repro.energy.ebar.solve_ebar_batch` call and memoized
@@ -23,10 +23,6 @@ from repro.energy.ebar import (
     solve_ebar_batch,
 )
 from repro.energy.model import EnergyBreakdown, EnergyModel
-from repro.energy.optimize import (
-    minimize_mimo_tx_energy,
-    maximize_mimo_distance,
-)
 from repro.energy.table import EbarTable
 
 __all__ = [
@@ -36,7 +32,5 @@ __all__ = [
     "solve_ebar_batch",
     "EnergyModel",
     "EnergyBreakdown",
-    "minimize_mimo_tx_energy",
-    "maximize_mimo_distance",
     "EbarTable",
 ]

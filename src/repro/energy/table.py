@@ -245,40 +245,6 @@ class EbarTable:
         out = np.exp(np.interp(np.log(p_clamped), np.log(p_grid), np.log(e_grid)))
         return float(out) if np.ndim(p) == 0 else out
 
-    def feasible_b(self, p: float, mt: int, mr: int) -> Tuple[int, ...]:
-        """Constellation sizes with a finite table entry at this (p, mt, mr)."""
-        k = self._grid_index(self._mt_index, mt, "mt")
-        l = self._grid_index(self._mr_index, mr, "mr")
-        i = int(self._nearest_p_index(float(p)))
-        finite = ~np.isnan(self._grid[i, :, k, l])
-        return tuple(b for b, ok in zip(self.b_values, finite) if ok)
-
-    def min_ebar_b(
-        self, p: "ArrayLike", mt: int, mr: int
-    ) -> Tuple[Union[int, np.ndarray], Union[float, np.ndarray]]:
-        """The algorithms' selection rule: ``b`` minimizing ``e_bar_b``.
-
-        Returns ``(b, e_bar_b)``; raises ``KeyError`` if no b is feasible.
-        With an array ``p``, returns ``(b_array, ebar_array)`` resolved per
-        entry.
-        """
-        k = self._grid_index(self._mt_index, mt, "mt")
-        l = self._grid_index(self._mr_index, mr, "mr")
-        if np.ndim(p) == 0:
-            i = int(self._nearest_p_index(float(p)))
-            column = self._grid[i, :, k, l]
-            if np.isnan(column).all():
-                raise KeyError(f"no feasible b for p={p}, mt={mt}, mr={mr}")
-            j = int(np.nanargmin(column))
-            return self.b_values[j], float(column[j])
-        i = self._nearest_p_index(p)
-        block = self._grid[i, :, k, l]  # (..., n_b)
-        if np.isnan(block).all(axis=-1).any():
-            raise KeyError(f"no feasible b for p={p}, mt={mt}, mr={mr}")
-        j = np.nanargmin(block, axis=-1)
-        values = np.take_along_axis(block, j[..., None], axis=-1)[..., 0]
-        return np.array(self.b_values)[j], values
-
     # ------------------------------------------------------------------ #
     # Serialization (nodes "load the table")                             #
     # ------------------------------------------------------------------ #

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.overlay import OverlaySystem
 from repro.energy.model import EnergyModel
+from tests import b_search_reference as ref
 
 
 @pytest.fixture(scope="module")
@@ -74,13 +75,6 @@ class TestDistanceAnalysis:
         m3 = system_div.distance_analysis(250.0, 3, 40e3)
         assert m3.d3 > m2.d3
 
-    def test_sweep_covers_grid(self, system_div):
-        rows = system_div.distance_sweep((150.0, 250.0), (2, 3), (20e3, 40e3))
-        assert len(rows) == 2 * 2 * 2
-        assert {(r.m, r.bandwidth) for r in rows} == {
-            (2, 20e3), (3, 20e3), (2, 40e3), (3, 40e3)
-        }
-
     def test_default_ber_targets(self, system_div):
         res = system_div.distance_analysis(200.0, 2, 20e3)
         assert res.p_direct == 0.005
@@ -91,8 +85,32 @@ class TestDistanceAnalysis:
             OverlaySystem(EnergyModel(), b_range=())
 
 
+class TestInvalidArgumentsNamed:
+    """An invalid argument is reported by name, not as an infeasible
+    constellation search."""
+
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            (lambda s: s.distance_analysis(250.0, 3, 40e3, p_direct=1.5), "p_direct"),
+            (lambda s: s.distance_analysis(250.0, 3, 40e3, p_relay=0.0), "p_relay"),
+            (lambda s: s.distance_analysis(250.0, 3, -1.0), "bandwidth"),
+            (lambda s: s.direct_link_energy(250.0, 1.5, 40e3), "p_direct"),
+            (lambda s: s.direct_link_energy(250.0, 0.005, -1.0), "bandwidth"),
+        ],
+        ids=[
+            "analysis-p_direct", "analysis-p_relay", "analysis-bandwidth",
+            "direct-p_direct", "direct-bandwidth",
+        ],
+    )
+    def test_message_names_the_field(self, system, call, field):
+        with pytest.raises(ValueError) as info:
+            call(system)
+        assert str(info.value).startswith(f"{field} must ")
+
+
 class TestVectorizedDistanceAnalyses:
-    """distance_analyses must reproduce the scalar per-point analysis
+    """distance_analyses must reproduce the size-by-size reference analysis
     exactly — same floats, same selected constellation sizes."""
 
     def test_matches_scalar_bitwise(self, system_div):
@@ -101,14 +119,14 @@ class TestVectorizedDistanceAnalyses:
             for bw in (20e3, 40e3):
                 vec = system_div.distance_analyses(d1_values, m, bw)
                 scalar = [
-                    system_div.distance_analysis(d1, m, bw) for d1 in d1_values
+                    ref.distance_analysis(system_div, d1, m, bw) for d1 in d1_values
                 ]
                 assert vec == scalar
 
     def test_paper_convention_matches_too(self):
         system = OverlaySystem(EnergyModel(ebar_convention="paper"))
         vec = system.distance_analyses((200.0, 300.0), 3, 20e3)
-        scalar = [system.distance_analysis(d1, 3, 20e3) for d1 in (200.0, 300.0)]
+        scalar = [ref.distance_analysis(system, d1, 3, 20e3) for d1 in (200.0, 300.0)]
         assert vec == scalar
 
     def test_longhaul_square_agrees_between_scalar_and_array(self):
@@ -120,15 +138,10 @@ class TestVectorizedDistanceAnalyses:
             p_direct=0.0009668210143997612, p_relay=9.668210143997612e-05
         )
         d1 = 109.2812963273322
-        scalar = system.distance_analysis(d1, 3, 40e3, **kwargs)
+        scalar = ref.distance_analysis(system, d1, 3, 40e3, **kwargs)
         (vec,) = system.distance_analyses([d1], 3, 40e3, **kwargs)
         assert repr(vec) == repr(scalar)
         assert scalar.e1 == 2.3456010538721273e-05
-
-    def test_sweep_order_preserved(self, system_div):
-        rows = system_div.distance_sweep((150.0, 250.0), (2, 3), (20e3, 40e3))
-        key = [(r.bandwidth, r.m, r.d1) for r in rows]
-        assert key == sorted(key, key=lambda t: (t[0], t[1], t[2]))
 
     def test_validation(self, system_div):
         with pytest.raises(ValueError):

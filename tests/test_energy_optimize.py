@@ -1,18 +1,18 @@
-"""Constellation-size optimizer tests."""
+"""Constellation-size optimizer tests.
+
+``TestMinimizeOverB`` pins the rules of the size-by-size reference search
+(``tests/b_search_reference.py``) that the property tests compare the
+array pass against; ``TestBestOverB`` holds the array pass to it.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.energy.optimize import (
-    DEFAULT_B_RANGE,
-    OptimizationResult,
-    best_over_b,
-    maximize_mimo_distance,
-    minimize_mimo_tx_energy,
-    minimize_over_b,
-)
+from repro.core.overlay import OverlaySystem
+from repro.energy.optimize import DEFAULT_B_RANGE, best_over_b
+from tests.b_search_reference import OptimizationResult, minimize_over_b
 
 
 class TestMinimizeOverB:
@@ -99,38 +99,31 @@ class TestBestOverB:
 
 class TestEnergyObjectives:
     def test_minimize_energy_beats_fixed_b(self, energy_model):
-        best = minimize_mimo_tx_energy(energy_model, 0.001, 2, 2, 200.0, 10e3)
+        _, energy = OverlaySystem(energy_model).direct_link_energy(200.0, 0.001, 10e3)
         for b in (1, 2, 4, 8):
-            fixed = energy_model.mimo_tx(0.001, b, 2, 2, 200.0, 10e3).total
-            assert best.value <= fixed + 1e-30
+            fixed = energy_model.mimo_tx(0.001, b, 1, 1, 200.0, 10e3).total
+            assert energy <= fixed + 1e-30
 
     def test_maximize_distance_beats_fixed_b(self, energy_model):
-        budget = 2e-5
-        best = maximize_mimo_distance(energy_model, budget, 0.001, 2, 1, 10e3)
+        res = OverlaySystem(energy_model).distance_analysis(250.0, 2, 10e3, 0.005, 0.001)
         for b in (1, 2, 4):
-            fixed = energy_model.max_mimo_distance(budget, 0.001, b, 2, 1, 10e3)
-            assert best.value >= fixed - 1e-12
+            fixed = energy_model.max_mimo_distance(res.e1, 0.001, b, 1, 2, 10e3)
+            assert res.d2 >= fixed - 1e-12
 
     def test_callable_extra_circuit(self, energy_model):
-        budget = 2e-5
-        result = maximize_mimo_distance(
-            energy_model,
-            budget,
-            0.001,
-            2,
-            1,
-            10e3,
-            extra_circuit=lambda b: energy_model.mimo_rx(b, 10e3).total,
-        )
-        plain = maximize_mimo_distance(energy_model, budget, 0.001, 2, 1, 10e3)
-        assert result.value < plain.value
+        """At m = 1 both relayed links are 1x1, so D3 differs from D2 only
+        by the reception energy e^{MIMOr}(b) its budget must also cover."""
+        res = OverlaySystem(energy_model).distance_analysis(250.0, 1, 10e3, 0.005, 0.001)
+        assert res.d3 < res.d2
+        for b in (1, 2, 4):
+            fixed = energy_model.max_mimo_distance(
+                res.e1, 0.001, b, 1, 1, 10e3,
+                extra_circuit=energy_model.mimo_rx(b, 10e3).total,
+            )
+            assert res.d3 >= fixed - 1e-12
 
     def test_wide_bandwidth_prefers_low_b(self, energy_model):
         """With cheap circuit energy the PA dominates, and the PA is
         minimized by small constellations (lower required SNR)."""
-        best = minimize_mimo_tx_energy(energy_model, 0.001, 1, 1, 300.0, 1e6)
-        assert best.b <= 2
-
-    def test_empty_range_rejected(self, energy_model):
-        with pytest.raises(ValueError):
-            minimize_mimo_tx_energy(energy_model, 0.001, 1, 1, 100.0, 10e3, b_range=())
+        b, _ = OverlaySystem(energy_model).direct_link_energy(300.0, 0.001, 1e6)
+        assert b == 1

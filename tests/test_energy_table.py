@@ -55,18 +55,6 @@ class TestLookup:
         assert table.lookup(0.4, 1, 1, 1) > 0
 
 
-class TestSelection:
-    def test_min_ebar_b_is_true_minimum(self, small_table):
-        b, value = small_table.min_ebar_b(0.001, 2, 2)
-        for cand in small_table.b_values:
-            assert value <= small_table.lookup(0.001, cand, 2, 2) + 1e-30
-        assert b in small_table.b_values
-
-    def test_feasible_b_excludes_nan(self):
-        table = EbarTable(p_values=(0.4,), b_values=(1, 4), mt_values=(1,), mr_values=(1,))
-        assert table.feasible_b(0.4, 1, 1) == (1,)
-
-
 class TestModelIntegration:
     def test_plugs_into_energy_model(self, small_table):
         from repro.energy.model import EnergyModel
@@ -160,10 +148,6 @@ class TestOffGridRegression:
     def test_other_helpers_share_the_guard(self, small_table):
         with pytest.raises(KeyError):
             small_table.lookup_interpolated(0.001, 3, 1, 1)
-        with pytest.raises(KeyError):
-            small_table.feasible_b(0.001, 3, 1)
-        with pytest.raises(KeyError):
-            small_table.min_ebar_b(0.001, 3, 1)
 
 
 class TestArrayLookups:
@@ -187,14 +171,6 @@ class TestArrayLookups:
         out = table.lookup(0.4, np.array([1, 4]), 1, 1)
         assert np.isfinite(out[0])
         assert np.isnan(out[1])
-
-    def test_array_min_ebar_b(self, small_table):
-        p = np.array([0.01, 0.001])
-        b_arr, e_arr = small_table.min_ebar_b(p, 2, 2)
-        for i, p_i in enumerate(p):
-            b_scalar, e_scalar = small_table.min_ebar_b(float(p_i), 2, 2)
-            assert b_arr[i] == b_scalar
-            assert e_arr[i] == e_scalar
 
     def test_array_interpolated_lookup(self, small_table):
         p = np.array([0.008, 0.002])

@@ -1,10 +1,13 @@
 """Smoke tests for the runnable examples and the tutorial.
 
 The fast examples run end-to-end as subprocesses (the README promises they
-work); the slow ones are import-checked for syntax/API drift.  The
+work); every example is compiled and each name it imports from ``repro``
+is resolved, so syntax or API drift in the slow ones fails here too.  The
 tutorial's Python snippets run in order, as a reader would paste them.
 """
 
+import ast
+import importlib
 import pathlib
 import re
 import subprocess
@@ -40,6 +43,25 @@ def test_example_compiles(name):
     path = EXAMPLES_DIR / name
     source = path.read_text()
     compile(source, str(path), "exec")
+
+
+def _repro_imports(path):
+    """``(module, name)`` for each ``from repro... import name`` in a file."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "repro"
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize("name", FAST_EXAMPLES + SLOW_EXAMPLES)
+def test_example_imports_resolve(name):
+    imports = _repro_imports(EXAMPLES_DIR / name)
+    assert imports
+    for module, attr in imports:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
 
 
 def test_every_example_is_listed():

@@ -1,13 +1,15 @@
 """Hypothesis property tests: the one-pass constellation searches equal the
-scalar reference bit for bit.
+size-by-size reference bit for bit.
 
 ``OverlaySystem.distance_arrays`` and ``UnderlaySystem.pa_energy_arrays``
 price every constellation size at every point in one array pass, and the
 service rows (``work.overlay_rows`` / ``work.underlay_rows``) are built
-straight from those arrays.  These properties pin all of them to the scalar
-per-point analyses (``distance_analysis``, ``pa_energy``), which walk the
-sizes one by one through ``minimize_over_b``.  Results are compared through
-``repr``, so a 1-ULP difference or a flipped sign of zero fails.
+straight from those arrays; the one-point methods (``distance_analysis``,
+``direct_link_energy``, ``relay_energy``, ``pa_energy``) are the same pass
+at n = 1.  These properties pin all of them to the per-point analyses of
+``tests/b_search_reference.py``, which walk the sizes one by one through
+``minimize_over_b``.  Results are compared through ``repr``, so a 1-ULP
+difference or a flipped sign of zero fails.
 
 Axes mix ordinary distances with lax BER targets (some sizes infeasible),
 targets no size can meet, and distances long enough to overflow the PA
@@ -28,6 +30,7 @@ from repro.service import work
 from repro.service.app import PlanningService
 from repro.service.config import ServiceConfig
 from repro.service.schemas import OverlayRequest, UnderlayRequest
+from tests import b_search_reference as ref
 
 conventions = st.sampled_from(("paper", "diversity_only"))
 counts = st.integers(min_value=1, max_value=4)
@@ -71,7 +74,7 @@ class TestOverlay:
         system = work._overlay(convention)
         assert_matches_scalar(
             lambda xs: system.distance_analyses(xs, m, bw, p_direct, p_relay),
-            lambda x: system.distance_analysis(x, m, bw, p_direct, p_relay),
+            lambda x: ref.distance_analysis(system, x, m, bw, p_direct, p_relay),
             axis,
         )
 
@@ -84,7 +87,7 @@ class TestOverlay:
         system = work._overlay(convention)
         assert_matches_scalar(
             lambda xs: system.distance_analyses(xs, m, bw, p_direct, p_relay),
-            lambda x: system.distance_analysis(x, m, bw, p_direct, p_relay),
+            lambda x: ref.distance_analysis(system, x, m, bw, p_direct, p_relay),
             axis,
         )
 
@@ -99,9 +102,34 @@ class TestOverlay:
         assert_matches_scalar(
             lambda xs: work.overlay_rows(replace(request, d1=tuple(xs))),
             lambda x: work.overlay_row_dict(
-                system.distance_analysis(x, m, bw, p_direct, p_relay)
+                ref.distance_analysis(system, x, m, bw, p_direct, p_relay)
             ),
             axis,
+        )
+
+    @given(conventions, bers, bandwidths, extreme_axes)
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_direct_link_energy_equals_scalar(self, convention, p_direct, bw, axis):
+        system = work._overlay(convention)
+        assert_matches_scalar(
+            lambda xs: [system.direct_link_energy(x, p_direct, bw) for x in xs],
+            lambda x: ref.direct_link_energy(system, x, p_direct, bw),
+            axis,
+        )
+
+    @given(conventions, bers, counts, bandwidths, st.lists(
+        st.tuples(distances | extreme_distances, distances | extreme_distances),
+        min_size=1, max_size=4,
+    ))
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_relay_energy_equals_scalar(self, convention, p, m, bw, links):
+        system = work._overlay(convention)
+        assert_matches_scalar(
+            lambda pairs: [system.relay_energy(p, m, *pair, bw) for pair in pairs],
+            lambda pair: ref.relay_energy(system, p, m, *pair, bw),
+            links,
         )
 
     @given(conventions, st.sampled_from((0.5, 0.7)), counts, bandwidths, axes)
@@ -109,7 +137,7 @@ class TestOverlay:
     def test_no_feasible_size_raises_the_scalar_error(self, convention, p_direct, m, bw, axis):
         system = work._overlay(convention)
         with pytest.raises(ValueError) as scalar:
-            system.distance_analysis(axis[0], m, bw, p_direct, 0.0005)
+            ref.distance_analysis(system, axis[0], m, bw, p_direct, 0.0005)
         with pytest.raises(ValueError) as array:
             system.distance_arrays(axis, m, bw, p_direct, 0.0005)
         assert str(array.value) == str(scalar.value)
@@ -125,7 +153,7 @@ class TestUnderlay:
         system = work._underlay(convention)
         assert_matches_scalar(
             lambda xs: system.pa_energy_sweep(p, mt, mr, d, xs, bw),
-            lambda x: system.pa_energy(p, mt, mr, d, x, bw),
+            lambda x: ref.pa_energy(system, p, mt, mr, d, x, bw),
             axis,
         )
 
@@ -143,7 +171,7 @@ class TestUnderlay:
         system = work._underlay(convention)
         assert_matches_scalar(
             lambda xs: system.pa_energy_sweep(p, mt, mr, d, xs, bw),
-            lambda x: system.pa_energy(p, mt, mr, d, x, bw),
+            lambda x: ref.pa_energy(system, p, mt, mr, d, x, bw),
             axis,
         )
 
@@ -157,7 +185,7 @@ class TestUnderlay:
         )
         assert_matches_scalar(
             lambda xs: work.underlay_rows(replace(request, distances=tuple(xs))),
-            lambda x: work.underlay_row_dict(system.pa_energy(p, mt, mr, d, x, bw)),
+            lambda x: work.underlay_row_dict(ref.pa_energy(system, p, mt, mr, d, x, bw)),
             axis,
         )
 
@@ -166,7 +194,7 @@ class TestUnderlay:
     def test_no_feasible_size_raises_the_scalar_error(self, convention, p, mt, mr, bw, axis):
         system = work._underlay(convention)
         with pytest.raises(ValueError) as scalar:
-            system.pa_energy(p, mt, mr, 5.0, axis[0], bw)
+            ref.pa_energy(system, p, mt, mr, 5.0, axis[0], bw)
         with pytest.raises(ValueError) as array:
             system.pa_energy_arrays(p, mt, mr, 5.0, axis, bw)
         assert str(array.value) == str(scalar.value)
@@ -213,7 +241,7 @@ class TestMixedCoalescedBatch:
         assert answers[1] == self._volley(service, "/v1/overlay/feasible", bodies[1:2])[0]
         system = work._overlay("paper")
         for body, (_, payload) in zip(bodies[::2], answers[::2]):
-            expected = system.distance_analysis(body["d1"], 3, 20e3)
+            expected = ref.distance_analysis(system, body["d1"], 3, 20e3)
             assert payload["rows"] == [work.overlay_row_dict(expected)]
 
     def test_underlay(self, service):
@@ -227,6 +255,6 @@ class TestMixedCoalescedBatch:
         assert answers[1] == self._volley(service, "/v1/underlay/energy", bodies[1:2])[0]
         system = work._underlay("paper")
         for body, (_, payload) in zip(bodies[::2], answers[::2]):
-            expected = system.pa_energy(1e-3, 3, 2, 4.0, body["distance"], 10e3)
+            expected = ref.pa_energy(system, 1e-3, 3, 2, 4.0, body["distance"], 10e3)
             assert payload["rows"] == [work.underlay_row_dict(expected)]
 
