@@ -4,7 +4,7 @@ Run via ``scripts/bench_energy.sh`` to regenerate ``BENCH_energy.json``;
 the comparisons of interest are
 
 * ``batch_solve_default_grid`` vs ``scalar_solve_default_grid`` — the
-  vectorized bisection against the per-point ``brentq`` loop it replaced
+  vectorized bisection against the per-point Brent (``solve_ebar``) loop it replaced
   (the PR's headline >= 10x);
 * ``cold_build`` vs ``warm_memo_hit`` — table construction including the
   solve, against a second construction in the same process.
@@ -39,7 +39,7 @@ def test_batch_solve_default_grid(benchmark):
 
 
 def test_scalar_solve_default_grid(benchmark):
-    """The pre-vectorization baseline: one brentq call per grid point."""
+    """The pre-vectorization baseline: one Brent root-find per grid point."""
     p_g, b_g, mt_g, mr_g = _default_grid_arrays()
 
     def solve_all():

@@ -10,7 +10,12 @@ twice over one keep-alive ``http.client`` connection — ``/v1/ebar``,
 overlay and underlay sweeps both buffered and streamed, and a seeded
 interweave pattern — and requires the repeat to be byte-identical to the
 first answer (status line, headers and body) and ``/metrics`` to count
-exactly one ``result_cache`` hit per repeat.  Finally it sends SIGTERM
+exactly one ``result_cache`` hit per repeat.  It then reads
+``/proc/<pid>/maps`` of the daemon and each live descendant (the sweep pool
+worker among them) and fails if any maps a file under ``scipy/optimize/``,
+which no service code path needs; it prints the boot-to-listening seconds
+and the tree's summed VmRSS on one line, as a report, not a gate (the
+check is skipped where ``/proc`` is absent).  Finally it sends SIGTERM
 while that connection is still open and idle, and asserts a clean (exit 0)
 graceful shutdown with no ``Traceback`` in the server's stderr.
 
@@ -25,6 +30,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -126,6 +132,44 @@ def check_cached_bodies(conn: http.client.HTTPConnection, client: ServiceClient)
     assert hits == len(CACHEABLE), f"{hits} result_cache hits for {len(CACHEABLE)} repeats"
 
 
+def process_tree(root: int) -> List[int]:
+    """``root`` and every live descendant, from each ``/proc/<pid>/stat``."""
+    parent_of: Dict[int, int] = {}
+    for name in os.listdir("/proc"):
+        if name.isdigit():
+            try:
+                stat = pathlib.Path(f"/proc/{name}/stat").read_text()
+            except OSError:  # exited between the listing and the read
+                continue
+            parent_of[int(name)] = int(stat[stat.rindex(")") + 2 :].split()[1])
+    tree = [root]
+    for pid in tree:  # the list grows while it is walked: breadth first
+        tree.extend(child for child, parent in parent_of.items() if parent == pid)
+    return tree
+
+
+def check_process_tree(pid: int, boot_s: float) -> None:
+    """No process of the tree maps scipy.optimize; report boot time and Σ VmRSS."""
+    if not os.path.isdir("/proc"):
+        print("service smoke: no /proc here, process-tree check skipped")
+        return
+    tree = process_tree(pid)
+    rss_kb = 0
+    for member in tree:
+        try:
+            maps = pathlib.Path(f"/proc/{member}/maps").read_text()
+            status = pathlib.Path(f"/proc/{member}/status").read_text()
+        except OSError:  # exited since the listing
+            continue
+        mapped = sorted({line.split()[-1] for line in maps.splitlines()
+                         if "/scipy/optimize/" in line})
+        assert not mapped, f"pid {member} maps scipy.optimize files: {mapped[:3]}"
+        rss_kb += sum(int(line.split()[1]) for line in status.splitlines()
+                      if line.startswith("VmRSS:"))
+    print(f"service smoke: boot to listening {boot_s:.3f} s, "
+          f"{len(tree)} processes, sum VmRSS {rss_kb / 1024.0:.1f} MiB")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="service-smoke-") as scratch:
         env = dict(os.environ)
@@ -133,6 +177,7 @@ def main() -> int:
         env["REPRO_CACHE_DIR"] = str(pathlib.Path(scratch) / "cache")
         env.pop("REPRO_NO_CACHE", None)
         log_path = pathlib.Path(scratch) / "server.log"
+        started = time.perf_counter()  # lint: ignore[RP103]
         with open(log_path, "w") as log:
             proc = subprocess.Popen(
                 [
@@ -158,12 +203,14 @@ def main() -> int:
         try:
             assert proc.stdout is not None
             announced = json.loads(proc.stdout.readline())
+            boot_s = time.perf_counter() - started  # lint: ignore[RP103]
             assert announced["event"] == "listening", announced
             host, port = announced["host"], announced["port"]
             client = ServiceClient(host, port, timeout_s=60.0)
             check_endpoints(client)
             conn = http.client.HTTPConnection(host, port, timeout=60.0)
             check_cached_bodies(conn, client)
+            check_process_tree(proc.pid, boot_s)
             # Leave the keep-alive connection open and idle across SIGTERM.
             raw_exchange(conn, "/v1/ebar", {"p": 1e-3, "b": 2, "mt": 2, "mr": 2}, {})
 

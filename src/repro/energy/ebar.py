@@ -13,7 +13,12 @@ Gamma(k = mt*mr, 1)-distributed, so the expectation has the exact classical
 closed form implemented in
 :func:`repro.modulation.theory.rayleigh_diversity_avg_qfunc`.  The solver
 inverts the (strictly monotone) map ``e_bar_b -> average BER`` with Brent's
-method in log10 space.
+method in log10 space, by :func:`_brentq`: a port of
+``scipy.optimize.brentq`` that returns the same root, bit for bit, and
+takes the bracket ends' values from the bracketing loop instead of
+evaluating them again.  With the root-finder here, no process that
+imports :mod:`repro` loads ``scipy.optimize`` (``docs/performance.md``
+section 6 has what that import cost).
 
 Validation against the paper (Section 6.2 text): for ``p = 0.001, b = 2``
 the paper quotes ``e_bar_b = 1.90e-18`` (SISO) and ``3.20e-20`` (2x3 MIMO);
@@ -24,10 +29,11 @@ paper's tabulation; see DESIGN.md section 6).
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+import math
+import sys
+from typing import Callable, Tuple, Union
 
 import numpy as np
-from scipy import optimize
 
 from repro.channel.rayleigh import rayleigh_mimo_channel
 from repro.modulation.theory import (
@@ -139,14 +145,97 @@ def solve_ebar(
 
     lo, hi = -26.0, -8.0
     # Expand the bracket defensively for extreme (p, n0) combinations.
-    while objective(lo) < 0.0 and lo > -60.0:
+    f_lo = objective(lo)
+    while f_lo < 0.0 and lo > -60.0:
         lo -= 5.0
-    while objective(hi) > 0.0 and hi < 10.0:
+        f_lo = objective(lo)
+    f_hi = objective(hi)
+    while f_hi > 0.0 and hi < 10.0:
         hi += 5.0
-    if objective(lo) < 0.0 or objective(hi) > 0.0:
+        f_hi = objective(hi)
+    if f_lo < 0.0 or f_hi > 0.0:
         raise ValueError("failed to bracket the e_bar_b root")
-    root = optimize.brentq(objective, lo, hi, xtol=xtol)
+    root = _brentq(objective, lo, hi, f_lo, f_hi, xtol)
     return float(10.0**root)
+
+
+#: ``scipy.optimize.brentq``'s defaults: the relative tolerance ``4 eps``
+#: and the iteration cap.
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brentq(
+    f: Callable[[float], float],
+    xa: float,
+    xb: float,
+    fa: float,
+    fb: float,
+    xtol: float,
+) -> float:
+    """A root of ``f`` in ``[xa, xb]`` by Brent's method; ``fa, fb = f(xa), f(xb)``.
+
+    Step for step the C routine behind ``scipy.optimize.brentq`` at its
+    default ``rtol`` and ``maxiter``, so it evaluates ``f`` at the same
+    points and returns the same float; the caller passes the end values
+    it already computed instead of ``f`` evaluating them again.  Raises
+    ``ValueError`` for ``xtol <= 0``, for ends of the same sign and for a
+    NaN value of ``f``, and ``RuntimeError`` after ``_BRENT_MAXITER``
+    iterations, as scipy does.
+    """
+    if xtol <= 0.0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if math.isnan(fa) or math.isnan(fb):
+        raise ValueError("f(a) or f(b) is NaN; solver cannot continue.")
+    if fa == 0.0:
+        return xa
+    if fb == 0.0:
+        return xb
+    if (fa < 0.0) == (fb < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    # cur is the best estimate, pre the previous one and blk the far end of
+    # the bracket; scur and spre are the last two steps.
+    xpre, fpre, xcur, fcur = xa, fa, xb, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # A zero (say, underflowed) denominator: C's quotient is inf
+                # or NaN, which the step test below rejects, so scipy bisects.
+                stry = math.inf
+            limit = 3.0 * abs(sbis) - delta
+            if 2.0 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur:f}")
 
 
 def _mqam_coefficients_array(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -202,7 +291,7 @@ def solve_ebar_batch(
     bisection in log10 space (the same ``[-26, -8]`` starting bracket and the
     same defensive expansion as the scalar solver).  This is the kernel the
     "Preprocessing" table build runs on: one call replaces thousands of
-    per-point ``brentq`` root-finds.
+    per-point Brent root-finds.
 
     Unlike the scalar solver, *infeasible* points — a target BER at or above
     the modulation's zero-energy ceiling ``a/2``, outside ``(0, 1)``, or (for
@@ -217,7 +306,7 @@ def solve_ebar_batch(
         integer-valued and >= 1; ``n0`` must be positive.
     xtol:
         Absolute tolerance on the log10-space root (matches the scalar
-        solver's ``brentq`` tolerance; the two agree to ~1e-11 relative).
+        solver's Brent tolerance; the two agree to ~1e-11 relative).
     convention:
         ``e_bar_b`` normalization, as in :func:`average_ber`.
 

@@ -1,10 +1,12 @@
 """SystemConstants tests: paper values, derived quantities, immutability."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+import repro.constants as constants_mod
 from repro.constants import PAPER_CONSTANTS, SPEED_OF_LIGHT, SystemConstants
 
 
@@ -58,6 +60,48 @@ class TestLonghaulGain:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             PAPER_CONSTANTS.longhaul_gain(-5.0)
+
+
+DISTANCES = [0.0, -0.0, -1.0, 5e-324, 1e-300, 1.0, 1e300, math.inf, math.nan]
+
+
+def distance_forms(d):
+    """``d`` as a float, an int where one holds it, np.float64 and two arrays."""
+    forms = [("float", d)]
+    if math.isfinite(d) and d == int(d):
+        forms.append(("int", int(d)))
+    forms += [("float64", np.float64(d)), ("0d", np.array(d)), ("1elem", np.array([d]))]
+    return forms
+
+
+def np_any_check(distance_m):
+    """The array check every distance went through before the scalar shortcut."""
+    if np.any(np.asarray(distance_m) <= 0.0):
+        raise ValueError(f"distance_m must be positive, got {distance_m}")
+
+
+def outcome(method, distance_m):
+    with np.errstate(all="ignore"):
+        try:
+            value = method(distance_m)
+        except (ValueError, OverflowError) as exc:
+            return type(exc).__name__, str(exc)
+    return np.shape(value), np.asarray(value, dtype=float).tobytes()
+
+
+class TestDistanceCheck:
+    """Scalars take one comparison; every form still fails or passes as before."""
+
+    @pytest.mark.parametrize("method", ["local_gain", "longhaul_gain"])
+    @pytest.mark.parametrize("d", DISTANCES, ids=repr)
+    def test_scalar_and_array_paths_agree(self, monkeypatch, method, d):
+        gain = getattr(PAPER_CONSTANTS, method)
+        fast = [(name, outcome(gain, x)) for name, x in distance_forms(d)]
+        monkeypatch.setattr(constants_mod, "_check_distance", np_any_check)
+        reference = [(name, outcome(gain, x)) for name, x in distance_forms(d)]
+        assert fast == reference
+        # Every form of d <= 0 raises, and nothing else (NaN passes).
+        assert all((result[0] == "ValueError") == (d <= 0.0) for _, result in fast)
 
 
 class TestAlpha:

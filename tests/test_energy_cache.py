@@ -84,12 +84,12 @@ class TestEnvironmentControls:
 class TestEnergyModelConstruction:
     def test_default_construction_runs_zero_root_finds(self, monkeypatch):
         """EnergyModel() must stay lazy: no solving at construction time."""
-        from scipy import optimize as scipy_optimize
+        from repro.energy import ebar
 
         def forbidden(*args, **kwargs):  # pragma: no cover - should not run
-            raise AssertionError("brentq called during EnergyModel()")
+            raise AssertionError("_brentq called during EnergyModel()")
 
-        monkeypatch.setattr(scipy_optimize, "brentq", forbidden)
+        monkeypatch.setattr(ebar, "_brentq", forbidden)
         from repro.energy.model import EnergyModel
 
         EnergyModel()
@@ -102,11 +102,11 @@ class TestEnergyModelConstruction:
         warm = EbarTable(**GRID)
         del warm
 
-        from scipy import optimize as scipy_optimize
+        from repro.energy import ebar
 
         def forbidden(*args, **kwargs):  # pragma: no cover - should not run
-            raise AssertionError("brentq called despite a warm table cache")
+            raise AssertionError("_brentq called despite a warm table cache")
 
-        monkeypatch.setattr(scipy_optimize, "brentq", forbidden)
+        monkeypatch.setattr(ebar, "_brentq", forbidden)
         model = EnergyModel(ebar_provider=EbarTable(**GRID))
         assert model.ebar(0.001, 2, 2, 2) > 0.0
