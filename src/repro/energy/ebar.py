@@ -16,9 +16,11 @@ inverts the (strictly monotone) map ``e_bar_b -> average BER`` with Brent's
 method in log10 space, by :func:`_brentq`: a port of
 ``scipy.optimize.brentq`` that returns the same root, bit for bit, and
 takes the bracket ends' values from the bracketing loop instead of
-evaluating them again.  With the root-finder here, no process that
-imports :mod:`repro` loads ``scipy.optimize`` (``docs/performance.md``
-section 6 has what that import cost).
+evaluating them again.  With the root-finder here and the closed form's
+binomials from :func:`repro.modulation.theory.binomial_row`, a process
+that imports :mod:`repro` loads no ``scipy`` module until a diversity
+order ``mt * mr`` past 20 asks for one (``docs/performance.md`` section 6
+has what those imports cost).
 
 Validation against the paper (Section 6.2 text): for ``p = 0.001, b = 2``
 the paper quotes ``e_bar_b = 1.90e-18`` (SISO) and ``3.20e-20`` (2x3 MIMO);
@@ -37,6 +39,7 @@ import numpy as np
 
 from repro.channel.rayleigh import rayleigh_mimo_channel
 from repro.modulation.theory import (
+    binomial_row,
     instantaneous_ber,
     mqam_ber_coefficients,
     rayleigh_diversity_avg_qfunc,
@@ -132,16 +135,26 @@ def solve_ebar(
         ``b=1000`` constellation at BER 1e-3).
     """
     p = check_probability(p, "p")
-    a, _ = mqam_ber_coefficients(b)
+    a, g = mqam_ber_coefficients(b)
     ceiling = a / 2.0  # BER at ebar -> 0 (Q(0) = 1/2)
     if p >= ceiling:
         raise ValueError(
             f"target BER {p} is not below the zero-energy ceiling {ceiling:.4g} "
             f"for b={b}; any energy achieves it"
         )
+    # average_ber's checks, once: the objective below is its arithmetic.
+    b = check_positive_int(b, "b")
+    mt = check_positive_int(mt, "mt")
+    mr = check_positive_int(mr, "mr")
+    n0 = check_positive(n0, "n0")
+    if convention not in CONVENTIONS:
+        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    divisor = n0 * mt if convention == "paper" else n0
+    k = mt * mr
 
     def objective(log10_e: float) -> float:
-        return float(average_ber(10.0**log10_e, b, mt, mr, n0, convention)) - p
+        c = g * 10.0**log10_e / (2.0 * divisor)
+        return float(a * rayleigh_diversity_avg_qfunc(c, k)) - p
 
     lo, hi = -26.0, -8.0
     # Expand the bracket defensively for extreme (p, n0) combinations.
@@ -259,19 +272,19 @@ def _rayleigh_diversity_avg_qfunc_array(c: np.ndarray, k: np.ndarray) -> np.ndar
 
     Same closed form as
     :func:`repro.modulation.theory.rayleigh_diversity_avg_qfunc`, evaluated
-    for an array of diversity orders at once: terms ``i >= k`` of the padded
-    series are masked to zero (adding exact zeros does not change the sum).
+    for an array of diversity orders at once: each element reads its
+    :func:`~repro.modulation.theory.binomial_row` padded with zeros to
+    ``k.max()`` terms (adding exact zeros does not change the sum).
     """
-    from scipy import special
-
     mu = np.sqrt(c / (1.0 + c))
     half_minus = (1.0 - mu) / 2.0
     half_plus = (1.0 + mu) / 2.0
-    k_max = int(k.max())
-    i = np.arange(k_max)
-    binoms = special.comb(k[..., None] - 1 + i, i)  # C(k-1+i, i)
-    powers = half_plus[..., None] ** i
-    series = np.sum(np.where(i < k[..., None], binoms * powers, 0.0), axis=-1)
+    orders, index = np.unique(k, return_inverse=True)
+    rows = np.zeros((orders.size, int(orders[-1])))
+    for r, order in enumerate(orders.tolist()):
+        rows[r, :order] = binomial_row(order)
+    powers = half_plus[..., None] ** np.arange(rows.shape[1])
+    series = np.sum(rows[index.reshape(k.shape)] * powers, axis=-1)
     return half_minus**k * series
 
 

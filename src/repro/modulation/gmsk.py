@@ -24,9 +24,9 @@ Two levels of fidelity are provided:
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from repro.modulation.base import Modem
+from repro.utils.qfunc import qfunc
 from repro.utils.validation import check_positive
 
 __all__ = ["GMSKModem", "GMSKWaveform"]
@@ -111,11 +111,7 @@ class GMSKWaveform:
         t = (np.arange(self.span * self.sps) - (self.span * self.sps - 1) / 2.0) / self.sps
         # Standard GMSK frequency pulse: difference of Q-functions.
         k = 2.0 * np.pi * self.bt / np.sqrt(np.log(2.0))
-
-        def qf(x):
-            return 0.5 * special.erfc(x / np.sqrt(2.0))
-
-        g = qf(k * (t - 0.5)) - qf(k * (t + 0.5))
+        g = qfunc(k * (t - 0.5)) - qfunc(k * (t + 0.5))
         g = np.abs(g)
         g /= 4.0 * g.sum()
         return g

@@ -18,15 +18,16 @@ The closed form (e.g. Proakis, *Digital Communications*, eq. 14.4-15) is::
     mu = sqrt( c / (1 + c) )
 
 It is exact for integer diversity order ``k`` and numerically robust for the
-small target BERs the paper sweeps (1e-1 .. 5e-4).
+small target BERs the paper sweeps (1e-1 .. 5e-4).  Its coefficients
+C(k-1+i, i) come from :func:`binomial_row`, one memoized row per ``k``.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from repro.utils.qfunc import qfunc
 from repro.utils.units import db_to_linear
@@ -37,6 +38,7 @@ __all__ = [
     "ber_bpsk_awgn",
     "ber_mqam_awgn",
     "ber_bpsk_rayleigh",
+    "binomial_row",
     "instantaneous_ber",
     "mqam_ber_coefficients",
     "rayleigh_diversity_avg_qfunc",
@@ -87,6 +89,43 @@ def ber_bpsk_rayleigh(ebn0_db: ArrayLike) -> ArrayLike:
     return 0.5 * (1.0 - np.sqrt(gamma / (1.0 + gamma)))
 
 
+#: ``scipy.special.binom`` computes C(n, i) by an integer product for
+#: ``i`` below this and by a beta-function formula from it on.
+_PRODUCT_TERMS = 20
+
+
+# 256 rows cover every k = mt * mr the service admits (mt, mr <= 16).
+@functools.lru_cache(maxsize=256)
+def binomial_row(k: int) -> np.ndarray:
+    """``C(k-1+i, i)`` for ``i = 0 .. k-1``: the closed form's coefficients.
+
+    Memoized per diversity order ``k`` and read-only.  Bit for bit what
+    ``scipy.special.comb(k-1+i, i)`` returns: entries with ``i < 20`` copy
+    scipy's integer product step for step, and only the entries with
+    ``i >= 20`` (which exist for ``k >= 21`` only) call scipy, whose
+    beta-function branch has no exact in-tree formula.  That call
+    imports ``scipy.special`` on first use.
+    """
+    row = np.empty(k)
+    for i in range(min(k, _PRODUCT_TERMS)):
+        n = float(k - 1 + i)
+        num = den = 1.0
+        for j in range(1, i + 1):
+            num *= (j + n) - i
+            den *= j
+            if abs(num) > 1e50:
+                num /= den
+                den = 1.0
+        row[i] = num / den
+    if k > _PRODUCT_TERMS:
+        from scipy import special
+
+        i = np.arange(_PRODUCT_TERMS, k)
+        row[_PRODUCT_TERMS:] = special.comb(k - 1 + i, i)
+    row.flags.writeable = False
+    return row
+
+
 def rayleigh_diversity_avg_qfunc(c: ArrayLike, k: int) -> ArrayLike:
     """Exact ``E[Q(sqrt(2 c G))]`` for ``G ~ Gamma(k, 1)`` (see module docs).
 
@@ -112,9 +151,7 @@ def rayleigh_diversity_avg_qfunc(c: ArrayLike, k: int) -> ArrayLike:
     mu = np.sqrt(carr / (1.0 + carr))
     half_minus = (1.0 - mu) / 2.0
     half_plus = (1.0 + mu) / 2.0
-    i = np.arange(k)
-    binoms = special.comb(k - 1 + i, i)  # C(k-1+i, i)
-    # sum_i binom * ((1+mu)/2)^i — evaluate via broadcasting on the last axis.
-    powers = half_plus[..., None] ** i
-    series = np.sum(binoms * powers, axis=-1)
+    # sum_i C(k-1+i, i) ((1+mu)/2)^i, broadcast on the last axis.
+    powers = half_plus[..., None] ** np.arange(k)
+    series = np.sum(binomial_row(k) * powers, axis=-1)
     return half_minus**k * series

@@ -16,6 +16,7 @@ a child that is still running.
 from __future__ import annotations
 
 import asyncio
+import math
 import multiprocessing
 import os
 import signal
@@ -44,7 +45,8 @@ __all__ = [
 
 Row = Dict[str, object]
 
-#: Per-request cap on a scenario's admission-time ``n_nodes``.
+#: Per-request cap on a scenario's admission-time ``n_nodes`` plus the
+#: joins its churn expects.
 MAX_SIM_NODES = 5000
 
 #: Per-request cap on a scenario's snapshot rows, ``ceil(duration_s /
@@ -66,8 +68,9 @@ def parse_simulate_request(data: object) -> ScenarioSpec:
 
     Library ``ValueError``s (unknown fields, bad types, out-of-range
     values) become 400s; :data:`MAX_SIM_NODES` bounds the admission-time
-    population (churn joins are separately capped by ``max_joins``) and
-    :data:`MAX_SIM_SNAPSHOTS` the row count.
+    population plus the joins churn expects, ``min(max_joins,
+    ceil(join_rate_per_s * duration_s))``, and :data:`MAX_SIM_SNAPSHOTS`
+    the row count.
     """
     if not isinstance(data, dict):
         raise BadRequestError("request body must be a JSON object")
@@ -78,6 +81,14 @@ def parse_simulate_request(data: object) -> ScenarioSpec:
     if spec.n_nodes > MAX_SIM_NODES:
         raise BadRequestError(
             f"n_nodes={spec.n_nodes} exceeds the server limit of {MAX_SIM_NODES}"
+        )
+    churn = spec.churn
+    expected = churn.join_rate_per_s * spec.duration_s  # inf if it overflows
+    joins = churn.max_joins if expected > churn.max_joins else math.ceil(expected)
+    if spec.n_nodes + joins > MAX_SIM_NODES:
+        raise BadRequestError(
+            "n_nodes + min(churn.max_joins, ceil(churn.join_rate_per_s * duration_s))"
+            f" = {spec.n_nodes + joins} exceeds the server limit of {MAX_SIM_NODES}"
         )
     snapshots = spec.duration_s / spec.snapshot_interval_s  # inf if it overflows
     if snapshots > MAX_SIM_SNAPSHOTS:

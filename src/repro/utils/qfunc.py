@@ -6,7 +6,10 @@ the closed-form Rayleigh-diversity averages used by :mod:`repro.energy.ebar`.
 
 Implemented via ``scipy.special.erfc`` for numerical stability deep into the
 tail (``Q(40)`` is representable, whereas ``1 - Phi(x)`` underflows long
-before that).
+before that).  ``scipy.special`` is imported inside each call, not with
+this module: the planning service and the simulator never call either
+function, and importing it costs every one of their processes ~150 ms
+and ~25 MiB (``docs/performance.md`` section 6).
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -29,6 +31,8 @@ def qfunc(x: ArrayLike) -> ArrayLike:
     Accepts any real argument (``Q(-x) = 1 - Q(x)``) and broadcasts over
     arrays.
     """
+    from scipy import special
+
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
@@ -43,6 +47,8 @@ def inv_qfunc(p: ArrayLike) -> ArrayLike:
     arr = np.asarray(p, dtype=float)
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise ValueError("inv_qfunc requires probabilities strictly in (0, 1)")
+    from scipy import special
+
     return _SQRT2 * special.erfcinv(2.0 * arr)
 
 

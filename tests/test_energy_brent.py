@@ -22,12 +22,10 @@ PAIRS = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (4, 4), (8, 8), (16, 16)]
 TARGETS = [1e-9, 1e-7, 1e-5, 1e-4, 1e-3, 5e-3, 0.05, 0.2]
 
 
-def objective_and_bracket(p, b, mt, mr, convention, seen=None):
-    """``solve_ebar``'s objective and its bracket; ``seen`` collects the points."""
+def objective_and_bracket(p, b, mt, mr, convention):
+    """``solve_ebar``'s objective, through ``average_ber``, and its bracket."""
 
     def objective(log10_e):
-        if seen is not None:
-            seen.append(log10_e.hex())
         return float(average_ber(10.0**log10_e, b, mt, mr, DEFAULT_N0, convention)) - p
 
     lo, hi = -26.0, -8.0
@@ -95,16 +93,16 @@ class TestSolveEbarGrid:
 
 
 @pytest.fixture
-def ber_calls(monkeypatch):
-    """The ``ebar`` of every ``average_ber`` call ``solve_ebar`` makes, as hex."""
+def closed_form_calls(monkeypatch):
+    """The ``c`` of every closed-form evaluation in ``ebar``, as hex."""
     seen = []
-    real = ebar_module.average_ber
+    real = ebar_module.rayleigh_diversity_avg_qfunc
 
-    def counting(ebar, *args):
-        seen.append(float(ebar).hex())
-        return real(ebar, *args)
+    def counting(c, k):
+        seen.append(float(c).hex())
+        return real(c, k)
 
-    monkeypatch.setattr(ebar_module, "average_ber", counting)
+    monkeypatch.setattr(ebar_module, "rayleigh_diversity_avg_qfunc", counting)
     return seen
 
 
@@ -112,15 +110,17 @@ class TestSolveEbarEvaluations:
     @pytest.mark.parametrize(
         "p,b,mt,mr", [(1e-3, 2, 2, 2), (1e-9, 16, 1, 1), (0.05, 4, 16, 16), (1e-3, 1, 1, 1)]
     )
-    def test_bracket_and_scipys_points_once_each(self, ber_calls, p, b, mt, mr):
+    def test_bracket_and_scipys_points_once_each(self, closed_form_calls, p, b, mt, mr):
         """The bracket's points and scipy's own evaluations, each exactly once:
-        the bracket ends' values reach the solver instead of being recomputed."""
-        points = []
-        objective, lo, hi = objective_and_bracket(p, b, mt, mr, "paper", points)
+        the bracket ends' values reach the solver instead of being recomputed.
+        ``solve_ebar`` checks its arguments once and evaluates the closed
+        form itself, at the same ``c`` that ``average_ber`` computes."""
+        objective, lo, hi = objective_and_bracket(p, b, mt, mr, "paper")
         brentq(objective, lo, hi, xtol=1e-12)
-        expected = sorted({(10.0 ** float.fromhex(x)).hex() for x in points})
+        expected = sorted(set(closed_form_calls))
+        closed_form_calls.clear()
         solve_ebar(p, b, mt, mr)
-        assert sorted(ber_calls) == expected
+        assert sorted(closed_form_calls) == expected
 
 
 class TestSyntheticFunctions:

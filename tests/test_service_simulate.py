@@ -258,3 +258,67 @@ class TestRunnerUnit:
         # 1e300 / 1e-300 overflows to inf, which counts as over the cap.
         with pytest.raises(BadRequestError, match="inf snapshots"):
             parse_simulate_request({"duration_s": 1e300, "snapshot_interval_s": 1e-300})
+
+
+class TestNodeCap:
+    """``n_nodes`` plus the joins churn expects, ``min(max_joins,
+    ceil(join_rate_per_s * duration_s))``, stays within ``MAX_SIM_NODES``."""
+
+    def test_a_flood_of_joins_is_refused_naming_the_fields(self):
+        body = {
+            "n_nodes": 2,
+            "duration_s": 60,
+            "churn": {"join_rate_per_s": 1e5, "max_joins": 1000000},
+        }
+        with pytest.raises(BadRequestError) as err:
+            parse_simulate_request(body)
+        detail = str(err.value)
+        for name in ("n_nodes", "churn.max_joins", "churn.join_rate_per_s", "duration_s"):
+            assert name in detail
+        assert f"1000002 exceeds the server limit of {simulate.MAX_SIM_NODES}" in detail
+
+    def test_admits_exactly_the_cap(self):
+        cap = simulate.MAX_SIM_NODES
+        churn = {"join_rate_per_s": 0.5}  # ceil(0.5 * 59.5) = 30 joins expected
+        spec = parse_simulate_request({"n_nodes": cap - 30, "duration_s": 59.5, "churn": churn})
+        assert spec.n_nodes == cap - 30
+        with pytest.raises(BadRequestError, match=f"{cap + 1} exceeds"):
+            parse_simulate_request({"n_nodes": cap - 29, "duration_s": 59.5, "churn": churn})
+
+    def test_max_joins_bounds_an_overflowing_product(self):
+        """1e300 * 1e300 overflows to inf, past any cap, so max_joins decides."""
+        cap = simulate.MAX_SIM_NODES
+        body = {
+            "n_nodes": cap - 10,
+            "duration_s": 1e300,
+            "snapshot_interval_s": 1e300,
+            "churn": {"join_rate_per_s": 1e300, "max_joins": 10},
+        }
+        assert parse_simulate_request(body).churn.max_joins == 10
+        body["churn"] = {"join_rate_per_s": 1e300, "max_joins": 11}
+        with pytest.raises(BadRequestError, match=f"{cap + 1} exceeds"):
+            parse_simulate_request(body)
+        body["churn"] = {"join_rate_per_s": 1e300, "max_joins": 0}
+        body["n_nodes"] = cap
+        assert parse_simulate_request(body).n_nodes == cap
+
+    def test_every_in_tree_body_is_admitted(self):
+        import importlib.util
+        import pathlib
+
+        from repro.loadgen.plan import build_plan
+        from repro.loadgen.presets import smoke_spec
+        from repro.scenario.spec import scenario_to_mapping
+        from tests.test_scenario_runtime import CHURNY, DRAINING, SIM_CITY
+
+        script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "sim_smoke.py"
+        loader = importlib.util.spec_from_file_location("sim_smoke", script)
+        sim_smoke = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(sim_smoke)
+        bodies = [scenario_to_mapping(spec) for spec in (CHURNY, DRAINING, SIM_CITY)]
+        bodies += [SCENARIO, LONG_RUN, dict(sim_smoke.SCENARIO, n_nodes=200)]
+        plan = build_plan(smoke_spec(include_shard_kill=True))
+        bodies += [req.body for req in plan if req.path == "/v1/simulate"]
+        assert len(bodies) > 6
+        for body in bodies:
+            parse_simulate_request(body)
