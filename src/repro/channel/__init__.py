@@ -13,7 +13,7 @@ USRP hardware and we substitute with :mod:`repro.channel.indoor` and
 :mod:`repro.channel.multipath` (see DESIGN.md section 3).
 """
 
-from repro.channel.awgn import awgn, noise_variance_per_symbol
+from repro.channel.awgn import awgn
 from repro.channel.indoor import IndoorChannel, Obstacle, Wall
 from repro.channel.multipath import MultipathEnvironment, Scatterer
 from repro.channel.pathloss import (
@@ -23,16 +23,13 @@ from repro.channel.pathloss import (
 )
 from repro.channel.rayleigh import (
     rayleigh_mimo_channel,
-    rayleigh_siso_gain,
     rician_mimo_channel,
 )
 from repro.channel.shadowing import LogNormalShadowing
 
 __all__ = [
     "awgn",
-    "noise_variance_per_symbol",
     "rayleigh_mimo_channel",
-    "rayleigh_siso_gain",
     "rician_mimo_channel",
     "FreeSpacePathLoss",
     "PowerLawPathLoss",

@@ -12,9 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.rng import RngLike, as_rng
-from repro.utils.units import DB, db_to_linear
 
-__all__ = ["awgn", "noise_variance_per_symbol", "complex_gaussian"]
+__all__ = ["awgn", "complex_gaussian"]
 
 
 def complex_gaussian(shape, variance: float = 1.0, rng: RngLike = None) -> np.ndarray:
@@ -40,14 +39,3 @@ def awgn(signal: np.ndarray, noise_variance: float, rng: RngLike = None) -> np.n
     if np.iscomplexobj(sig):
         return sig + complex_gaussian(sig.shape, noise_variance, gen)
     return sig + np.sqrt(noise_variance) * gen.standard_normal(sig.shape)
-
-
-def noise_variance_per_symbol(ebn0_db: DB, bits_per_symbol: int) -> float:
-    """Noise variance ``N0`` for unit *symbol* energy at a given Eb/N0 in dB.
-
-    With ``E_s = 1`` and ``E_s = b * E_b``, ``N0 = 1 / (b * 10^(EbN0/10))``.
-    """
-    if bits_per_symbol < 1:
-        raise ValueError("bits_per_symbol must be >= 1")
-    ebn0 = db_to_linear(ebn0_db)
-    return float(1.0 / (bits_per_symbol * ebn0))

@@ -21,7 +21,6 @@ import numpy as np
 from repro.channel.pathloss import LogDistancePathLoss
 from repro.channel.shadowing import LogNormalShadowing
 from repro.utils.rng import as_rng
-from repro.utils.units import db_to_linear
 from repro.utils.validation import check_finite
 
 __all__ = ["Wall", "Obstacle", "IndoorChannel"]
@@ -115,10 +114,6 @@ class IndoorChannel:
 
     # ------------------------------------------------------------------ #
 
-    def add_wall(self, wall: Wall) -> None:
-        """Add an attenuating segment; invalidates nothing (loss is additive)."""
-        self.walls.append(wall)
-
     def blockage_db(self, tx_position, rx_position) -> float:
         """Total wall/obstacle attenuation on the straight path tx→rx."""
         a0 = np.asarray(tx_position, dtype=float)
@@ -164,7 +159,3 @@ class IndoorChannel:
         """Mean link SNR in dB for the given transmit power."""
         rx_power_dbm = tx_power_dbm - self.link_loss_db(tx_position, rx_position)
         return rx_power_dbm - self.noise_power_dbm
-
-    def average_snr_linear(self, tx_position, rx_position, tx_power_dbm: float) -> float:
-        """Mean link SNR as a linear ratio."""
-        return float(db_to_linear(self.average_snr_db(tx_position, rx_position, tx_power_dbm)))

@@ -105,18 +105,6 @@ class FreeSpacePathLoss:
         """Loss in dB at the given distance(s)."""
         return linear_to_db(self.gain(distance_m))
 
-    def invert_gain(self, gain: LinearRatioLike) -> MetersLike:
-        """Distance at which the model produces the given linear gain.
-
-        Exact inverse of :meth:`gain`; used by the overlay distance analysis
-        to turn an energy budget into a maximum link length.
-        """
-        g = np.asarray(gain, dtype=float)
-        if np.any(g <= 0.0):
-            raise ValueError("gain must be strictly positive")
-        scale = self.antenna_gain * self.wavelength_m**2 / (self.margin * self.noise_figure)
-        return np.sqrt(g * scale) / (4.0 * np.pi)
-
 
 @dataclass(frozen=True)
 class LogDistancePathLoss:

@@ -16,7 +16,7 @@ import numpy as np
 from repro.channel.awgn import complex_gaussian
 from repro.utils.rng import RngLike, as_rng
 
-__all__ = ["rayleigh_mimo_channel", "rayleigh_siso_gain", "rician_mimo_channel"]
+__all__ = ["rayleigh_mimo_channel", "rician_mimo_channel"]
 
 
 def rayleigh_mimo_channel(
@@ -36,13 +36,6 @@ def rayleigh_mimo_channel(
     if n_blocks < 1:
         raise ValueError("n_blocks must be >= 1")
     return complex_gaussian((n_blocks, mr, mt), variance=1.0, rng=rng)
-
-
-def rayleigh_siso_gain(n: int, rng: RngLike = None) -> np.ndarray:
-    """``n`` scalar Rayleigh fades (unit mean power), returned as complex."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return complex_gaussian(n, variance=1.0, rng=rng)
 
 
 def rician_mimo_channel(

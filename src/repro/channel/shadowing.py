@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.utils.rng import RngLike, as_rng
-from repro.utils.units import DB, DBArray, LinearRatio, LinearRatioArray, db_to_linear
+from repro.utils.units import DB, DBArray
 
 __all__ = ["LogNormalShadowing"]
 
@@ -32,16 +30,3 @@ class LogNormalShadowing:
         """Shadowing realizations in dB (may be negative: constructive)."""
         gen = as_rng(rng)
         return self.sigma_db * gen.standard_normal(shape)
-
-    def sample_linear(self, shape=(), rng: RngLike = None) -> LinearRatioArray:
-        """Shadowing realizations as linear power factors (``10^(X/10)``)."""
-        return np.asarray(db_to_linear(self.sample_db(shape, rng)))
-
-    def mean_linear(self) -> LinearRatio:
-        """Mean of the linear factor, ``exp((ln10/10 * sigma)^2 / 2)``.
-
-        Log-normal variables have mean above the median; experiments that
-        want an unbiased average attenuation can divide by this.
-        """
-        s = np.log(10.0) / 10.0 * self.sigma_db
-        return float(np.exp(s**2 / 2.0))

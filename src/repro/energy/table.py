@@ -100,7 +100,14 @@ class EbarTable:
             raise ValueError("all grid axes must be non-empty")
         self.n0 = check_positive(n0, "n0")
         self.convention = convention
-        self._init_axes(p_values, b_values, mt_values, mr_values)
+        self.p_values = p_values
+        self.b_values = b_values
+        self.mt_values = mt_values
+        self.mr_values = mr_values
+        self._p_array = np.array(p_values)
+        self._b_index = {b: j for j, b in enumerate(b_values)}
+        self._mt_index = {m: j for j, m in enumerate(mt_values)}
+        self._mr_index = {m: j for j, m in enumerate(mr_values)}
 
         if not use_cache or _cache_disabled_by_env():
             self._grid = self._build()
@@ -114,22 +121,6 @@ class EbarTable:
     # ------------------------------------------------------------------ #
     # Construction internals                                             #
     # ------------------------------------------------------------------ #
-
-    def _init_axes(
-        self,
-        p_values: Tuple[float, ...],
-        b_values: Tuple[int, ...],
-        mt_values: Tuple[int, ...],
-        mr_values: Tuple[int, ...],
-    ) -> None:
-        self.p_values = p_values
-        self.b_values = b_values
-        self.mt_values = mt_values
-        self.mr_values = mr_values
-        self._p_array = np.array(p_values)
-        self._b_index = {b: j for j, b in enumerate(b_values)}
-        self._mt_index = {m: j for j, m in enumerate(mt_values)}
-        self._mr_index = {m: j for j, m in enumerate(mr_values)}
 
     def _build(self) -> np.ndarray:
         """Solve the whole grid with one vectorized batch call."""
@@ -221,61 +212,3 @@ class EbarTable:
     def __call__(self, p: float, b: int, mt: int, mr: int) -> float:
         """Callable alias of :meth:`lookup` (EnergyModel provider signature)."""
         return self.lookup(p, b, mt, mr)
-
-    def lookup_interpolated(
-        self, p: "ArrayLike", b: int, mt: int, mr: int
-    ) -> Union[float, np.ndarray]:
-        """Log-log interpolation in ``p`` between grid points.
-
-        ``e_bar_b`` is near power-law in the target BER, so interpolating
-        ``log e_bar`` against ``log p`` between bracketing grid values is
-        accurate to a few percent on the paper's grid (exactness on grid
-        points and monotonicity are asserted by the tests).  ``p`` outside
-        the grid clamps to the nearest edge; an array ``p`` returns an
-        ndarray.
-        """
-        j, k, l = self._axis_index(b, mt, mr)
-        column = self._grid[:, j, k, l]
-        finite = ~np.isnan(column)
-        if not finite.any():
-            raise KeyError(f"no feasible grid entries for b={b}, mt={mt}, mr={mr}")
-        p_grid = self._p_array[finite]
-        e_grid = column[finite]
-        p_clamped = np.minimum(np.maximum(p, p_grid[0]), p_grid[-1])
-        out = np.exp(np.interp(np.log(p_clamped), np.log(p_grid), np.log(e_grid)))
-        return float(out) if np.ndim(p) == 0 else out
-
-    # ------------------------------------------------------------------ #
-    # Serialization (nodes "load the table")                             #
-    # ------------------------------------------------------------------ #
-
-    def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Dense-array form suitable for ``np.savez`` / network distribution."""
-        return {
-            "p_values": np.array(self.p_values),
-            "b_values": np.array(self.b_values),
-            "mt_values": np.array(self.mt_values),
-            "mr_values": np.array(self.mr_values),
-            "ebar": np.array(self._grid),
-            "n0": np.array(self.n0),
-            "convention": np.array(self.convention),
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "EbarTable":
-        """Rebuild a table from :meth:`to_arrays` output without re-solving."""
-        table = cls.__new__(cls)
-        table.n0 = float(arrays["n0"])
-        table.convention = (
-            str(arrays["convention"]) if "convention" in arrays else "paper"
-        )
-        table._init_axes(
-            tuple(float(p) for p in arrays["p_values"]),
-            tuple(int(b) for b in arrays["b_values"]),
-            tuple(int(m) for m in arrays["mt_values"]),
-            tuple(int(m) for m in arrays["mr_values"]),
-        )
-        grid = np.array(arrays["ebar"], dtype=float)
-        grid.setflags(write=False)
-        table._grid = grid
-        return table

@@ -3,16 +3,15 @@
 Usage::
 
     repro-experiments list
-    repro-experiments run fig6 [--fast] [--seed N] [--no-check] [--jobs N]
+    repro-experiments run fig6 [--fast] [--seed N] [--no-check]
     repro-experiments all [--fast] [--jobs N]
+    repro-experiments report OUT.md [--fast] [--jobs N]
 
 Every run prints the regenerated table and, unless ``--no-check`` is
 given, executes the experiment's shape assertions against the paper.
 
-``--jobs N`` parallelizes over worker processes: ``run`` forwards it to
-experiments that fan their internal grid cells out (fig6, fig7), while
-``all``/``report`` fan whole experiments.  Results are bit-identical to
-the serial run either way.
+``all``/``report --jobs N`` fan whole experiments over worker processes;
+the results are bit-identical to the serial run.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import List, Optional
 
 from repro.experiments.registry import (
     EXPERIMENTS,
-    _accepted_kwargs,
     check_experiment,
     run_experiment,
     run_experiments,
@@ -56,12 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--no-check", action="store_true", help="skip shape assertions")
     run_p.add_argument("--json", metavar="PATH", help="also write the result as JSON")
     run_p.add_argument("--csv", metavar="PATH", help="also write the rows as CSV")
-    run_p.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="worker processes for experiments that parallelize internally",
-    )
 
     all_p = sub.add_parser("all", help="run every experiment")
     all_p.add_argument("--fast", action="store_true", help="shrink Monte-Carlo sizes")
@@ -94,14 +86,11 @@ def _run_one(
     no_check: bool,
     json_path: Optional[str] = None,
     csv_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> bool:
     kwargs = {"fast": fast}
     if seed is not None:
         kwargs["seed"] = seed
-    if jobs > 1:
-        kwargs["jobs"] = jobs
-    result = run_experiment(experiment_id, **_accepted_kwargs(experiment_id, kwargs))
+    result = run_experiment(experiment_id, **kwargs)
     print(result.to_text())
     print()
     if json_path:
@@ -140,7 +129,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.no_check,
             json_path=args.json,
             csv_path=args.csv,
-            jobs=args.jobs,
         )
         return 0 if ok else 1
     if args.command == "report":

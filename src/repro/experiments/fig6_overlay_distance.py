@@ -28,14 +28,8 @@ BANDWIDTHS = (20e3, 40e3)
 CONVENTIONS = ("paper", "diversity_only")
 
 
-def _cell_rows(task):
-    """Rows of one independent (convention, B, m) cell — the parallel unit.
-
-    Module-level (hence picklable) and a pure function of its arguments, so
-    running cells serially or across worker processes yields bit-identical
-    rows.  The D1 axis inside the cell is swept vectorized.
-    """
-    convention, bw, m, d1_values = task
+def _cell_rows(convention, bw, m, d1_values):
+    """Rows of one (convention, B, m) cell; the D1 axis is swept vectorized."""
     system = OverlaySystem(EnergyModel(ebar_convention=convention))
     return [
         (
@@ -52,27 +46,16 @@ def _cell_rows(task):
     ]
 
 
-def run(seed: int = 0, fast: bool = False, jobs: int = 1) -> ExperimentResult:
-    """Regenerate the Figure 6(a)/(b) series (deterministic; seed unused).
-
-    ``jobs > 1`` fans the independent (convention, B, m) cells over worker
-    processes; the rows are bit-identical to the serial run.
-    """
+def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
+    """Regenerate the Figure 6(a)/(b) series (deterministic; seed unused)."""
     d1_values = D1_VALUES[::2] if fast else D1_VALUES
-    tasks = [
-        (convention, bw, m, d1_values)
+    rows = [
+        row
         for convention in CONVENTIONS
         for bw in BANDWIDTHS
         for m in M_VALUES
+        for row in _cell_rows(convention, bw, m, d1_values)
     ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_cell_rows, tasks))
-    else:
-        chunks = [_cell_rows(task) for task in tasks]
-    rows = [row for chunk in chunks for row in chunk]
     return ExperimentResult(
         experiment_id="fig6",
         title="Distance of relaying SUs from Pt (D2, Fig 6a) and Pr (D3, Fig 6b)",

@@ -26,14 +26,8 @@ TARGET_BER = 0.001
 BANDWIDTH = 10e3
 
 
-def _cell_rows(task):
-    """Rows of one independent (d, mt, mr) cell — the parallel work unit.
-
-    Module-level (hence picklable) and a pure function of its arguments, so
-    running cells serially or across worker processes yields bit-identical
-    rows.  The distance axis inside the cell is swept vectorized.
-    """
-    d, mt, mr, distances = task
+def _cell_rows(d, mt, mr, distances):
+    """Rows of one (d, mt, mr) cell; the distance axis is swept vectorized."""
     system = UnderlaySystem(EnergyModel())
     results = system.pa_energy_sweep(TARGET_BER, mt, mr, d, distances, BANDWIDTH)
     siso = system.pa_energy_sweep(TARGET_BER, 1, 1, d, distances, BANDWIDTH)
@@ -52,23 +46,16 @@ def _cell_rows(task):
     ]
 
 
-def run(seed: int = 0, fast: bool = False, jobs: int = 1) -> ExperimentResult:
-    """Regenerate the Figure 7 series plus the d-sweep (deterministic).
-
-    ``jobs > 1`` fans the independent (d, mt, mr) cells over worker
-    processes; the rows are bit-identical to the serial run.
-    """
+def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
+    """Regenerate the Figure 7 series plus the d-sweep (deterministic)."""
     distances = DISTANCES[::2] if fast else DISTANCES
     d_values = D_LOCAL_VALUES[:1] if fast else D_LOCAL_VALUES
-    tasks = [(d, mt, mr, distances) for d in d_values for (mt, mr) in CONFIGS]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_cell_rows, tasks))
-    else:
-        chunks = [_cell_rows(task) for task in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [
+        row
+        for d in d_values
+        for (mt, mr) in CONFIGS
+        for row in _cell_rows(d, mt, mr, distances)
+    ]
     return ExperimentResult(
         experiment_id="fig7",
         title="Underlay: total PA energy per bit of all SU nodes",

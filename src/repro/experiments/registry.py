@@ -134,8 +134,8 @@ def _module(experiment_id: str):
 def _accepted_kwargs(experiment_id: str, kwargs: Dict[str, object]) -> Dict[str, object]:
     """Drop keyword arguments the experiment's ``run()`` does not accept.
 
-    Experiments opt into capabilities (``jobs``, ``fast``, ...) by declaring
-    the parameter; the fan-out helpers pass one kwargs dict for all of them.
+    Experiments opt into capabilities (``seed``, ``fast``, ...) by declaring
+    the parameter; the fan-out helper passes one kwargs dict for all of them.
     """
     params = inspect.signature(_module(experiment_id).run).parameters
     if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
@@ -179,8 +179,7 @@ def run_experiments(
         see identical seeds.
     kwargs:
         Forwarded to each experiment's ``run()``, filtered to the keyword
-        arguments it accepts (e.g. ``fast``, and ``jobs`` for experiments
-        that parallelize internally).
+        arguments it accepts (e.g. ``fast``).
     """
     from repro.utils.rng import spawn_seed_sequences
 

@@ -15,13 +15,10 @@ from repro.geometry.placement import (
 )
 from repro.geometry.points import (
     angle_at,
-    angle_of,
     distance,
     distance_matrix,
     midpoint,
     pairwise_distances,
-    rotate,
-    unit_vector,
 )
 
 __all__ = [
@@ -29,10 +26,7 @@ __all__ = [
     "distance_matrix",
     "pairwise_distances",
     "midpoint",
-    "angle_of",
     "angle_at",
-    "unit_vector",
-    "rotate",
     "random_in_disk",
     "random_in_annulus",
     "random_in_rectangle",

@@ -16,10 +16,7 @@ __all__ = [
     "distance_matrix",
     "pairwise_distances",
     "midpoint",
-    "angle_of",
     "angle_at",
-    "unit_vector",
-    "rotate",
 ]
 
 
@@ -70,12 +67,6 @@ def midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.asarray(a, dtype=float) + np.asarray(b, dtype=float)) / 2.0
 
 
-def angle_of(vec: np.ndarray) -> np.ndarray:
-    """Polar angle of a vector (or batch of vectors) in radians, in (-pi, pi]."""
-    v = np.asarray(vec, dtype=float)
-    return np.arctan2(v[..., 1], v[..., 0])
-
-
 def angle_at(vertex: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Interior angle ``∠ p-vertex-q`` in radians, in ``[0, pi]``.
 
@@ -92,18 +83,3 @@ def angle_at(vertex: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise ValueError("angle_at is undefined when a point coincides with the vertex")
     cos = np.sum(u * v, axis=-1) / (nu * nv)
     return np.arccos(np.clip(cos, -1.0, 1.0))
-
-
-def unit_vector(angle_rad: np.ndarray) -> np.ndarray:
-    """Unit vector(s) at the given polar angle(s); output shape ``(..., 2)``."""
-    a = np.asarray(angle_rad, dtype=float)
-    return np.stack([np.cos(a), np.sin(a)], axis=-1)
-
-
-def rotate(points: np.ndarray, angle_rad: float, origin: np.ndarray = (0.0, 0.0)) -> np.ndarray:
-    """Rotate point(s) about ``origin`` by ``angle_rad`` (counter-clockwise)."""
-    pts = np.asarray(points, dtype=float)
-    origin = np.asarray(origin, dtype=float)
-    c, s = np.cos(angle_rad), np.sin(angle_rad)
-    rot = np.array([[c, -s], [s, c]])
-    return (pts - origin) @ rot.T + origin

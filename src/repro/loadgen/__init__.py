@@ -39,7 +39,6 @@ from repro.loadgen.trace import (
     Trace,
     load_trace,
     outcome_digest,
-    summarize_latencies,
 )
 from repro.loadgen.verdict import OUTCOMES, Verdict, classify, evaluate
 
@@ -64,7 +63,6 @@ __all__ = [
     "outcome_digest",
     "run_plan",
     "smoke_spec",
-    "summarize_latencies",
     "traffic_from_mapping",
     "traffic_to_mapping",
 ]

@@ -37,7 +37,6 @@ __all__ = [
     "Trace",
     "load_trace",
     "outcome_digest",
-    "summarize_latencies",
 ]
 
 _RECORD_FIELDS: Tuple[str, ...] = (
@@ -197,27 +196,3 @@ def outcome_digest(records: Sequence[RequestRecord]) -> str:
     ]
     blob = json.dumps(projection, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def summarize_latencies(latencies_ms: Sequence[float]) -> Dict[str, float]:
-    """count/mean/p50/p95/p99/max summary of latencies in milliseconds."""
-    ordered = sorted(latencies_ms)
-    return {
-        "count": float(len(ordered)),
-        "mean_ms": sum(ordered) / len(ordered) if ordered else 0.0,
-        "p50_ms": _percentile(ordered, 0.50),
-        "p95_ms": _percentile(ordered, 0.95),
-        "p99_ms": _percentile(ordered, 0.99),
-        "max_ms": ordered[-1] if ordered else 0.0,
-    }
-
-
-def _percentile(ordered: Sequence[float], q: float) -> float:
-    """Nearest-rank-with-interpolation percentile of a sorted sequence."""
-    if not ordered:
-        return 0.0
-    rank = q * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac

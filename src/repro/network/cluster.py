@@ -76,11 +76,6 @@ class Cluster:
         return np.stack([n.position for n in self.nodes])
 
     @property
-    def centroid(self) -> np.ndarray:
-        """Geometric center of the members."""
-        return self.positions().mean(axis=0)
-
-    @property
     def diameter(self) -> float:
         """Largest intra-cluster pairwise distance (0 for singletons)."""
         if self.size < 2:
@@ -109,15 +104,6 @@ class Cluster:
         pair."""
         diff = self.positions()[:, None, :] - other.positions()[None, :, :]
         return float(np.linalg.norm(diff, axis=-1).max())
-
-    def min_distance_to(self, other: "Cluster") -> float:
-        """Smallest member-to-member distance (used by interference checks)."""
-        diff = self.positions()[:, None, :] - other.positions()[None, :, :]
-        return float(np.linalg.norm(diff, axis=-1).min())
-
-    def total_consumed_j(self) -> float:
-        """Sum of member energy consumption [J]."""
-        return sum(n.consumed_j for n in self.nodes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

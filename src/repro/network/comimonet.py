@@ -205,13 +205,6 @@ class CoMIMONet:
         """The cluster with the given id (KeyError if dropped/unknown)."""
         return self._cluster_by_id[cluster_id]
 
-    def cluster_of_node(self, node_id: int) -> Cluster:
-        """The cluster containing the given elementary node."""
-        for c in self.clusters:
-            if any(n.node_id == node_id for n in c.nodes):
-                return c
-        raise KeyError(f"node {node_id} not in any cluster")
-
     def link_between(self, tx_cluster_id: int, rx_cluster_id: int) -> CooperativeLink:
         """The cooperative link descriptor for an existing cluster-graph edge."""
         if not self.cluster_graph.has_edge(tx_cluster_id, rx_cluster_id):

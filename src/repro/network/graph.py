@@ -5,9 +5,9 @@ wrapping networkx, so the library has no graph dependency; the test suite
 cross-validates every algorithm against networkx where it is available.
 
 Supported operations: edge/vertex insertion, neighbors, connected
-components, unweighted BFS shortest paths, Dijkstra, Prim minimum spanning
-tree, and BFS spanning trees rooted at a chosen vertex (the routing
-backbone construction of Section 2.1).
+components, Dijkstra, Prim minimum spanning trees of one component, and
+BFS spanning trees rooted at a chosen vertex (the routing backbone
+construction of Section 2.1).
 """
 
 from __future__ import annotations
@@ -61,14 +61,6 @@ class Graph:
         for v, w in zip(neighbors, weights):
             nbrs[v] = w
             adj[v][u] = w
-
-    def remove_vertex(self, v: Hashable) -> None:
-        """Delete a vertex and every incident edge."""
-        if v not in self._adj:
-            raise KeyError(v)
-        for u in list(self._adj[v]):
-            del self._adj[u][v]
-        del self._adj[v]
 
     # ------------------------------------------------------------------ #
     # Queries                                                            #
@@ -143,31 +135,6 @@ class Graph:
             return True
         return len(self.connected_components()) == 1
 
-    def bfs_shortest_path(
-        self, source: Hashable, target: Hashable
-    ) -> Optional[List[Hashable]]:
-        """Fewest-hops path, or None if disconnected."""
-        if source not in self._adj or target not in self._adj:
-            raise KeyError("source or target not in graph")
-        if source == target:
-            return [source]
-        parent: Dict[Hashable, Hashable] = {source: source}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in self._adj[v]:
-                    if u not in parent:
-                        parent[u] = v
-                        if u == target:
-                            path = [u]
-                            while path[-1] != source:
-                                path.append(parent[path[-1]])
-                            return path[::-1]
-                        nxt.append(u)
-            frontier = nxt
-        return None
-
     def dijkstra(
         self, source: Hashable
     ) -> Tuple[Dict[Hashable, float], Dict[Hashable, Hashable]]:
@@ -204,14 +171,6 @@ class Graph:
         while path[-1] != source:
             path.append(parent[path[-1]])
         return path[::-1]
-
-    def minimum_spanning_tree(self) -> "Graph":
-        """Prim's MST (of the whole graph; raises if disconnected)."""
-        if not self.is_connected():
-            raise ValueError("minimum spanning tree requires a connected graph")
-        if not self._adj:
-            return Graph()
-        return self.prim_tree(self.vertices)
 
     def prim_tree(self, component: Collection[Hashable]) -> "Graph":
         """Prim's minimum spanning tree of one connected component.

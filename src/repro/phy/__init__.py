@@ -2,7 +2,7 @@
 
 This is the software substitute for the paper's GNU Radio/USRP testbed
 (Section 6.4): the same DSP path — modulation, space-time coding, fading,
-noise, combining, hard decision, CRC-checked packets — driven by
+noise, combining, hard decision, packet error counting — driven by
 channel-model SNRs instead of real RF hardware.
 """
 
@@ -10,8 +10,6 @@ from repro.phy.frame import (
     bits_to_bytes,
     bytes_to_bits,
     crc16,
-    packetize_bits,
-    verify_crc,
     with_crc,
 )
 from repro.phy.link import LinkResult, simulate_link, simulate_packet_link
@@ -20,10 +18,8 @@ from repro.phy.relay import RelayChainResult, simulate_relay_chain
 __all__ = [
     "crc16",
     "with_crc",
-    "verify_crc",
     "bytes_to_bits",
     "bits_to_bytes",
-    "packetize_bits",
     "LinkResult",
     "simulate_link",
     "simulate_packet_link",

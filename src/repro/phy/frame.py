@@ -1,23 +1,21 @@
-"""Framing: bit/byte packing, CRC-16, and packetization.
+"""Framing: bit/byte packing and CRC-16.
 
 The underlay testbed transmits an image as 1500-byte packets and reports
-packet error rate (Table 4); a packet counts as errored when its CRC fails
-at the receiver — the same criterion GNU Radio's packet framer uses.
+packet error rate (Table 4).  :func:`repro.testbed.image.transfer_image`
+(like :func:`repro.phy.link.simulate_packet_link`) counts a packet as
+errored when any received bit differs from the bit sent; neither appends
+a CRC.
 """
 
 from __future__ import annotations
-
-from typing import List
 
 import numpy as np
 
 __all__ = [
     "crc16",
     "with_crc",
-    "verify_crc",
     "bytes_to_bits",
     "bits_to_bytes",
-    "packetize_bits",
     "CRC_BITS",
 ]
 
@@ -74,24 +72,3 @@ def with_crc(payload_bits: np.ndarray) -> np.ndarray:
     crc = crc16(bits_to_bytes(arr))
     crc_bits = ((crc >> np.arange(15, -1, -1)) & 1).astype(np.int8)
     return np.concatenate([arr.astype(np.int8), crc_bits])
-
-
-def verify_crc(frame_bits: np.ndarray) -> bool:
-    """Check a frame produced by :func:`with_crc`; True iff intact."""
-    arr = np.asarray(frame_bits)
-    if arr.size < CRC_BITS or (arr.size - CRC_BITS) % 8 != 0:
-        return False
-    payload, crc_bits = arr[:-CRC_BITS], arr[-CRC_BITS:]
-    received = int(np.sum(crc_bits.astype(np.int64) << np.arange(15, -1, -1)))
-    return crc16(bits_to_bytes(payload)) == received
-
-
-def packetize_bits(bits: np.ndarray, packet_bits: int, pad_value: int = 0) -> List[np.ndarray]:
-    """Split a bit stream into fixed-size packets, padding the last one."""
-    arr = np.asarray(bits).astype(np.int8)
-    if packet_bits < 1:
-        raise ValueError("packet_bits must be >= 1")
-    n_packets = -(-arr.size // packet_bits) if arr.size else 0
-    padded = np.full(n_packets * packet_bits, pad_value, dtype=np.int8)
-    padded[: arr.size] = arr
-    return [padded[i * packet_bits : (i + 1) * packet_bits] for i in range(n_packets)]

@@ -4,9 +4,10 @@ One thin, dependency-free wrapper per endpoint; non-2xx responses raise
 :class:`ServiceClientError` carrying the HTTP status and the server's JSON
 error payload.  The client is deliberately synchronous — it is what a
 simulation script, a bench worker thread or a CI smoke test calls.
-Streaming endpoints (``/v1/simulate`` and the sweep endpoints under
-``Accept: application/x-ndjson``) are exposed as generators yielding one
-row dict per NDJSON line (see :meth:`ServiceClient.request_stream`).
+Streamed responses (``/v1/simulate``, and the sweep endpoints under
+``Accept: application/x-ndjson``) come back as generators yielding one
+row dict per NDJSON line: :meth:`ServiceClient.simulate_stream` for a
+scenario, :meth:`ServiceClient.request_stream` for any route.
 
 Transport failures (connection refused/reset, DNS errors, timeouts, a
 response truncated mid-body) never leak raw ``urllib``/``socket``
@@ -292,25 +293,6 @@ class ServiceClient:
         body = _overlay_body(d1, m, bandwidth, p_direct, p_relay, convention)
         return self.request("POST", "/v1/overlay/feasible", body)
 
-    def overlay_feasible_stream(
-        self,
-        d1: Sequence[float],
-        m: int,
-        bandwidth: float,
-        p_direct: Optional[float] = None,
-        p_relay: Optional[float] = None,
-        convention: Optional[str] = None,
-    ) -> Iterator[Payload]:
-        """Streaming ``POST /v1/overlay/feasible``: one row dict per point.
-
-        The server computes the whole sweep, then sends one line per row;
-        the stream ends with a ``{"done": true, "count": N}`` line.  Row
-        values are identical to the buffered :meth:`overlay_feasible`
-        response.
-        """
-        body = _overlay_body(d1, m, bandwidth, p_direct, p_relay, convention)
-        return self.request_stream("POST", "/v1/overlay/feasible", body)
-
     def underlay_energy(
         self,
         p: float,
@@ -328,26 +310,6 @@ class ServiceClient:
         """
         body = _underlay_body(p, mt, mr, d, distance, bandwidth, convention)
         return self.request("POST", "/v1/underlay/energy", body)
-
-    def underlay_energy_stream(
-        self,
-        p: float,
-        mt: int,
-        mr: int,
-        d: float,
-        distance: Sequence[float],
-        bandwidth: float,
-        convention: Optional[str] = None,
-    ) -> Iterator[Payload]:
-        """Streaming ``POST /v1/underlay/energy``: one row dict per point.
-
-        The server computes the whole sweep, then sends one line per row;
-        the stream ends with a ``{"done": true, "count": N}`` line.  Row
-        values are identical to the buffered :meth:`underlay_energy`
-        response.
-        """
-        body = _underlay_body(p, mt, mr, d, distance, bandwidth, convention)
-        return self.request_stream("POST", "/v1/underlay/energy", body)
 
     def simulate(self, scenario: Payload) -> Payload:
         """Buffered ``POST /v1/simulate`` — the whole scenario at once.

@@ -260,11 +260,6 @@ class Metrics:
         """Current sweep-pool queue depth (running + queued tasks)."""
         return self._pool_depth
 
-    @property
-    def pool_restarts(self) -> int:
-        """Total broken-pool restarts since boot."""
-        return self._pool_restarts
-
     # ------------------------------------------------------------------ #
 
     def mean_batch_size(self) -> float:

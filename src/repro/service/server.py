@@ -69,10 +69,6 @@ class ServiceServer:
             return None
         return int(self._admin_server.sockets[0].getsockname()[1])
 
-    @property
-    def active_requests(self) -> int:
-        return self._active
-
     async def start(self) -> None:
         """Bind the listening socket(s) (``config.port`` 0 → ephemeral).
 

@@ -20,7 +20,7 @@ import numpy as np
 
 ArrayLike = Union[float, np.ndarray]
 
-__all__ = ["qfunc", "inv_qfunc", "qfunc_chernoff_bound"]
+__all__ = ["qfunc", "inv_qfunc"]
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -50,14 +50,3 @@ def inv_qfunc(p: ArrayLike) -> ArrayLike:
     from scipy import special
 
     return _SQRT2 * special.erfcinv(2.0 * arr)
-
-
-def qfunc_chernoff_bound(x: ArrayLike) -> ArrayLike:
-    """Chernoff upper bound ``Q(x) <= exp(-x^2 / 2)`` for ``x >= 0``.
-
-    Useful in tests as a cheap sanity envelope for the exact function.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("the Chernoff bound is stated for x >= 0")
-    return np.exp(-(arr**2) / 2.0)

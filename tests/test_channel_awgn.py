@@ -1,9 +1,9 @@
-"""AWGN tests: variance, complex circularity, SNR bookkeeping."""
+"""AWGN tests: variance and complex circularity."""
 
 import numpy as np
 import pytest
 
-from repro.channel.awgn import awgn, complex_gaussian, noise_variance_per_symbol
+from repro.channel.awgn import awgn, complex_gaussian
 
 
 class TestComplexGaussian:
@@ -45,19 +45,3 @@ class TestAwgn:
     def test_rejects_negative(self, rng):
         with pytest.raises(ValueError):
             awgn(np.zeros(3), -0.1, rng)
-
-
-class TestNoiseVariance:
-    def test_bpsk_at_0db(self):
-        # Es = Eb for b = 1; N0 = 1 at Eb/N0 = 0 dB
-        assert noise_variance_per_symbol(0.0, 1) == pytest.approx(1.0)
-
-    def test_scaling_with_bits(self):
-        # at fixed Eb/N0, more bits/symbol -> more symbol energy -> lower N0
-        assert noise_variance_per_symbol(3.0, 4) == pytest.approx(
-            noise_variance_per_symbol(3.0, 1) / 4.0
-        )
-
-    def test_rejects_zero_bits(self):
-        with pytest.raises(ValueError):
-            noise_variance_per_symbol(0.0, 0)

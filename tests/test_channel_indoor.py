@@ -96,12 +96,6 @@ class TestLinkBudget:
         blocked = walled.average_snr_db((0.0, 0.0), (2.0, 0.0), 0.0)
         assert clear - blocked == pytest.approx(12.0)
 
-    def test_linear_consistent_with_db(self):
-        ch = IndoorChannel()
-        db = ch.average_snr_db((0.0, 0.0), (5.0, 0.0), -10.0)
-        lin = ch.average_snr_linear((0.0, 0.0), (5.0, 0.0), -10.0)
-        assert lin == pytest.approx(10 ** (db / 10))
-
     def test_rejects_coincident_endpoints(self):
         with pytest.raises(ValueError):
             IndoorChannel().link_loss_db((1.0, 1.0), (1.0, 1.0))

@@ -49,15 +49,6 @@ class TestFreeSpace:
             10 * np.log10(model.gain(50.0))
         )
 
-    @given(distances)
-    def test_invert_gain_roundtrip(self, d):
-        model = FreeSpacePathLoss()
-        assert model.invert_gain(model.gain(d)) == pytest.approx(d, rel=1e-9)
-
-    def test_invert_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            FreeSpacePathLoss().invert_gain(0.0)
-
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             FreeSpacePathLoss(wavelength_m=0.0)

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.channel.rayleigh import (
-    rayleigh_mimo_channel,
-    rayleigh_siso_gain,
-    rician_mimo_channel,
-)
+from repro.channel.rayleigh import rayleigh_mimo_channel, rician_mimo_channel
 
 
 class TestRayleighMimo:
@@ -35,17 +31,6 @@ class TestRayleighMimo:
             rayleigh_mimo_channel(0, 1, rng=rng)
         with pytest.raises(ValueError):
             rayleigh_mimo_channel(1, 1, n_blocks=0, rng=rng)
-
-
-class TestRayleighSiso:
-    def test_envelope_is_rayleigh(self, rng):
-        h = rayleigh_siso_gain(20_000, rng=rng)
-        _, pvalue = stats.kstest(np.abs(h), "rayleigh", args=(0, np.sqrt(0.5)))
-        assert pvalue > 0.01
-
-    def test_rejects_nonpositive(self, rng):
-        with pytest.raises(ValueError):
-            rayleigh_siso_gain(0, rng=rng)
 
 
 class TestRician:

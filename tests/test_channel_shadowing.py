@@ -13,32 +13,10 @@ class TestSampling:
         assert np.mean(samples) == pytest.approx(0.0, abs=0.1)
         assert np.std(samples) == pytest.approx(6.0, rel=0.02)
 
-    def test_linear_is_exp_of_db(self, rng):
-        model = LogNormalShadowing(sigma_db=4.0)
-        gen1 = np.random.default_rng(9)
-        gen2 = np.random.default_rng(9)
-        db = model.sample_db(100, rng=gen1)
-        lin = model.sample_linear(100, rng=gen2)
-        np.testing.assert_allclose(lin, 10 ** (db / 10))
-
     def test_zero_sigma_degenerate(self, rng):
         model = LogNormalShadowing(sigma_db=0.0)
         np.testing.assert_array_equal(model.sample_db(10, rng=rng), 0.0)
-        np.testing.assert_array_equal(model.sample_linear(10, rng=rng), 1.0)
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             LogNormalShadowing(sigma_db=-1.0)
-
-
-class TestMean:
-    def test_mean_linear_formula(self, rng):
-        model = LogNormalShadowing(sigma_db=8.0)
-        samples = model.sample_linear(400_000, rng=rng)
-        assert np.mean(samples) == pytest.approx(model.mean_linear(), rel=0.05)
-
-    def test_mean_exceeds_median(self):
-        assert LogNormalShadowing(sigma_db=6.0).mean_linear() > 1.0
-
-    def test_zero_sigma_mean_is_one(self):
-        assert LogNormalShadowing(sigma_db=0.0).mean_linear() == 1.0

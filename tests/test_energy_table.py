@@ -1,4 +1,4 @@
-"""EbarTable tests: grid building, lookup semantics, serialization."""
+"""EbarTable tests: grid building and lookup semantics."""
 
 import numpy as np
 import pytest
@@ -66,55 +66,6 @@ class TestModelIntegration:
         assert via_table == pytest.approx(direct, rel=1e-9)
 
 
-class TestSerialization:
-    def test_roundtrip(self, small_table):
-        arrays = small_table.to_arrays()
-        rebuilt = EbarTable.from_arrays(arrays)
-        assert len(rebuilt) == len(small_table)
-        assert rebuilt.lookup(0.001, 2, 2, 2) == small_table.lookup(0.001, 2, 2, 2)
-
-    def test_savez_roundtrip(self, small_table, tmp_path):
-        path = tmp_path / "table.npz"
-        np.savez(path, **small_table.to_arrays())
-        with np.load(path) as data:
-            rebuilt = EbarTable.from_arrays(data)
-        assert rebuilt.lookup(0.01, 1, 1, 2) == small_table.lookup(0.01, 1, 1, 2)
-
-
-class TestInterpolation:
-    def test_exact_on_grid_points(self, small_table):
-        for p in small_table.p_values:
-            assert small_table.lookup_interpolated(p, 2, 1, 1) == pytest.approx(
-                small_table.lookup(p, 2, 1, 1), rel=1e-12
-            )
-
-    def test_between_grid_points_accurate(self, small_table):
-        """Log-log interpolation lands within a few percent of the exact
-        solver at an off-grid BER."""
-        p_mid = 0.003
-        interpolated = small_table.lookup_interpolated(p_mid, 2, 2, 2)
-        exact = solve_ebar(p_mid, 2, 2, 2)
-        assert interpolated == pytest.approx(exact, rel=0.1)
-
-    def test_monotone_in_p(self, small_table):
-        values = [
-            small_table.lookup_interpolated(p, 2, 1, 1)
-            for p in (0.008, 0.005, 0.002, 0.0012)
-        ]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_clamps_outside_grid(self, small_table):
-        below = small_table.lookup_interpolated(1e-6, 2, 1, 1)
-        assert below == pytest.approx(small_table.lookup(0.001, 2, 1, 1), rel=1e-12)
-        above = small_table.lookup_interpolated(0.4, 1, 1, 1)
-        assert above == pytest.approx(small_table.lookup(0.01, 1, 1, 1), rel=1e-12)
-
-    def test_all_nan_column_raises(self):
-        table = EbarTable(p_values=(0.4,), b_values=(4,), mt_values=(1,), mr_values=(1,))
-        with pytest.raises(KeyError):
-            table.lookup_interpolated(0.4, 4, 1, 1)
-
-
 class TestOffGridRegression:
     """Regression tests for the grid-membership guard.
 
@@ -145,10 +96,6 @@ class TestOffGridRegression:
         with pytest.raises(KeyError):
             small_table.lookup(0.001, 2, 1, 1.5)
 
-    def test_other_helpers_share_the_guard(self, small_table):
-        with pytest.raises(KeyError):
-            small_table.lookup_interpolated(0.001, 3, 1, 1)
-
 
 class TestArrayLookups:
     def test_array_p_lookup(self, small_table):
@@ -171,12 +118,3 @@ class TestArrayLookups:
         out = table.lookup(0.4, np.array([1, 4]), 1, 1)
         assert np.isfinite(out[0])
         assert np.isnan(out[1])
-
-    def test_array_interpolated_lookup(self, small_table):
-        p = np.array([0.008, 0.002])
-        out = small_table.lookup_interpolated(p, 2, 1, 1)
-        assert out.shape == (2,)
-        for i, p_i in enumerate(p):
-            assert out[i] == pytest.approx(
-                small_table.lookup_interpolated(float(p_i), 2, 1, 1), rel=1e-12
-            )

@@ -1,8 +1,8 @@
 """Parallel experiment execution: ``--jobs`` must not change a single bit.
 
-The harness fans independent work units over processes; these tests pin the
-reproducibility contract — parallel rows equal serial rows exactly — plus
-the seed-derivation and kwargs-filtering plumbing of ``run_experiments``.
+``run_experiments`` fans whole experiments over processes; these tests pin
+the reproducibility contract — parallel rows equal serial rows exactly —
+plus its seed-derivation and kwargs-filtering plumbing.
 """
 
 import numpy as np
@@ -16,23 +16,15 @@ from repro.experiments.registry import _accepted_kwargs, run_experiments
 
 @pytest.fixture(scope="module")
 def fig6_serial():
-    return fig6.run(fast=True, jobs=1)
+    return fig6.run(fast=True)
 
 
 @pytest.fixture(scope="module")
 def fig7_serial():
-    return fig7.run(fast=True, jobs=1)
+    return fig7.run(fast=True)
 
 
 class TestBitIdentity:
-    def test_fig6_parallel_rows_identical(self, fig6_serial):
-        parallel = fig6.run(fast=True, jobs=2)
-        assert parallel.rows == fig6_serial.rows
-
-    def test_fig7_parallel_rows_identical(self, fig7_serial):
-        parallel = fig7.run(fast=True, jobs=2)
-        assert parallel.rows == fig7_serial.rows
-
     def test_registry_fanout_identical(self, fig6_serial, fig7_serial):
         results = run_experiments(["fig6", "fig7"], jobs=2, fast=True)
         assert [r.experiment_id for r in results] == ["fig6", "fig7"]
@@ -73,20 +65,12 @@ class TestKwargsFiltering:
         kwargs = _accepted_kwargs("fig8", {"fast": True, "jobs": 4, "seed": 1})
         assert kwargs == {"fast": True, "seed": 1}
 
-    def test_jobs_kept_for_parallel_experiments(self):
-        kwargs = _accepted_kwargs("fig6", {"fast": True, "jobs": 4})
-        assert kwargs == {"fast": True, "jobs": 4}
-
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             run_experiments(["fig6"], jobs=0)
 
 
 class TestCli:
-    def test_run_accepts_jobs_flag(self):
-        args = _build_parser().parse_args(["run", "fig6", "--fast", "--jobs", "2"])
-        assert args.jobs == 2
-
     def test_all_and_report_accept_jobs_flag(self, tmp_path):
         assert _build_parser().parse_args(["all", "--jobs", "3"]).jobs == 3
         report = _build_parser().parse_args(
@@ -94,13 +78,13 @@ class TestCli:
         )
         assert report.jobs == 3
 
-    def test_jobs_default_is_serial(self):
-        assert _build_parser().parse_args(["run", "fig6"]).jobs == 1
+    def test_jobs_default_is_serial(self, tmp_path):
+        assert _build_parser().parse_args(["all"]).jobs == 1
+        assert _build_parser().parse_args(["report", str(tmp_path / "r.md")]).jobs == 1
 
     def test_nonpositive_jobs_rejected_by_every_subcommand(self, capsys):
         parser = _build_parser()
         for argv in (
-            ["run", "fig6", "--jobs", "0"],
             ["all", "--jobs", "0"],
             ["report", "r.md", "--jobs", "-2"],
         ):

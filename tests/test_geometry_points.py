@@ -1,4 +1,4 @@
-"""Geometry primitive tests: distances, angles, rotations."""
+"""Geometry primitive tests: distances, angles, midpoints."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from repro.geometry.points import (
     angle_at,
-    angle_of,
     as_points,
     distance,
     distance_matrix,
     midpoint,
     pairwise_distances,
-    rotate,
-    unit_vector,
 )
 
 coords = st.floats(min_value=-1e6, max_value=1e6)
@@ -61,10 +58,6 @@ class TestDistance:
 
 
 class TestAngles:
-    def test_angle_of_axes(self):
-        assert angle_of(np.array([1.0, 0.0])) == pytest.approx(0.0)
-        assert angle_of(np.array([0.0, 1.0])) == pytest.approx(np.pi / 2)
-
     def test_right_angle_at_vertex(self):
         vertex = np.array([0.0, 0.0])
         assert angle_at(vertex, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == (
@@ -85,27 +78,9 @@ class TestAngles:
         with pytest.raises(ValueError):
             angle_at(v, v, np.array([2.0, 2.0]))
 
-    @given(st.floats(min_value=-np.pi, max_value=np.pi))
-    def test_unit_vector_has_unit_norm(self, angle):
-        assert np.linalg.norm(unit_vector(angle)) == pytest.approx(1.0)
-
 
 class TestTransforms:
     def test_midpoint(self):
         np.testing.assert_allclose(
             midpoint(np.array([0.0, 0.0]), np.array([2.0, 4.0])), [1.0, 2.0]
-        )
-
-    def test_rotate_quarter_turn(self):
-        out = rotate(np.array([1.0, 0.0]), np.pi / 2)
-        np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
-
-    def test_rotate_about_custom_origin(self):
-        out = rotate(np.array([2.0, 1.0]), np.pi, origin=(1.0, 1.0))
-        np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
-
-    @given(points, st.floats(min_value=-np.pi, max_value=np.pi))
-    def test_rotation_preserves_norm(self, p, angle):
-        assert np.linalg.norm(rotate(p, angle)) == pytest.approx(
-            np.linalg.norm(p), rel=1e-9, abs=1e-6
         )

@@ -9,7 +9,6 @@ from repro.loadgen.trace import (
     Trace,
     load_trace,
     outcome_digest,
-    summarize_latencies,
 )
 from repro.loadgen.verdict import OUTCOMES, classify, evaluate
 
@@ -155,18 +154,3 @@ class TestTrace:
     def test_unknown_record_field_rejected(self):
         with pytest.raises(ValueError, match="unknown record field"):
             RequestRecord.from_mapping({"index": 0, "surprise": 1})
-
-
-class TestLatencySummary:
-    def test_empty_is_zeroes(self):
-        summary = summarize_latencies([])
-        assert summary["count"] == 0.0
-        assert summary["p99_ms"] == 0.0
-
-    def test_percentiles_are_ordered(self):
-        summary = summarize_latencies([float(i) for i in range(100)])
-        assert summary["count"] == 100.0
-        assert (
-            summary["p50_ms"] <= summary["p95_ms"] <= summary["p99_ms"]
-            <= summary["max_ms"]
-        )

@@ -1,6 +1,5 @@
 """Cluster (virtual MIMO node) tests: head election, geometry, liveness."""
 
-import numpy as np
 import pytest
 
 from repro.network.cluster import Cluster
@@ -62,7 +61,6 @@ class TestHeadElection:
 class TestGeometry:
     def test_centroid_and_diameter(self):
         cluster, _ = _cluster([10.0] * 2, positions=[(0.0, 0.0), (2.0, 0.0)])
-        np.testing.assert_allclose(cluster.centroid, [1.0, 0.0])
         assert cluster.diameter == pytest.approx(2.0)
 
     def test_singleton_diameter_zero(self):
@@ -76,11 +74,6 @@ class TestGeometry:
         assert a.distance_to(b) == pytest.approx(12.0)  # (0,0) to (12,0)
         assert b.distance_to(a) == pytest.approx(12.0)
 
-    def test_min_distance_to(self):
-        a, _ = _cluster([10.0] * 2, positions=[(0.0, 0.0), (1.0, 0.0)])
-        b = Cluster(1, [SUNode(10, (10.0, 0.0))])
-        assert a.min_distance_to(b) == pytest.approx(9.0)
-
 
 class TestLiveness:
     def test_alive_while_any_member_lives(self):
@@ -88,9 +81,3 @@ class TestLiveness:
         nodes[0].consume(1.0)
         assert cluster.is_alive
         assert cluster.alive_nodes == [nodes[1]]
-
-    def test_total_consumed(self):
-        cluster, nodes = _cluster([10.0, 10.0])
-        nodes[0].consume(3.0)
-        nodes[1].consume(4.0)
-        assert cluster.total_consumed_j() == pytest.approx(7.0)

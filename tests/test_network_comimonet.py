@@ -70,13 +70,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CoMIMONet([SUNode(0, (0, 0))], 1.0, 10.0, backbone="star")
 
-    def test_cluster_of_node(self):
-        net = _line_network()
-        cluster = net.cluster_of_node(0)
-        assert any(n.node_id == 0 for n in cluster.nodes)
-        with pytest.raises(KeyError):
-            net.cluster_of_node(999)
-
 
 class TestLinks:
     def test_link_descriptor(self):

@@ -180,16 +180,16 @@ class TestServiceResultCache:
         body = dict(distance=[30.0, 30.5, 31.0, 31.5, 32.0, 32.5], **UNDERLAY_ARGS)
         with ThreadedServer(_config(tmp_path)) as server:
             client = server.client()
-            baseline = list(client.underlay_energy_stream(**body))
+            baseline = list(client.request_stream("POST", "/v1/underlay/energy", body))
             assert baseline[-1] == {"done": True, "count": len(baseline) - 1}
             server.service.faults.arm_truncate_stream(
                 1, after_rows=1, paths=("/v1/underlay/energy",)
             )
             with pytest.raises(ServiceClientError) as excinfo:
-                list(client.underlay_energy_stream(**body))
+                list(client.request_stream("POST", "/v1/underlay/energy", body))
             assert excinfo.value.status == 599
             hits_before = client.metrics_snapshot()["result_cache"]["hits"]
-            replayed = list(client.underlay_energy_stream(**body))
+            replayed = list(client.request_stream("POST", "/v1/underlay/energy", body))
             hits_after = client.metrics_snapshot()["result_cache"]["hits"]
         assert json.dumps(replayed, sort_keys=True) == json.dumps(
             baseline, sort_keys=True

@@ -11,6 +11,12 @@ D1 = [float(x) for x in range(60, 140)]  # 80 points
 DIST = [float(x) for x in range(10, 50)]  # 40 points
 
 
+def _overlay_stream(client, d1):
+    """The streamed overlay sweep over ``d1`` with m = 2 at 10 kHz."""
+    body = {"d1": d1, "m": 2, "bandwidth": 10e3}
+    return list(client.request_stream("POST", "/v1/overlay/feasible", body))
+
+
 @pytest.fixture(scope="module")
 def server():
     config = ServiceConfig(
@@ -27,27 +33,27 @@ class TestOverlayStreaming:
     def test_rows_match_buffered(self, server):
         client = server.client(timeout_s=60.0)
         buffered = client.overlay_feasible(D1, m=2, bandwidth=10e3)
-        rows = list(client.overlay_feasible_stream(D1, m=2, bandwidth=10e3))
+        rows = _overlay_stream(client, D1)
         assert rows[-1] == {"done": True, "count": len(D1)}
         assert rows[:-1] == buffered["rows"]
 
     def test_single_point_stream(self, server):
         client = server.client(timeout_s=60.0)
-        rows = list(client.overlay_feasible_stream([100.0], m=2, bandwidth=10e3))
+        rows = _overlay_stream(client, [100.0])
         assert rows[-1] == {"done": True, "count": 1}
         assert len(rows) == 2
 
     def test_bad_axis_is_clean_400(self, server):
         client = server.client()
         with pytest.raises(ServiceClientError) as err:
-            list(client.overlay_feasible_stream([-5.0], m=2, bandwidth=10e3))
+            _overlay_stream(client, [-5.0])
         assert err.value.status == 400
 
     def test_oversize_axis_is_clean_400(self, server):
         client = server.client()
         axis = [float(i + 1) for i in range(5000)]
         with pytest.raises(ServiceClientError) as err:
-            list(client.overlay_feasible_stream(axis, m=2, bandwidth=10e3))
+            _overlay_stream(client, axis)
         assert err.value.status == 400
 
 
@@ -57,11 +63,8 @@ class TestUnderlayStreaming:
         buffered = client.underlay_energy(
             p=1e-3, mt=2, mr=2, d=100.0, distance=DIST, bandwidth=10e3
         )
-        rows = list(
-            client.underlay_energy_stream(
-                p=1e-3, mt=2, mr=2, d=100.0, distance=DIST, bandwidth=10e3
-            )
-        )
+        body = {"p": 1e-3, "mt": 2, "mr": 2, "d": 100.0, "distance": DIST, "bandwidth": 10e3}
+        rows = list(client.request_stream("POST", "/v1/underlay/energy", body))
         assert rows[-1] == {"done": True, "count": len(DIST)}
         assert rows[:-1] == buffered["rows"]
 
@@ -104,9 +107,9 @@ class TestCacheInterop:
         )
         with ThreadedServer(config) as srv:
             client = srv.client(timeout_s=60.0)
-            fresh = list(client.overlay_feasible_stream(D1, m=2, bandwidth=10e3))
+            fresh = _overlay_stream(client, D1)
             hits_before = client.metrics_snapshot()["result_cache"]["hits"]
-            replay = list(client.overlay_feasible_stream(D1, m=2, bandwidth=10e3))
+            replay = _overlay_stream(client, D1)
             hits_after = client.metrics_snapshot()["result_cache"]["hits"]
             assert replay == fresh
             assert hits_after == hits_before + 1
@@ -122,7 +125,7 @@ class TestCacheInterop:
         )
         with ThreadedServer(config) as srv:
             client = srv.client(timeout_s=60.0)
-            rows = list(client.overlay_feasible_stream(D1, m=2, bandwidth=10e3))
+            rows = _overlay_stream(client, D1)
             buffered = client.overlay_feasible(D1, m=2, bandwidth=10e3)
             assert buffered["rows"] == rows[:-1]
             hits = client.metrics_snapshot()["result_cache"]["hits"]

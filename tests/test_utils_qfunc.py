@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.qfunc import inv_qfunc, qfunc, qfunc_chernoff_bound
+from repro.utils.qfunc import inv_qfunc, qfunc
 
 
 class TestValues:
@@ -46,11 +46,8 @@ class TestInverse:
 class TestBounds:
     @given(st.floats(min_value=0.0, max_value=20.0))
     def test_chernoff_dominates(self, x):
-        assert qfunc(x) <= qfunc_chernoff_bound(x) + 1e-15
-
-    def test_chernoff_rejects_negative(self):
-        with pytest.raises(ValueError):
-            qfunc_chernoff_bound(-1.0)
+        # Chernoff: Q(x) <= exp(-x^2 / 2) for x >= 0
+        assert qfunc(x) <= np.exp(-(x**2) / 2.0) + 1e-15
 
     @given(st.floats(min_value=-10.0, max_value=10.0))
     def test_q_in_unit_interval(self, x):
